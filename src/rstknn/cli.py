@@ -84,10 +84,9 @@ def _parse_query(args: argparse.Namespace) -> QueryObject:
     if args.qx is None or args.qy is None:
         raise UsageError("provide either --query-file or both --qx and --qy")
     try:
-        terms = parse_query_terms(args.qterms)
-    except ValueError as exc:
+        return QueryObject((args.qx, args.qy), parse_query_terms(args.qterms))
+    except ValueError as exc:  # malformed terms, negative or non-finite values
         raise UsageError(str(exc)) from exc
-    return QueryObject((args.qx, args.qy), terms)
 
 
 def _parse_params(args: argparse.Namespace) -> SimParams:

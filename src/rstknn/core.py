@@ -30,8 +30,9 @@ class NonPositiveInput(ValueError):
 class TermVector:
     """Sparse term -> weight mapping with a canonical iteration order.
 
-    Weights are strictly positive: zero-weight terms are dropped at
-    construction, so presence in ``items`` means presence in the vector.
+    Weights are finite and strictly positive: zero-weight terms are dropped
+    at construction, so presence in ``items`` means presence in the vector;
+    NaN, infinite and negative weights are rejected.
     Dot products always iterate terms in lexicographic order, which makes
     every similarity value derived from these vectors reproducible
     bit-for-bit regardless of how the input mapping was built.
@@ -42,6 +43,8 @@ class TermVector:
     def __init__(self, weights: Mapping[str, float] | Iterable[tuple[str, float]] = ()):
         raw = dict(weights)
         for term, w in raw.items():
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight for term {term!r}: {w}")
             if w < 0:
                 raise ValueError(f"negative weight for term {term!r}: {w}")
         self.items: tuple[tuple[str, float], ...] = tuple(
@@ -91,6 +94,11 @@ class TermVector:
         return f"TermVector({{{inner}}})"
 
 
+def _check_finite_loc(loc: Point) -> None:
+    if not all(math.isfinite(c) for c in loc):
+        raise ValueError(f"non-finite coordinate in location {loc}")
+
+
 @dataclass(frozen=True)
 class STObject:
     """A database object: identifier, planar location, term vector."""
@@ -99,6 +107,9 @@ class STObject:
     loc: Point
     vct: TermVector
 
+    def __post_init__(self) -> None:
+        _check_finite_loc(self.loc)
+
 
 @dataclass(frozen=True)
 class QueryObject:
@@ -106,6 +117,9 @@ class QueryObject:
 
     loc: Point
     vct: TermVector
+
+    def __post_init__(self) -> None:
+        _check_finite_loc(self.loc)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ lists.
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -101,12 +100,14 @@ class EngineState:
         )
 
 
-def subtree_objects(tree: IurTree, entry: Entry) -> list[str]:
-    """All object ids under an entry, in id order."""
-    return tree.subtree_objects(entry)
-
-
 # -- correct mode -----------------------------------------------------------
+
+
+def _route(state: EngineState, tree: IurTree, entry: Entry, verdict: Verdict) -> None:
+    if verdict is Verdict.HIT:
+        state.rol.extend(tree.subtree_objects(entry))
+    elif verdict is Verdict.DROP:
+        state.pel.append(entry)
 
 
 def _assert_complete(lists: NNLists, audit: EngineAudit | None) -> None:
@@ -131,8 +132,7 @@ def _checked_verdict(lists: NNLists, query: QueryObject, params: SimParams,
 
 
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
-                 stats: NormStats, audit: EngineAudit | None,
-                 reverse_children: bool) -> EngineState:
+                 stats: NormStats, audit: EngineAudit | None) -> EngineState:
     state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
     root = tree.root_entry()
     state.u.append(root)
@@ -149,15 +149,10 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
             lists.update_with(other, params, stats)
             state.lists[other].update_with(entry, params, stats)
         verdict = _checked_verdict(lists, query, params, stats, audit)
-        if verdict is Verdict.HIT:
-            state.rol.extend(tree.subtree_objects(entry))
-        elif verdict is Verdict.DROP:
-            state.pel.append(entry)
+        if verdict is not Verdict.UNDECIDED:
+            _route(state, tree, entry, verdict)
         elif entry.is_node:
-            children = tree.children(entry)
-            if reverse_children:
-                children = list(reversed(children))
-            for child in children:
+            for child in tree.children(entry):
                 state.lists[child] = NNLists.inherited(child, lists)
                 state.u.append(child)
                 action += f", Enqueue {child.label}"
@@ -193,63 +188,22 @@ def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
         for oid in others:
             lists.update_with(object_entry(str(oid)), params, stats)
         verdict = _checked_verdict(lists, query, params, stats, audit)
+        if verdict is Verdict.UNDECIDED:  # pragma: no cover - impossible with exact point bounds
+            raise RuntimeError(f"verification left {candidate.label} undecided")
         state.col.remove(candidate)
-        if verdict is Verdict.HIT:
-            state.rol.append(str(candidate.ident))
-        elif verdict is Verdict.DROP:
-            state.pel.append(candidate)
+        _route(state, tree, candidate, verdict)
+        if verdict is Verdict.DROP:
             pel_points.append(str(candidate.ident))
             pel_points.sort()
-        else:  # pragma: no cover - impossible with exact point bounds
-            raise RuntimeError(f"verification left {candidate.label} undecided")
         state.snapshot(f"Verify {candidate.label}")
 
 
 # -- faulty legacy modes ------------------------------------------------------
 
 
-class _PriorityQueue:
-    """Max-priority queue over entries with deterministic tie-breaking."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, tuple[str, str], Entry]] = []
-        self._live: set[Entry] = set()
-
-    def push(self, entry: Entry, priority: float) -> None:
-        heapq.heappush(self._heap, (-priority, entry.order_key, entry))
-        self._live.add(entry)
-
-    def pop(self) -> Entry:
-        while True:
-            _, _, entry = heapq.heappop(self._heap)
-            if entry in self._live:
-                self._live.discard(entry)
-                return entry
-
-    def discard(self, entry: Entry) -> None:
-        self._live.discard(entry)
-
-    def __contains__(self, entry: Entry) -> bool:
-        return entry in self._live
-
-    def __bool__(self) -> bool:
-        return bool(self._live)
-
-    def live_sorted(self) -> list[Entry]:
-        seen = set()
-        out = []
-        for neg, key, entry in sorted(self._heap):
-            if entry in self._live and entry not in seen:
-                seen.add(entry)
-                out.append(entry)
-        return out
-
-
-def _route(state: EngineState, tree: IurTree, entry: Entry, verdict: Verdict) -> None:
-    if verdict is Verdict.HIT:
-        state.rol.extend(tree.subtree_objects(entry))
-    elif verdict is Verdict.DROP:
-        state.pel.append(entry)
+def _ranked(queue: dict[Entry, float]) -> list[Entry]:
+    """Queued entries by decreasing priority, ties broken by entry order."""
+    return sorted(queue, key=lambda e: (-queue[e], e.order_key))
 
 
 def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
@@ -263,16 +217,16 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
     upper bounds without any completeness gate.
     """
     state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
-    queue = _PriorityQueue()
     root = tree.root_entry()
     state.lists[root] = NNLists(root, tree)
-    queue.push(root, 0.0)
+    queue: dict[Entry, float] = {root: 0.0}  # live entry -> priority
 
     def ungated(lists: NNLists) -> Verdict:
         return is_hit_or_drop(lists, query, params, stats, gated=False)
 
     while queue:
-        parent = queue.pop()
+        parent = _ranked(queue)[0]
+        del queue[parent]
         action = f"Dequeue {parent.label}"
         parent_lists = state.lists[parent]
         for child in tree.children(parent):
@@ -285,7 +239,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                 if locality and child.is_node:
                     lists.add_self(params, stats)
                 candidates = list(state.col) + [object_entry(o) for o in state.rol]
-                candidates += queue.live_sorted()
+                candidates += _ranked(queue)
                 if locality:
                     # the later variant scans neighbors most-similar first
                     candidates.sort(
@@ -306,21 +260,20 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                         other_lists.update_with(child, params, stats)
                         other_verdict = ungated(other_lists)
                         if other_verdict is not Verdict.UNDECIDED:
-                            queue.discard(other)
+                            queue.pop(other, None)
                             if other in state.col:
                                 state.col.remove(other)
                             _route(state, tree, other, other_verdict)
             if verdict is Verdict.UNDECIDED:
                 if child.is_node:
-                    priority = max_sim_st(tree, child, query, params, stats)
-                    queue.push(child, priority)
+                    queue[child] = max_sim_st(tree, child, query, params, stats)
                     action += f", Enqueue {child.label}"
                 else:
                     state.col.append(child)
             else:
                 _route(state, tree, child, verdict)
         # keep the trace's U column consistent with the live queue
-        state.u = deque(queue.live_sorted())
+        state.u = deque(_ranked(queue))
         state.snapshot(action)
 
     _faulty_final_verification(state, tree, query, params, stats)
@@ -374,8 +327,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryOb
 
 def rstknn_query(tree: IurTree, query: QueryObject, params: SimParams,
                  mode: Mode = Mode.CORRECT, *, stats: NormStats | None = None,
-                 audit: EngineAudit | None = None,
-                 reverse_children: bool = False) -> tuple[set[str], list[TraceEvent]]:
+                 audit: EngineAudit | None = None) -> tuple[set[str], list[TraceEvent]]:
     """Run a reverse spatio-textual k-NN query.
 
     Returns the result object ids and the recorded trace.  ``stats`` defaults
@@ -385,7 +337,7 @@ def rstknn_query(tree: IurTree, query: QueryObject, params: SimParams,
     if stats is None:
         stats = tree.norm_stats()
     if mode is Mode.CORRECT:
-        state = _run_correct(tree, query, params, stats, audit, reverse_children)
+        state = _run_correct(tree, query, params, stats, audit)
     elif mode is Mode.FAULTY2011:
         state = _run_faulty(tree, query, params, stats, locality=False)
     elif mode is Mode.FAULTY2014:

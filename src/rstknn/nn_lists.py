@@ -4,7 +4,8 @@ An entry's NN-lists record, for a set of pairwise non-overlapping tree
 entries, how many neighbor slots each one accounts for (``m``) together with
 lower/upper similarity bounds.  Walking the tuples in decreasing bound order
 and accumulating ``m`` yields under/over-estimates of the similarity to the
-k-th nearest neighbor of any point inside the owner.
+k-th nearest neighbor of any point inside the owner.  The walk sorts the
+tuples when it is asked for; ties in bound cannot change its value.
 
 Two safety rules are load-bearing here and deliberately asymmetric:
 
@@ -49,23 +50,16 @@ class NNTuple:
 
 
 class NNLists:
-    """Keyed tuple store with two derived sorted views.
+    """Tuple store keyed by entry, walked by lower or by upper bound.
 
-    One store backs both the pessimistic (lower) and optimistic (upper)
-    views, so the two can never disagree on membership.  View ordering ties
-    are broken by entry id, keeping traces deterministic.
+    One store backs both the pessimistic (lower) and the optimistic (upper)
+    walk, so the two can never disagree on membership.
     """
 
     def __init__(self, owner: Entry, tree: IurTree):
         self.owner = owner
         self.tree = tree
         self._tuples: dict[Entry, NNTuple] = {}
-        self._lower: list[NNTuple] | None = None
-        self._upper: list[NNTuple] | None = None
-
-    def _invalidate(self) -> None:
-        self._lower = None
-        self._upper = None
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -100,7 +94,6 @@ class NNLists:
             min_sim=lo,
             max_sim=hi,
         )
-        self._invalidate()
 
     def update_with(self, other: Entry, params: SimParams, stats: NormStats) -> None:
         """Upsert a tuple for ``other`` with directly computed bounds.
@@ -120,7 +113,6 @@ class NNLists:
             del self._tuples[e]
         lo, hi = pair_sim_bounds(self.tree, self.owner, other, params, stats)
         self._tuples[other] = NNTuple(entry=other, m=self._m_for(other), min_sim=lo, max_sim=hi)
-        self._invalidate()
 
     @classmethod
     def inherited(cls, child: Entry, parent_lists: "NNLists") -> "NNLists":
@@ -146,34 +138,13 @@ class NNLists:
         parent = self.tree.parent(self.owner)
         if parent is not None:
             doomed.append(parent)
-        changed = False
         for e in doomed:
-            if e in self._tuples:
-                del self._tuples[e]
-                changed = True
-        if changed:
-            self._invalidate()
+            self._tuples.pop(e, None)
 
     def remove(self, entry: Entry) -> None:
-        if entry in self._tuples:
-            del self._tuples[entry]
-            self._invalidate()
+        self._tuples.pop(entry, None)
 
-    # -- derived views and bounds --------------------------------------------
-
-    def lower_view(self) -> list[NNTuple]:
-        if self._lower is None:
-            self._lower = sorted(
-                self._tuples.values(), key=lambda t: (-t.min_sim, t.entry.order_key)
-            )
-        return self._lower
-
-    def upper_view(self) -> list[NNTuple]:
-        if self._upper is None:
-            self._upper = sorted(
-                self._tuples.values(), key=lambda t: (-t.max_sim, t.entry.order_key)
-            )
-        return self._upper
+    # -- bounds -------------------------------------------------------------
 
     def coverage(self) -> int:
         return sum(t.m for t in self._tuples.values())
@@ -196,18 +167,31 @@ class NNLists:
             return True
         return self.owner.is_object and missing == {self.owner.ident}
 
+    def _walk(self, k: int, upper: bool) -> float | None:
+        """Walk the tuples in decreasing bound order, accumulating slots.
+
+        Returns the bound of the tuple at which the count reaches k, or None
+        when the list covers fewer than k neighbors.  Tuples with equal
+        bounds may come in any order: the value is the same.
+        """
+        pairs = sorted(
+            ((t.max_sim if upper else t.min_sim, t.m) for t in self._tuples.values()),
+            reverse=True,
+        )
+        cumulative = 0
+        for bound, m in pairs:
+            cumulative += m
+            if cumulative >= k:
+                return bound
+        return None
+
     def knn_lower(self, k: int) -> float | None:
         """Lower bound on the k-th-neighbor similarity of any owned point.
 
-        Walks the pessimistic view accumulating slots; absent when the list
-        covers fewer than k neighbors (no bound is available, which is safe).
+        Walks the lower bounds; absent when the list covers fewer than k
+        neighbors (no bound is available, which is safe).
         """
-        cumulative = 0
-        for t in self.lower_view():
-            cumulative += t.m
-            if cumulative >= k:
-                return t.min_sim
-        return None
+        return self._walk(k, upper=False)
 
     def knn_upper(self, k: int) -> float | None:
         """Upper bound on the k-th-neighbor similarity of any owned point.
@@ -219,25 +203,8 @@ class NNLists:
         """
         if not self.is_complete():
             return None
-        cumulative = 0
-        for t in self.upper_view():
-            cumulative += t.m
-            if cumulative >= k:
-                return t.max_sim
-        return NEG_INF
-
-    def knn_upper_ungated(self, k: int) -> float | None:
-        """The upper walk without the completeness gate.
-
-        This is exactly the unsound shortcut the legacy query modes take; it
-        exists so those modes can reproduce their published behavior.
-        """
-        cumulative = 0
-        for t in self.upper_view():
-            cumulative += t.m
-            if cumulative >= k:
-                return t.max_sim
-        return None
+        upper = self._walk(k, upper=True)
+        return NEG_INF if upper is None else upper
 
     # -- test support ---------------------------------------------------------
 
@@ -268,15 +235,16 @@ def is_hit_or_drop(lists: NNLists, query: QueryObject, params: SimParams,
     Hit when the pessimistic owner-query similarity strictly beats the
     optimistic k-th-neighbor bound.  Otherwise undecided.
 
-    ``gated=False`` computes the upper bound without the completeness gate;
-    only the deliberately faulty legacy modes use it.
+    ``gated=False`` walks the upper bounds without the completeness gate
+    (and without -inf when fewer than k neighbors are covered); only the
+    deliberately faulty legacy modes use it.
     """
     tree = lists.tree
     k = params.k
     lower = lists.knn_lower(k)
     if lower is not None and max_sim_st(tree, lists.owner, query, params, stats) <= lower:
         return Verdict.DROP
-    upper = lists.knn_upper(k) if gated else lists.knn_upper_ungated(k)
+    upper = lists.knn_upper(k) if gated else lists._walk(k, upper=True)
     if upper is not None and min_sim_st(tree, lists.owner, query, params, stats) > upper:
         return Verdict.HIT
     return Verdict.UNDECIDED

@@ -77,6 +77,37 @@ def test_read_dataset_rejects_duplicates_and_bad_fields(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("line", [
+    '{"id": "b", "x": NaN, "y": 0, "terms": {}}',
+    '{"id": "b", "x": 0, "y": -Infinity, "terms": {}}',
+    '{"id": "b", "x": 0, "y": 1e400, "terms": {}}',
+    '{"id": "b", "x": 0, "y": 0, "terms": {"t": NaN}}',
+    '{"id": "b", "x": 0, "y": 0, "terms": {"t": Infinity}}',
+])
+def test_read_dataset_rejects_non_finite_values(tmp_path, line):
+    path = tmp_path / "nonfinite.jsonl"
+    path.write_text('{"id": "a", "x": 0, "y": 0, "terms": {}}\n' + line + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line_no == 2
+    code, out, err = run_cli(["compare", str(path), "--qx", "0", "--qy", "0"])
+    assert code == EXIT_PARSE and not out
+    assert "nonfinite.jsonl:2" in err
+
+
+def test_read_query_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "q.json"
+    for text in ('{"x": NaN, "y": 0}', '{"x": 0, "y": 0, "terms": {"t": Infinity}}'):
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_query(path)
+        assert exc.value.line_no == 1
+    dataset = _write_collinear(tmp_path)
+    code, _, err = run_cli(["query", str(dataset), "--query-file", str(path)])
+    assert code == EXIT_PARSE
+    assert "q.json:1" in err
+
+
 def test_read_query(tmp_path):
     path = tmp_path / "q.json"
     path.write_text('{"x": 1.5, "y": 2.0, "terms": {"t1": 2}}')
@@ -153,6 +184,19 @@ def test_query_rejects_bad_params(tmp_path):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(["query", str(dataset), "--qx", "0", "--qy", "0", "--mode", "bogus"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("extra", [
+    ["--qx", "nan", "--qy", "0"],
+    ["--qx", "0", "--qy", "inf"],
+    ["--qx", "0", "--qy", "0", "--qterms", "t=nan"],
+    ["--qx", "0", "--qy", "0", "--qterms", "t=inf"],
+])
+def test_query_rejects_non_finite_arguments(tmp_path, extra):
+    dataset = _write_collinear(tmp_path)
+    code, out, err = run_cli(["query", str(dataset)] + extra)
+    assert code == EXIT_USAGE and not out
+    assert "non-finite" in err
 
 
 def test_query_parse_error_exit_code(tmp_path):

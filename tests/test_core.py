@@ -40,6 +40,20 @@ def test_term_vector_drops_zero_weights_and_sorts():
         TermVector({"a": -1.0})
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+def test_term_vector_rejects_non_finite_weights(w):
+    with pytest.raises(ValueError, match="non-finite"):
+        TermVector({"a": 1.0, "b": w})
+
+
+@pytest.mark.parametrize("loc", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)])
+def test_objects_reject_non_finite_coordinates(loc):
+    with pytest.raises(ValueError, match="non-finite"):
+        STObject("a", loc, TermVector())
+    with pytest.raises(ValueError, match="non-finite"):
+        QueryObject(loc, TermVector())
+
+
 def test_extended_jaccard_refutation_values():
     # the two published counterexample similarities, 1300/11201 and 1600/11801
     p = TermVector({"d0": 100.0, "d1": 30.0})

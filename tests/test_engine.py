@@ -16,10 +16,9 @@ from rstknn.engine import (
     final_verification,
     format_trace_table,
     rstknn_query,
-    subtree_objects,
     trace_to_jsonl,
 )
-from rstknn.iur_tree import build_tree, node_entry, object_entry
+from rstknn.iur_tree import build_tree, node_entry, object_entry, tree_from_layout
 from rstknn.oracle import rknn_bruteforce
 
 
@@ -53,9 +52,9 @@ def test_collinear_example():
 def test_subtree_objects():
     fx = two_cluster_fixture()
     tree = fx.build_tree()
-    assert subtree_objects(tree, object_entry("P3")) == ["P3"]
-    assert subtree_objects(tree, tree.root_entry()) == sorted(o.id for o in fx.objects)
-    assert subtree_objects(tree, node_entry(2)) == ["P2", "P3", "P4", "P5"]
+    assert tree.subtree_objects(object_entry("P3")) == ["P3"]
+    assert tree.subtree_objects(tree.root_entry()) == sorted(o.id for o in fx.objects)
+    assert tree.subtree_objects(node_entry(2)) == ["P2", "P3", "P4", "P5"]
 
 
 def test_two_cluster_fixture_correct_mode_matches_oracle():
@@ -158,16 +157,26 @@ def test_trace_partition_invariant():
             assert sorted(seen) == sorted(o.id for o in objs), f"step {ev.step}"
 
 
+def _mirror_layout(tree, node_id):
+    """The tree's layout with children and leaf objects reversed at every level."""
+    node = tree.nodes[node_id]
+    if node.is_leaf:
+        return list(reversed(node.object_ids))
+    return [_mirror_layout(tree, c) for c in reversed(node.child_ids)]
+
+
 def test_fifo_order_indifference():
-    # reversing sibling enqueue order must not change the result set
+    # a tree and its mirror enqueue siblings in opposite orders; the result
+    # set must not change
     for seed in range(40):
         rng = random.Random(1000 + seed)
         objs = random_dataset(rng, rng.randint(2, 32), 5)
         q = random_query(rng, 5)
         params = SimParams(alpha=rng.choice([0.0, 0.7, 1.0]), k=rng.randint(1, 3))
         tree = build_tree(objs, rng.choice([2, 4]))
+        mirror = tree_from_layout(objs, _mirror_layout(tree, tree.root_id))
         forward, _ = rstknn_query(tree, q, params)
-        backward, _ = rstknn_query(tree, q, params, reverse_children=True)
+        backward, _ = rstknn_query(mirror, q, params)
         assert forward == backward
 
 

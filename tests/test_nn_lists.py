@@ -131,7 +131,6 @@ def _manual_lists(tree, owner, rows):
     lists = NNLists(owner, tree)
     for entry, m, lo, hi in rows:
         lists._tuples[entry] = NNTuple(entry, m, lo, hi)
-    lists._invalidate()
     return lists
 
 
@@ -190,15 +189,29 @@ def test_knn_upper_cumulative_example():
     assert lists.knn_upper(5) == 0.5
 
 
-def test_view_order_ties_broken_by_entry_id():
-    objs, tree, stats = _line_tree()
-    lists = _manual_lists(
-        tree,
-        object_entry("P0"),
-        [(node_entry(4), 2, 0.5, 0.5), (node_entry(3), 2, 0.5, 0.5)],
-    )
-    assert [t.entry.ident for t in lists.lower_view()] == [3, 4]
-    assert [t.entry.ident for t in lists.upper_view()] == [3, 4]
+def test_walk_value_independent_of_insertion_order_on_ties():
+    tree, stats = _verdict_fixture()
+    owner = object_entry("P0")
+    q = QueryObject((5.0, 0.0), TermVector())
+    # equal bounds with unequal slot counts, so a tie-break on m or on entry
+    # would be visible if it could change a walk's value
+    rows = [
+        (object_entry("P1"), 1, 0.5, 0.7),
+        (node_entry(3), 2, 0.5, 0.7),
+        (node_entry(4), 2, 0.3, 0.7),
+    ]
+    forward = _manual_lists(tree, owner, rows)
+    backward = _manual_lists(tree, owner, rows[::-1])
+    assert forward.is_complete() and backward.is_complete()
+    for k in range(1, 7):
+        params = SimParams(alpha=1.0, k=k)
+        assert forward.knn_lower(k) == backward.knn_lower(k)
+        assert forward.knn_upper(k) == backward.knn_upper(k)
+        assert is_hit_or_drop(forward, q, params, stats, gated=False) is is_hit_or_drop(
+            backward, q, params, stats, gated=False
+        )
+    assert [forward.knn_lower(k) for k in range(1, 7)] == [0.5, 0.5, 0.5, 0.3, 0.3, None]
+    assert [forward.knn_upper(k) for k in range(1, 7)] == [0.7] * 5 + [NEG_INF]
 
 
 def _verdict_fixture():
