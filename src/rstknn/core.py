@@ -27,12 +27,21 @@ class NonPositiveInput(ValueError):
     """A strictly positive argument was required."""
 
 
+def is_finite(x: int | float) -> bool:
+    """Whether a number is finite as a float; NaN, infinities and integers
+    beyond float range are not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 class TermVector:
     """Sparse term -> weight mapping with a canonical iteration order.
 
     Weights are finite and strictly positive: zero-weight terms are dropped
     at construction, so presence in ``items`` means presence in the vector;
-    NaN, infinite and negative weights are rejected.
+    NaN, infinite, out-of-float-range and negative weights are rejected.
     Dot products always iterate terms in lexicographic order, which makes
     every similarity value derived from these vectors reproducible
     bit-for-bit regardless of how the input mapping was built.
@@ -43,7 +52,7 @@ class TermVector:
     def __init__(self, weights: Mapping[str, float] | Iterable[tuple[str, float]] = ()):
         raw = dict(weights)
         for term, w in raw.items():
-            if not math.isfinite(w):
+            if not is_finite(w):
                 raise ValueError(f"non-finite weight for term {term!r}: {w}")
             if w < 0:
                 raise ValueError(f"negative weight for term {term!r}: {w}")
@@ -95,7 +104,7 @@ class TermVector:
 
 
 def _check_finite_loc(loc: Point) -> None:
-    if not all(math.isfinite(c) for c in loc):
+    if not all(is_finite(c) for c in loc):
         raise ValueError(f"non-finite coordinate in location {loc}")
 
 

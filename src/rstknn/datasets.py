@@ -9,12 +9,11 @@ numbers), so generate -> parse -> serialize round-trips byte-identically.
 from __future__ import annotations
 
 import json
-import math
 import random
 from pathlib import Path
 from typing import Sequence
 
-from .core import QueryObject, STObject, TermVector
+from .core import QueryObject, STObject, TermVector, is_finite
 
 
 class ParseError(ValueError):
@@ -27,15 +26,6 @@ class ParseError(ValueError):
         self.message = message
 
 
-def _finite(raw: int | float) -> bool:
-    """Whether a parsed JSON number is finite as a float; NaN, Infinity and
-    integers beyond float range are not."""
-    try:
-        return math.isfinite(raw)
-    except OverflowError:
-        return False
-
-
 def _terms_from_json(raw: object, path: str | Path, line_no: int) -> TermVector:
     if not isinstance(raw, dict):
         raise ParseError(path, line_no, "'terms' must be an object")
@@ -43,7 +33,7 @@ def _terms_from_json(raw: object, path: str | Path, line_no: int) -> TermVector:
     for term, w in raw.items():
         if not isinstance(term, str) or not isinstance(w, (int, float)) or isinstance(w, bool):
             raise ParseError(path, line_no, f"bad term entry {term!r}: {w!r}")
-        if not _finite(w):
+        if not is_finite(w):
             raise ParseError(path, line_no, f"non-finite weight for term {term!r}: {w!r}")
         if w < 0:
             raise ParseError(path, line_no, f"negative weight for term {term!r}")
@@ -54,7 +44,7 @@ def _terms_from_json(raw: object, path: str | Path, line_no: int) -> TermVector:
 def _number(raw: object, name: str, path: str | Path, line_no: int) -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ParseError(path, line_no, f"'{name}' must be a number, got {raw!r}")
-    if not _finite(raw):
+    if not is_finite(raw):
         raise ParseError(path, line_no, f"'{name}' must be finite, got {raw!r}")
     return float(raw)
 

@@ -7,7 +7,8 @@ Three query modes share the bound machinery but differ in control flow:
   exchanges updates with every queued entry (completeness) before the
   accept/prune test runs.  A runtime assertion verifies that every list is
   complete at test time; survivors of the main loop are settled by exact
-  point-to-point verification.
+  point-to-point verification.  Each update pair shares one bound
+  evaluation, and an entry's lists are freed once it is decided or expanded.
 * ``FAULTY2011`` — a reproduction of the legacy priority-queue algorithm
   that never lets a node account for its own contents.  Intentionally
   unsound; kept as an executable regression of that failure mode.
@@ -146,16 +147,20 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
         if entry.is_node:
             lists.add_self(params, stats)
         for other in list(state.u):  # mutual effect with everything queued
-            lists.update_with(other, params, stats)
-            state.lists[other].update_with(entry, params, stats)
+            bounds = lists.update_with(other, params, stats)
+            state.lists[other].update_with(entry, params, stats, bounds)
         verdict = _checked_verdict(lists, query, params, stats, audit)
+        # a decided or expanded entry's list is never read again: free it;
+        # candidates keep theirs for final_verification
         if verdict is not Verdict.UNDECIDED:
             _route(state, tree, entry, verdict)
+            del state.lists[entry]
         elif entry.is_node:
             for child in tree.children(entry):
                 state.lists[child] = NNLists.inherited(child, lists)
                 state.u.append(child)
                 action += f", Enqueue {child.label}"
+            del state.lists[entry]
         else:
             state.col.append(entry)
         state.snapshot(action)
@@ -206,6 +211,12 @@ def _ranked(queue: dict[Entry, float]) -> list[Entry]:
     return sorted(queue, key=lambda e: (-queue[e], e.order_key))
 
 
+def _ungated(lists: NNLists, query: QueryObject, params: SimParams,
+             stats: NormStats) -> Verdict:
+    """The legacy test: upper bounds walked without the completeness gate."""
+    return is_hit_or_drop(lists, query, params, stats, gated=False)
+
+
 def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                 stats: NormStats, *, locality: bool) -> EngineState:
     """Shared skeleton of the two legacy modes.
@@ -221,9 +232,6 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
     state.lists[root] = NNLists(root, tree)
     queue: dict[Entry, float] = {root: 0.0}  # live entry -> priority
 
-    def ungated(lists: NNLists) -> Verdict:
-        return is_hit_or_drop(lists, query, params, stats, gated=False)
-
     while queue:
         parent = _ranked(queue)[0]
         del queue[parent]
@@ -234,7 +242,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
             if locality:
                 lists.remove(parent)
             state.lists[child] = lists
-            verdict = ungated(lists)
+            verdict = _ungated(lists, query, params, stats)
             if verdict is Verdict.UNDECIDED:
                 if locality and child.is_node:
                     lists.add_self(params, stats)
@@ -251,14 +259,14 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                 for other in candidates:
                     if other == child:
                         continue
-                    lists.update_with(other, params, stats)
-                    verdict = ungated(lists)
+                    bounds = lists.update_with(other, params, stats)
+                    verdict = _ungated(lists, query, params, stats)
                     if verdict is not Verdict.UNDECIDED:
                         break
                     if other in queue or other in state.col:
                         other_lists = state.lists[other]
-                        other_lists.update_with(child, params, stats)
-                        other_verdict = ungated(other_lists)
+                        other_lists.update_with(child, params, stats, bounds)
+                        other_verdict = _ungated(other_lists, query, params, stats)
                         if other_verdict is not Verdict.UNDECIDED:
                             queue.pop(other, None)
                             if other in state.col:
@@ -292,9 +300,6 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryOb
     still covers fewer than k neighbors is accepted, mirroring the convention
     that an object short of k competitors has the query among its k nearest.
     """
-    def ungated(lists: NNLists) -> Verdict:
-        return is_hit_or_drop(lists, query, params, stats, gated=False)
-
     working = list(state.pel)
     while state.col and working:
         working.sort(key=lambda e: (-tree.depth(e), e.order_key))
@@ -302,7 +307,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryOb
         for candidate in list(state.col):
             lists = state.lists[candidate]
             lists.update_with(entry, params, stats)
-            verdict = ungated(lists)
+            verdict = _ungated(lists, query, params, stats)
             if verdict is not Verdict.UNDECIDED:
                 state.col.remove(candidate)
                 _route(state, tree, candidate, verdict)
@@ -313,7 +318,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryOb
         lists = state.lists[candidate]
         for other in state.rol + [c.ident for c in state.col if c != candidate]:
             lists.update_with(object_entry(str(other)), params, stats)
-        verdict = ungated(lists)
+        verdict = _ungated(lists, query, params, stats)
         if verdict is Verdict.UNDECIDED:
             # fewer than k neighbors reachable: unconditional member
             verdict = Verdict.HIT

@@ -174,7 +174,17 @@ Layout = list  # nested lists; a leaf is a list of object-id strings
 
 
 class IurTree:
-    """Immutable index over a dataset of :class:`STObject`."""
+    """Immutable index over a dataset of :class:`STObject`.
+
+    Besides the nodes, construction precomputes per-entry lookups so that
+    containment questions never walk the tree: subtree object sets, preorder
+    object spans (containment of spans decides ancestry) and, for every
+    entry B, the tuple ``covering(B)`` of the other entries whose span
+    contains B's.  Those are B's proper ancestors plus the descendants that
+    share B's span: the nodes of a single-child chain below B and the object
+    of a single-object leaf.  The NN-lists drop exactly these entries before
+    adding B, at O(depth) cost instead of a scan over every held tuple.
+    """
 
     def __init__(self, objects: Sequence[STObject], nodes: dict[int, IurNode], root_id: int):
         self.objects: dict[str, STObject] = {o.id: o for o in objects}
@@ -195,6 +205,32 @@ class IurTree:
         self._node_span: dict[int, tuple[int, int]] = {}
         self._object_span: dict[str, tuple[int, int]] = {}
         self._fill_spans(root_id, 0)
+        # covering entries: proper ancestors plus equal-span descendants
+        self._node_covering: dict[int, tuple[Entry, ...]] = {}
+        self._object_covering: dict[str, tuple[Entry, ...]] = {}
+        self._fill_covering()
+
+    def _fill_covering(self) -> None:
+        stack: list[tuple[int, tuple[Entry, ...]]] = [(self.root_id, ())]
+        while stack:
+            node_id, ancestors = stack.pop()
+            node = self.nodes[node_id]
+            self._node_covering[node_id] = ancestors + self._equal_span_descendants(node)
+            below = (node_entry(node_id),) + ancestors
+            for oid in node.object_ids:
+                self._object_covering[oid] = below
+            for child in node.child_ids:
+                stack.append((child, below))
+
+    def _equal_span_descendants(self, node: IurNode) -> tuple[Entry, ...]:
+        """The chain of descendants holding exactly the node's objects."""
+        chain: list[Entry] = []
+        while len(node.child_ids) == 1:
+            node = self.nodes[node.child_ids[0]]
+            chain.append(node_entry(node.node_id))
+        if len(node.object_ids) == 1:
+            chain.append(object_entry(node.object_ids[0]))
+        return tuple(chain)
 
     def _fill_spans(self, node_id: int, start: int) -> int:
         node = self.nodes[node_id]
@@ -284,6 +320,16 @@ class IurTree:
         alo, ahi = self._span(a)
         blo, bhi = self._span(b)
         return alo <= blo and bhi <= ahi
+
+    def covering(self, entry: Entry) -> tuple[Entry, ...]:
+        """The entries other than ``entry`` whose subtree contains its subtree.
+
+        Exactly ``{e != entry : is_ancestor_or_equal(e, entry)}``, precomputed
+        at construction: proper ancestors plus equal-span chain descendants.
+        """
+        if entry.is_node:
+            return self._node_covering[entry.ident]
+        return self._object_covering[entry.ident]
 
     def overlaps(self, a: Entry, b: Entry) -> bool:
         """Tree overlap: the entries share at least one object."""

@@ -13,7 +13,11 @@ Two safety rules are load-bearing here and deliberately asymmetric:
   missing bound can never cause a wrong decision.
 * Over-coverage is forbidden: counting a point twice inflates the lower
   cumulative walk and can trigger a false prune.  Therefore an update with
-  entry B first removes every tuple whose entry is a proper ancestor of B.
+  entry B first removes every tuple whose entry covers B: its proper
+  ancestors and the equal-span chain entries below it (a single-child node's
+  child, a single-object leaf's object).  The tree precomputes that set per
+  entry (:meth:`IurTree.covering`), so the removal pops at most depth plus
+  chain-length keys instead of scanning the held tuples.
 
 The upper-bound walk is additionally gated on completeness: it is only
 meaningful when every database object is accounted for, which is exactly the
@@ -95,24 +99,31 @@ class NNLists:
             max_sim=hi,
         )
 
-    def update_with(self, other: Entry, params: SimParams, stats: NormStats) -> None:
+    def update_with(self, other: Entry, params: SimParams, stats: NormStats,
+                    bounds: tuple[float, float] | None = None) -> tuple[float, float]:
         """Upsert a tuple for ``other`` with directly computed bounds.
 
-        Any tuple whose entry is a proper ancestor of ``other`` is removed
-        first: keeping both would double-count the ancestor's points, and a
-        double-counted lower list can prune entries that belong in the
-        result.
+        Every tuple whose entry covers ``other`` (a proper ancestor, or an
+        equal-span chain entry) is removed first, by lookup in the tree's
+        precomputed :meth:`IurTree.covering`, not by a scan: keeping both
+        would double-count the covering entry's points, and a double-counted
+        lower list can prune entries that belong in the result.
+
+        ``bounds`` takes the (lower, upper) pair already computed for the
+        reverse update, ``other``'s list updated with this owner;
+        :func:`pair_sim_bounds` is symmetric bit for bit, so one evaluation
+        serves both lists.  Returns the pair stored.
         """
         if other == self.owner:
             raise ValueError("an entry never contributes to its own list via update")
-        stale = [
-            e for e in self._tuples
-            if e != other and self.tree.is_ancestor_or_equal(e, other)
-        ]
-        for e in stale:
-            del self._tuples[e]
-        lo, hi = pair_sim_bounds(self.tree, self.owner, other, params, stats)
-        self._tuples[other] = NNTuple(entry=other, m=self._m_for(other), min_sim=lo, max_sim=hi)
+        tuples = self._tuples
+        for e in self.tree.covering(other):
+            tuples.pop(e, None)
+        if bounds is None:
+            bounds = pair_sim_bounds(self.tree, self.owner, other, params, stats)
+        lo, hi = bounds
+        tuples[other] = NNTuple(entry=other, m=self._m_for(other), min_sim=lo, max_sim=hi)
+        return bounds
 
     @classmethod
     def inherited(cls, child: Entry, parent_lists: "NNLists") -> "NNLists":

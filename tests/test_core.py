@@ -54,6 +54,21 @@ def test_objects_reject_non_finite_coordinates(loc):
         QueryObject(loc, TermVector())
 
 
+def test_term_vector_rejects_int_weight_beyond_float_range():
+    with pytest.raises(ValueError, match="non-finite"):
+        TermVector({"a": 10**400})
+
+
+def test_st_object_rejects_int_coordinate_beyond_float_range():
+    with pytest.raises(ValueError, match="non-finite"):
+        STObject("x", (10**400, 0.0), TermVector())
+
+
+def test_query_object_rejects_int_coordinate_beyond_float_range():
+    with pytest.raises(ValueError, match="non-finite"):
+        QueryObject((0.0, -(10**400)), TermVector())
+
+
 def test_extended_jaccard_refutation_values():
     # the two published counterexample similarities, 1300/11201 and 1600/11801
     p = TermVector({"d0": 100.0, "d1": 30.0})

@@ -11,6 +11,7 @@ from rstknn.engine import (
     EngineAudit,
     EngineState,
     Mode,
+    _run_correct,
     faulty2011_query,
     faulty2014_query,
     final_verification,
@@ -178,6 +179,24 @@ def test_fifo_order_indifference():
         forward, _ = rstknn_query(tree, q, params)
         backward, _ = rstknn_query(mirror, q, params)
         assert forward == backward
+
+
+def test_correct_mode_keeps_only_candidate_lists():
+    # routed and expanded entries free their NN-lists in the main loop; only
+    # the candidates settled by final_verification keep theirs
+    candidates = 0
+    for seed in range(30):
+        rng = random.Random(500 + seed)
+        objs = random_dataset(rng, rng.randint(1, 40), 5)
+        q = random_query(rng, 5)
+        params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=rng.randint(1, 4))
+        tree = build_tree(objs, rng.choice([2, 3, 4]))
+        state = _run_correct(tree, q, params, tree.norm_stats(), None)
+        verified = {ev.action.removeprefix("Verify ") for ev in state.trace
+                    if ev.action.startswith("Verify")}
+        assert {e.label for e in state.lists} == verified
+        candidates += len(verified)
+    assert candidates > 0
 
 
 def test_each_entry_enqueued_at_most_once():

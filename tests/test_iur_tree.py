@@ -27,6 +27,7 @@ from rstknn.iur_tree import (
     min_text_sim,
     node_entry,
     object_entry,
+    pair_sim_bounds,
     tree_from_layout,
 )
 
@@ -174,6 +175,44 @@ def test_ancestry_and_overlap():
     assert not tree.overlaps(object_entry("P0"), n2)
     assert tree.subtree_objects(n2) == ["P2", "P3", "P4", "P5"]
     assert tree.subtree_objects(p2) == ["P2"]
+
+
+def _all_entries(tree):
+    return [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+
+
+def test_covering_is_every_other_entry_with_a_containing_span(equal_span_trees):
+    equal_spans = 0
+    for tree in equal_span_trees:
+        entries = _all_entries(tree)
+        for b in entries:
+            covering = tree.covering(b)
+            assert len(covering) == len(set(covering))
+            assert set(covering) == {
+                e for e in entries if e != b and tree.is_ancestor_or_equal(e, b)
+            }
+            equal_spans += sum(tree.is_ancestor_or_equal(b, e) for e in covering)
+    assert equal_spans > 0  # chain nodes and single-object leaves were exercised
+
+
+def test_pair_sim_bounds_symmetric_bit_for_bit():
+    rng = random.Random(31)
+    real_valued = [
+        STObject(f"R{i}", (rng.gauss(0.0, 50.0), rng.gauss(0.0, 50.0)),
+                 TermVector({f"t{j}": rng.uniform(0.01, 3.0)
+                             for j in rng.sample(range(6), rng.randint(0, 4))}))
+        for i in range(40)
+    ]
+    trees = [build_tree(real_valued, 3), build_tree(random_dataset(rng, 40, 6), 4)]
+    for tree in trees:
+        stats = tree.norm_stats()
+        entries = _all_entries(tree)
+        for _ in range(300):
+            a, b = rng.choice(entries), rng.choice(entries)
+            params = SimParams(alpha=rng.choice([0.0, 0.4, 0.7, 1.0]), k=1)
+            ab = pair_sim_bounds(tree, a, b, params, stats)
+            ba = pair_sim_bounds(tree, b, a, params, stats)
+            assert [x.hex() for x in ab] == [x.hex() for x in ba], (a, b)
 
 
 def _group_vectors(vectors):

@@ -8,6 +8,7 @@ from rstknn.iur_tree import (
     min_sim_st,
     node_entry,
     object_entry,
+    pair_sim_bounds,
     tree_from_layout,
 )
 from rstknn.nn_lists import NEG_INF, NNLists, NNTuple, NotInternalNode, Verdict, is_hit_or_drop
@@ -77,6 +78,48 @@ def test_update_upsert_keeps_m():
     after = lists.get(n4)
     assert after.m == before.m == 2
     assert after.min_sim == before.min_sim and after.max_sim == before.max_sim
+
+
+def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
+    # refinement sequences as the engine produces them: an update never adds
+    # an entry that strictly contains a held one
+    params = SimParams(alpha=0.4, k=2)
+    equal_span_removals = 0
+    for tree in equal_span_trees:
+        stats = tree.norm_stats()
+        entries = [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+        for _ in range(5):
+            owner = rng.choice(entries)
+            lists = NNLists(owner, tree)
+            for _ in range(25):
+                held = {t.entry for t in lists.tuples()}
+                options = [
+                    b for b in entries
+                    if b != owner and not any(
+                        tree.is_ancestor_or_equal(b, e) and not tree.is_ancestor_or_equal(e, b)
+                        for e in held
+                    )
+                ]
+                if not options:
+                    break
+                b = rng.choice(options)
+                removed = {e for e in held if e != b and tree.is_ancestor_or_equal(e, b)}
+                equal_span_removals += sum(tree.is_ancestor_or_equal(b, e) for e in removed)
+                lists.update_with(b, params, stats)
+                assert {t.entry for t in lists.tuples()} == (held - removed) | {b}
+                lists.check_invariants()
+    assert equal_span_removals > 0
+
+
+def test_update_with_stores_and_returns_shared_bounds():
+    objs, tree, stats = _line_tree()
+    p0, n4 = object_entry("P0"), node_entry(4)
+    forward = NNLists(p0, tree).update_with(n4, PARAMS, stats)
+    assert forward == pair_sim_bounds(tree, p0, n4, PARAMS, stats)
+    reverse = NNLists(n4, tree)
+    assert reverse.update_with(p0, PARAMS, stats, forward) == forward
+    t = reverse.get(p0)
+    assert (t.min_sim, t.max_sim, t.m) == (*forward, 1)
 
 
 def test_update_overlap_rule_point_inside_node():
