@@ -352,18 +352,6 @@ def rstknn_query(tree: IurTree, query: QueryObject, params: SimParams,
     return set(state.rol), state.trace
 
 
-def faulty2011_query(tree: IurTree, query: QueryObject, params: SimParams,
-                     *, stats: NormStats | None = None) -> tuple[set[str], list[TraceEvent]]:
-    """The legacy priority-queue algorithm without the locality condition."""
-    return rstknn_query(tree, query, params, Mode.FAULTY2011, stats=stats)
-
-
-def faulty2014_query(tree: IurTree, query: QueryObject, params: SimParams,
-                     *, stats: NormStats | None = None) -> tuple[set[str], list[TraceEvent]]:
-    """The legacy variant with locality restored but no completeness gate."""
-    return rstknn_query(tree, query, params, Mode.FAULTY2014, stats=stats)
-
-
 # -- trace serialization --------------------------------------------------------
 
 

@@ -12,9 +12,10 @@ share one tree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     NormStats,
@@ -86,9 +87,12 @@ def max_dist(a: Mbr, b: Mbr) -> float:
     return math.hypot(dx, dy)
 
 
-@dataclass(frozen=True)
-class Entry:
-    """A traversal unit: either an index node or a single data object."""
+class Entry(NamedTuple):
+    """A traversal unit: either an index node or a single data object.
+
+    A named tuple, so that hashing and equality (every NN-list and record
+    lookup) run in C.
+    """
 
     kind: str  # "node" | "object"
     ident: int | str
@@ -139,8 +143,6 @@ class IurNode:
     count: int
     child_ids: tuple[int, ...]   # empty for leaves
     object_ids: tuple[str, ...]  # empty for internal nodes
-    parent_id: int | None
-    depth: int
 
     @property
     def is_leaf(self) -> bool:
@@ -173,17 +175,38 @@ def _union_vectors(vectors: Sequence[TermVector]) -> TermVector:
 Layout = list  # nested lists; a leaf is a list of object-id strings
 
 
+class EntryRecord(NamedTuple):
+    """What the tree knows about one entry, the same for nodes and objects.
+
+    An object is a degenerate node: count 1, no children, a point MBR and
+    both vectors equal to its term vector.
+    """
+
+    span: tuple[int, int]         # preorder object interval [lo, hi)
+    count: int
+    depth: int                    # the root has depth 0
+    parent: Entry | None
+    children: tuple[Entry, ...]   # in stored order; () for objects
+    mbr: Mbr
+    int_vct: TermVector
+    union_vct: TermVector
+    covering: tuple[Entry, ...]
+    subtree_ids: frozenset[str]
+
+
 class IurTree:
     """Immutable index over a dataset of :class:`STObject`.
 
-    Besides the nodes, construction precomputes per-entry lookups so that
-    containment questions never walk the tree: subtree object sets, preorder
-    object spans (containment of spans decides ancestry) and, for every
-    entry B, the tuple ``covering(B)`` of the other entries whose span
-    contains B's.  Those are B's proper ancestors plus the descendants that
-    share B's span: the nodes of a single-child chain below B and the object
-    of a single-object leaf.  The NN-lists drop exactly these entries before
-    adding B, at O(depth) cost instead of a scan over every held tuple.
+    Construction maps every entry, node or object, to one
+    :class:`EntryRecord`, filled by one iterative preorder pass over the
+    nodes, so that no accessor walks the tree or branches on entry kind.
+    Objects are numbered in preorder, so an entry's span, the interval of
+    its objects' positions, decides ancestry by containment.  The record's
+    ``covering`` is the other entries whose span contains the entry's: its
+    proper ancestors plus the descendants that share its span, the nodes of
+    a single-child chain below it and the object of a single-object leaf.
+    The NN-lists drop exactly these entries before adding it, at O(depth)
+    cost instead of a scan over every held tuple.
     """
 
     def __init__(self, objects: Sequence[STObject], nodes: dict[int, IurNode], root_id: int):
@@ -191,36 +214,39 @@ class IurTree:
         self.nodes = nodes
         self.root_id = root_id
         self.all_object_ids: frozenset[str] = frozenset(self.objects)
-        self._object_leaf: dict[str, int] = {}
-        self._subtree_ids: dict[int, frozenset[str]] = {}
-        self._point_mbrs: dict[str, Mbr] = {
-            o.id: Mbr.from_point(o.loc) for o in objects
-        }
         self._stats: NormStats | None = None
-        for node in nodes.values():
-            for oid in node.object_ids:
-                self._object_leaf[oid] = node.node_id
-        self._fill_subtree_ids(root_id)
-        # preorder object intervals: containment decides ancestry in O(1)
-        self._node_span: dict[int, tuple[int, int]] = {}
-        self._object_span: dict[str, tuple[int, int]] = {}
-        self._fill_spans(root_id, 0)
-        # covering entries: proper ancestors plus equal-span descendants
-        self._node_covering: dict[int, tuple[Entry, ...]] = {}
-        self._object_covering: dict[str, tuple[Entry, ...]] = {}
-        self._fill_covering()
+        self._records = self._index()
 
-    def _fill_covering(self) -> None:
+    def _index(self) -> dict[Entry, EntryRecord]:
+        records: dict[Entry, EntryRecord] = {}
+        order: list[str] = []  # object ids in preorder
+        pending: list[tuple] = []  # nodes wait for their objects: (entry, fields but subtree_ids)
         stack: list[tuple[int, tuple[Entry, ...]]] = [(self.root_id, ())]
         while stack:
             node_id, ancestors = stack.pop()
             node = self.nodes[node_id]
-            self._node_covering[node_id] = ancestors + self._equal_span_descendants(node)
-            below = (node_entry(node_id),) + ancestors
-            for oid in node.object_ids:
-                self._object_covering[oid] = below
-            for child in node.child_ids:
-                stack.append((child, below))
+            entry = node_entry(node_id)
+            lo = len(order)
+            below = ancestors + (entry,)
+            if node.is_leaf:
+                children = tuple(map(object_entry, node.object_ids))
+                for pos, child in enumerate(children, lo):
+                    obj = self.objects[child.ident]
+                    records[child] = EntryRecord(
+                        (pos, pos + 1), 1, len(below), entry, (), Mbr.from_point(obj.loc),
+                        obj.vct, obj.vct, below, frozenset((obj.id,)))
+                order.extend(node.object_ids)
+            else:
+                children = tuple(map(node_entry, node.child_ids))
+                stack.extend((c, below) for c in reversed(node.child_ids))
+            pending.append((entry, (lo, lo + node.count), node.count, len(ancestors),
+                            ancestors[-1] if ancestors else None, children,
+                            node.mbr, node.int_vct, node.union_vct,
+                            ancestors + self._equal_span_descendants(node)))
+        # a node's objects are the slice of the preorder under its span
+        for entry, span, *fields in pending:
+            records[entry] = EntryRecord(span, *fields, frozenset(order[span[0]:span[1]]))
+        return records
 
     def _equal_span_descendants(self, node: IurNode) -> tuple[Entry, ...]:
         """The chain of descendants holding exactly the node's objects."""
@@ -231,33 +257,6 @@ class IurTree:
         if len(node.object_ids) == 1:
             chain.append(object_entry(node.object_ids[0]))
         return tuple(chain)
-
-    def _fill_spans(self, node_id: int, start: int) -> int:
-        node = self.nodes[node_id]
-        cursor = start
-        if node.is_leaf:
-            for oid in node.object_ids:
-                self._object_span[oid] = (cursor, cursor + 1)
-                cursor += 1
-        else:
-            for child in node.child_ids:
-                cursor = self._fill_spans(child, cursor)
-        self._node_span[node_id] = (start, cursor)
-        return cursor
-
-    def _span(self, entry: Entry) -> tuple[int, int]:
-        if entry.is_node:
-            return self._node_span[entry.ident]
-        return self._object_span[entry.ident]
-
-    def _fill_subtree_ids(self, node_id: int) -> frozenset[str]:
-        node = self.nodes[node_id]
-        if node.is_leaf:
-            ids = frozenset(node.object_ids)
-        else:
-            ids = frozenset().union(*(self._fill_subtree_ids(c) for c in node.child_ids))
-        self._subtree_ids[node_id] = ids
-        return ids
 
     # -- basic accessors ---------------------------------------------------
 
@@ -274,36 +273,24 @@ class IurTree:
     def objects_sorted(self) -> list[STObject]:
         return [self.objects[i] for i in sorted(self.objects)]
 
-    def children(self, entry: Entry) -> list[Entry]:
-        """Child entries of an index node, in stored order."""
-        node = self.nodes[entry.ident]
-        if node.is_leaf:
-            return [object_entry(o) for o in node.object_ids]
-        return [node_entry(c) for c in node.child_ids]
+    def children(self, entry: Entry) -> tuple[Entry, ...]:
+        """Child entries in stored order; none for an object."""
+        return self._records[entry].children
 
     def parent(self, entry: Entry) -> Entry | None:
-        if entry.is_object:
-            return node_entry(self._object_leaf[entry.ident])
-        pid = self.nodes[entry.ident].parent_id
-        return None if pid is None else node_entry(pid)
+        return self._records[entry].parent
 
     def count(self, entry: Entry) -> int:
-        return self.nodes[entry.ident].count if entry.is_node else 1
+        return self._records[entry].count
 
     def depth(self, entry: Entry) -> int:
-        if entry.is_node:
-            return self.nodes[entry.ident].depth
-        return self.nodes[self._object_leaf[entry.ident]].depth + 1
+        return self._records[entry].depth
 
     def mbr(self, entry: Entry) -> Mbr:
-        if entry.is_node:
-            return self.nodes[entry.ident].mbr
-        return self._point_mbrs[entry.ident]
+        return self._records[entry].mbr
 
     def subtree_ids(self, entry: Entry) -> frozenset[str]:
-        if entry.is_node:
-            return self._subtree_ids[entry.ident]
-        return frozenset((entry.ident,))
+        return self._records[entry].subtree_ids
 
     def subtree_objects(self, entry: Entry) -> list[str]:
         """All object ids under the entry, in id order."""
@@ -317,8 +304,8 @@ class IurTree:
         this predicate only point-set containment matters, which is exactly
         what the intervals encode.
         """
-        alo, ahi = self._span(a)
-        blo, bhi = self._span(b)
+        alo, ahi = self._records[a].span
+        blo, bhi = self._records[b].span
         return alo <= blo and bhi <= ahi
 
     def covering(self, entry: Entry) -> tuple[Entry, ...]:
@@ -327,14 +314,12 @@ class IurTree:
         Exactly ``{e != entry : is_ancestor_or_equal(e, entry)}``, precomputed
         at construction: proper ancestors plus equal-span chain descendants.
         """
-        if entry.is_node:
-            return self._node_covering[entry.ident]
-        return self._object_covering[entry.ident]
+        return self._records[entry].covering
 
     def overlaps(self, a: Entry, b: Entry) -> bool:
         """Tree overlap: the entries share at least one object."""
-        alo, ahi = self._span(a)
-        blo, bhi = self._span(b)
+        alo, ahi = self._records[a].span
+        blo, bhi = self._records[b].span
         return (alo <= blo and bhi <= ahi) or (blo <= alo and ahi <= bhi)
 
     def iter_node_entries(self) -> Iterator[Entry]:
@@ -438,9 +423,9 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
         raise ValueError("layout must mention each object id exactly once")
 
     nodes: dict[int, IurNode] = {}
-    counter = iter(range(len(placed) * 2 + 1))
+    counter = itertools.count()
 
-    def build(sub: Layout, parent_id: int | None, depth: int) -> IurNode:
+    def build(sub: Layout) -> IurNode:
         nid = next(counter)
         if all(isinstance(x, str) for x in sub):
             members = [by_id[i] for i in sub]
@@ -452,11 +437,9 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
                 count=len(members),
                 child_ids=(),
                 object_ids=tuple(sub),
-                parent_id=parent_id,
-                depth=depth,
             )
         else:
-            children = [build(c, nid, depth + 1) for c in sub]
+            children = [build(c) for c in sub]
             node = IurNode(
                 node_id=nid,
                 mbr=Mbr.union([c.mbr for c in children]),
@@ -465,13 +448,11 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
                 count=sum(c.count for c in children),
                 child_ids=tuple(c.node_id for c in children),
                 object_ids=(),
-                parent_id=parent_id,
-                depth=depth,
             )
         nodes[nid] = node
         return node
 
-    root = build(layout, None, 0)
+    root = build(layout)
     return IurTree(list(objects), nodes, root.node_id)
 
 
@@ -493,11 +474,8 @@ def _view(tree: IurTree, x: Entry | STObject | QueryObject) -> tuple[Mbr, TermVe
     its term vector.  This gives every bound computation one code path.
     """
     if isinstance(x, Entry):
-        if x.is_node:
-            node = tree.nodes[x.ident]
-            return node.mbr, node.int_vct, node.union_vct
-        obj = tree.objects[x.ident]
-        return tree._point_mbrs[x.ident], obj.vct, obj.vct
+        record = tree._records[x]
+        return record.mbr, record.int_vct, record.union_vct
     return Mbr.from_point(x.loc), x.vct, x.vct
 
 

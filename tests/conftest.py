@@ -6,22 +6,9 @@ import random
 
 import pytest
 
-from rstknn import SimParams, build_tree
-from rstknn.datasets import random_dataset, random_query
+from rstknn import build_tree
+from rstknn.datasets import random_dataset
 from rstknn.iur_tree import tree_from_layout
-
-
-def make_instance(seed: int, *, max_n: int = 64, min_n: int = 2,
-                  k_max: int = 4, fanouts=(2, 4)):
-    """One seeded random problem instance: (objects, tree, query, params, stats)."""
-    rng = random.Random(seed)
-    n = rng.randint(min_n, max_n)
-    vocab = rng.randint(1, 8)
-    objects = random_dataset(rng, n, vocab)
-    query = random_query(rng, vocab)
-    params = SimParams(alpha=rng.choice([0.0, 0.4, 0.7, 1.0]), k=rng.randint(1, k_max))
-    tree = build_tree(objects, rng.choice(list(fanouts)))
-    return objects, tree, query, params, tree.norm_stats()
 
 
 @pytest.fixture
@@ -43,12 +30,20 @@ def _chain_layout(rng: random.Random, ids: list[str]) -> list:
     return layout
 
 
+def wrapped(layout: list, depth: int) -> list:
+    """``layout`` under a chain of ``depth`` single-child nodes."""
+    for _ in range(depth):
+        layout = [layout]
+    return layout
+
+
 @pytest.fixture
 def equal_span_trees():
     """Trees where entries share a preorder span with a descendant.
 
     STR trees with n = 1 (mod fanout) end in a single-object leaf (and often
-    in single-child nodes above it); hand-nested layouts add chains anywhere.
+    in single-child nodes above it); hand-nested layouts add chains anywhere,
+    a few of them dozens of nodes deep.
     """
     rng = random.Random(7)
     trees = []
@@ -58,4 +53,11 @@ def equal_span_trees():
     for _ in range(12):
         objects = random_dataset(rng, rng.randint(1, 14), 5)
         trees.append(tree_from_layout(objects, _chain_layout(rng, [o.id for o in objects])))
+    for depth in (3, 17, 40):
+        objects = random_dataset(rng, 1, 5)
+        trees.append(tree_from_layout(objects, wrapped([objects[0].id], depth)))
+    objects = random_dataset(rng, 6, 5)
+    ids = [o.id for o in objects]
+    layout = [wrapped(ids[:1], 12), wrapped(ids[1:3], 8), ids[3:]]
+    trees.append(tree_from_layout(objects, wrapped(layout, 5)))
     return trees

@@ -16,7 +16,7 @@ import pytest
 from rstknn.core import SimParams, TermVector, extended_jaccard, fdim_ratio
 from rstknn.datasets import random_dataset, random_query
 from rstknn.demo import EXPECTED_RESULT, two_cluster_fixture
-from rstknn.engine import EngineAudit, Mode, faulty2011_query, faulty2014_query, rstknn_query
+from rstknn.engine import EngineAudit, Mode, rstknn_query
 from rstknn.iur_tree import build_tree
 from rstknn.oracle import (
     check_bound_sandwich,
@@ -133,8 +133,8 @@ def test_criterion_3_bonus_unbalanced_topology_fixture():
     stats = tree.norm_stats()
     oracle = rknn_bruteforce(list(fx.objects), fx.query, fx.params, stats)
     correct, _ = rstknn_query(tree, fx.query, fx.params, stats=stats)
-    f11, trace11 = faulty2011_query(tree, fx.query, fx.params, stats=stats)
-    f14, _ = faulty2014_query(tree, fx.query, fx.params, stats=stats)
+    f11, trace11 = rstknn_query(tree, fx.query, fx.params, Mode.FAULTY2011, stats=stats)
+    f14, _ = rstknn_query(tree, fx.query, fx.params, Mode.FAULTY2014, stats=stats)
     cluster = {"P2", "P3", "P4", "P5"}
     ok = (
         abs(stats.phi_s - 7.07) <= 5e-3

@@ -12,8 +12,6 @@ from rstknn.engine import (
     EngineState,
     Mode,
     _run_correct,
-    faulty2011_query,
-    faulty2014_query,
     final_verification,
     format_trace_table,
     rstknn_query,
@@ -80,7 +78,7 @@ def test_two_cluster_fixture_faulty2011_accepts_cluster_subtree():
     fx = two_cluster_fixture()
     tree = fx.build_tree()
     stats = tree.norm_stats()
-    result, trace = faulty2011_query(tree, fx.query, fx.params, stats=stats)
+    result, trace = rstknn_query(tree, fx.query, fx.params, Mode.FAULTY2011, stats=stats)
     oracle = rknn_bruteforce(list(fx.objects), fx.query, fx.params, stats)
     assert result > oracle  # strict superset: the whole N2 subtree is included
     assert {"P2", "P3", "P4", "P5"} <= result
@@ -92,7 +90,7 @@ def test_two_cluster_fixture_faulty2014_accepts_n3_without_n4():
     fx = two_cluster_fixture()
     tree = fx.build_tree()
     stats = tree.norm_stats()
-    result, trace = faulty2014_query(tree, fx.query, fx.params, stats=stats)
+    result, trace = rstknn_query(tree, fx.query, fx.params, Mode.FAULTY2014, stats=stats)
     oracle = rknn_bruteforce(list(fx.objects), fx.query, fx.params, stats)
     assert result != oracle
     assert {"P2", "P3"} <= result  # N3's subtree got in while its list lacked N4
@@ -267,8 +265,8 @@ def test_faulty2014_matches_oracle_on_trivial_flat_tree():
     assert tree.nodes[tree.root_id].is_leaf
     oracle = rknn_bruteforce(objs, q, params, tree.norm_stats())
     assert oracle == {"a", "b"}
-    assert faulty2014_query(tree, q, params)[0] == oracle
-    assert faulty2011_query(tree, q, params)[0] == {"a", "b", "c"}
+    assert rstknn_query(tree, q, params, Mode.FAULTY2014)[0] == oracle
+    assert rstknn_query(tree, q, params, Mode.FAULTY2011)[0] == {"a", "b", "c"}
 
 
 def test_faulty2011_can_coincide_with_oracle():
@@ -282,7 +280,7 @@ def test_faulty2011_can_coincide_with_oracle():
     params = SimParams(alpha=1.0, k=1)
     tree = build_tree(objs, 4)
     oracle = rknn_bruteforce(objs, q, params, tree.norm_stats())
-    assert faulty2011_query(tree, q, params)[0] == oracle == set()
+    assert rstknn_query(tree, q, params, Mode.FAULTY2011)[0] == oracle == set()
 
 
 def test_trace_table_and_jsonl_round_trip():

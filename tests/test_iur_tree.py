@@ -29,6 +29,7 @@ from rstknn.iur_tree import (
     object_entry,
     pair_sim_bounds,
     tree_from_layout,
+    _view,
 )
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
@@ -153,6 +154,17 @@ def test_layout_builder_reproduces_unbalanced_shape():
     _check_tree_invariants(tree)
 
 
+@pytest.mark.parametrize("depth", range(1, 41))
+def test_layout_builder_builds_single_child_chains(depth):
+    layout: list = ["P0"]
+    for _ in range(depth):
+        layout = [layout]
+    tree = tree_from_layout([STObject("P0", (0.0, 0.0), TermVector())], layout)
+    assert len(tree.nodes) == depth + 1
+    assert tree.depth(object_entry("P0")) == depth + 1
+    assert len(tree.covering(object_entry("P0"))) == depth + 1
+
+
 def test_layout_builder_rejects_incomplete_layouts():
     objs = [STObject(f"P{i}", (float(i), 0.0), TermVector()) for i in range(3)]
     with pytest.raises(ValueError):
@@ -179,6 +191,51 @@ def test_ancestry_and_overlap():
 
 def _all_entries(tree):
     return [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+
+
+def _descendants(tree, entry):
+    out, stack = [], list(tree.children(entry))
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        stack.extend(tree.children(e))
+    return out
+
+
+def test_entry_records_match_the_nodes(equal_span_trees):
+    str_trees = [build_tree(random_dataset(random.Random(s), 64, 6), f)
+                 for s, f in ((1, 2), (2, 3), (3, 4), (4, 8))]
+    for tree in str_trees + equal_span_trees:
+        root = tree.root_entry()
+        assert tree.parent(root) is None and tree.depth(root) == 0
+        reached = [root]
+        stack = [(root, ())]  # entry, its ancestors
+        while stack:
+            e, ancestors = stack.pop()
+            children = tree.children(e)
+            assert tree.count(e) == len(tree.subtree_ids(e))
+            equal_below = {d for d in _descendants(tree, e) if tree.count(d) == tree.count(e)}
+            assert set(tree.covering(e)) == set(ancestors) | equal_below
+            if e.is_node:
+                node = tree.nodes[e.ident]
+                assert children == tuple(map(object_entry, node.object_ids)) + tuple(
+                    map(node_entry, node.child_ids))
+                assert sum(tree.count(c) for c in children) == tree.count(e)
+                assert frozenset().union(*map(tree.subtree_ids, children)) == tree.subtree_ids(e)
+                assert tree.mbr(e) == node.mbr
+                assert _view(tree, e) == (node.mbr, node.int_vct, node.union_vct)
+            else:
+                obj = tree.object(e.ident)
+                assert children == ()
+                assert tree.subtree_ids(e) == {e.ident}
+                assert tree.mbr(e) == Mbr.from_point(obj.loc)
+                assert _view(tree, e) == (Mbr.from_point(obj.loc), obj.vct, obj.vct)
+            for c in children:
+                assert tree.parent(c) == e and tree.depth(c) == tree.depth(e) + 1
+                stack.append((c, ancestors + (e,)))
+            reached.extend(children)
+        assert sorted(reached, key=lambda e: e.order_key) == sorted(
+            _all_entries(tree), key=lambda e: e.order_key)
 
 
 def test_covering_is_every_other_entry_with_a_containing_span(equal_span_trees):
