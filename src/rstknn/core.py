@@ -13,8 +13,11 @@ between concurrent readers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 Point = tuple[float, float]
 
@@ -41,7 +44,10 @@ class TermVector:
 
     Weights are finite and strictly positive: zero-weight terms are dropped
     at construction, so presence in ``items`` means presence in the vector;
-    NaN, infinite, out-of-float-range and negative weights are rejected.
+    NaN, infinite, out-of-float-range and negative weights are rejected, and
+    so is a vector whose squared norm overflows or, for a non-empty vector,
+    falls below the normal float range (where Extended Jaccard would divide
+    by zero or lose its relative precision).
     Dot products always iterate terms in lexicographic order, which makes
     every similarity value derived from these vectors reproducible
     bit-for-bit regardless of how the input mapping was built.
@@ -63,6 +69,8 @@ class TermVector:
         self.norm_sq = 0.0
         for _, w in self.items:
             self.norm_sq += w * w
+        if self.items and not sys.float_info.min <= self.norm_sq <= sys.float_info.max:
+            raise ValueError(f"squared norm out of float range: {self.norm_sq}")
 
     @property
     def is_empty(self) -> bool:
@@ -183,26 +191,131 @@ def extended_jaccard(u: TermVector, v: TermVector) -> float:
     return min(1.0, d / (u.norm_sq + v.norm_sq - d))
 
 
+_TILE_ROWS = 128  # rows per kernel tile: each tile array holds _TILE_ROWS * n floats
+_EPS = sys.float_info.epsilon
+
+
+class _PairTiles:
+    """Row tiles of the pairwise distance and Extended Jaccard matrices.
+
+    Iterating yields ``(lo, dist, ej)`` for rows ``lo:lo + len(dist)`` against
+    all n objects, so memory is O(_TILE_ROWS * n) and never O(n^2).  Distances
+    come from ``np.hypot``; Extended Jaccard from a matmul over a dense term
+    matrix (sorted-term columns) and the exact per-vector ``norm_sq``, clamped
+    at 1, with two empty vectors scoring 0, as in the scalar functions.
+
+    The tiles are not bit-identical to the scalar functions: ``np.hypot`` and
+    ``math.hypot`` may differ in the last ulp, and a matmul sums in another
+    order than the sorted-term dot.  ``dist_err`` and ``ej_err`` bound the
+    disagreement of any one element with its scalar value, with a factor of
+    at least eight to spare: both hypots are within one ulp of the distance,
+    which is at most the diagonal D of the objects' bounding box; a sum of m
+    nonnegative products in any order is within m * eps of the exact one,
+    and the Extended Jaccard denominator is at least the dot product, so the
+    ratio errs by at most (4m + 10) * eps.  Callers settle every decision
+    within these margins with the scalar code.
+    """
+
+    def __init__(self, objects: Sequence[STObject]):
+        self.n = len(objects)
+        self.xy = np.array([o.loc for o in objects], dtype=float).reshape(self.n, 2)
+        vocab = sorted({t for o in objects for t, _ in o.vct.items})
+        column = {t: j for j, t in enumerate(vocab)}
+        self.terms = np.zeros((self.n, len(vocab)))
+        for i, o in enumerate(objects):
+            for t, w in o.vct.items:
+                self.terms[i, column[t]] = w
+        self.norm_sq = np.array([o.vct.norm_sq for o in objects])
+        self.diameter = float(np.hypot(*np.ptp(self.xy, axis=0)))
+        self.dist_err = 64 * (_EPS * self.diameter + math.ulp(0.0))
+        self.ej_err = 64 * _EPS * (len(vocab) + 2)
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        xy, terms, norm_sq = self.xy, self.terms, self.norm_sq
+        for lo in range(0, self.n, _TILE_ROWS):
+            hi = min(self.n, lo + _TILE_ROWS)
+            dist = np.hypot(xy[lo:hi, 0:1] - xy[None, :, 0], xy[lo:hi, 1:2] - xy[None, :, 1])
+            dot = terms[lo:hi] @ terms.T
+            den = norm_sq[lo:hi, None] + norm_sq[None, :] - dot
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ej = np.minimum(1.0, dot / den)
+            # only two empty vectors have a zero denominator: the squared
+            # norm of a non-empty vector is a normal float
+            ej[den == 0.0] = 0.0
+            yield lo, dist, ej
+
+    def sim_err(self, params: SimParams, stats: NormStats) -> float:
+        """Bound on how far ``combined_similarity`` of two tile elements may
+        lie from ``sim_st`` of the pair: the raw error bounds amplified by the
+        normalization's 1 / (psi - phi), plus the normalization's own
+        roundings, relative to the magnitude of each score."""
+
+        def score_err(raw_err: float, magnitude: float, lo: float, hi: float) -> float:
+            if hi == lo:
+                return 0.0  # the score is the constant 1
+            return (raw_err + 64 * _EPS * (magnitude + abs(lo))) / (hi - lo) + 64 * _EPS
+
+        a = params.alpha
+        err = 0.0
+        if a > 0:
+            err += a * score_err(self.dist_err, self.diameter, stats.phi_s, stats.psi_s)
+        if a < 1:
+            err += (1 - a) * score_err(self.ej_err, 1.0, stats.phi_t, stats.psi_t)
+        return err
+
+
 def compute_norm_stats(dataset: Sequence[STObject]) -> NormStats:
     """Exact min/max distance and text similarity over all object pairs.
 
-    Exhaustive O(n^2); fine at the scales this library targets.
+    The extremes are first taken over the upper triangle of the vectorized
+    pair tiles of :class:`_PairTiles`.  An exact extreme lies within twice
+    the tiles' error bound of the vectorized one, so every pair that close
+    to it is settled with the scalar ``euclidean_dist`` or
+    ``extended_jaccard``, and the scalar values decide.  A vectorized
+    Extended Jaccard minimum of exactly 0 needs a zero dot product, which
+    the scalar dot gives as well, so it is exact as it stands.
     """
-    if len(dataset) < 2:
-        raise DatasetTooSmall(f"need >= 2 objects, got {len(dataset)}")
-    phi_s = math.inf
-    psi_s = -math.inf
-    phi_t = math.inf
-    psi_t = -math.inf
-    for i, a in enumerate(dataset):
-        for b in dataset[i + 1 :]:
-            d = euclidean_dist(a.loc, b.loc)
-            t = extended_jaccard(a.vct, b.vct)
-            phi_s = min(phi_s, d)
-            psi_s = max(psi_s, d)
-            phi_t = min(phi_t, t)
-            psi_t = max(psi_t, t)
-    return NormStats(phi_s, psi_s, phi_t, psi_t)
+    n = len(dataset)
+    if n < 2:
+        raise DatasetTooSmall(f"need >= 2 objects, got {n}")
+    tiles = _PairTiles(dataset)
+
+    def dist_of(i: int, j: int) -> float:
+        return euclidean_dist(dataset[i].loc, dataset[j].loc)
+
+    def ej_of(i: int, j: int) -> float:
+        return extended_jaccard(dataset[i].vct, dataset[j].vct)
+
+    # phi_s, psi_s, phi_t, psi_t: (which tile, extreme, margin, scalar value)
+    stats = ((0, np.min, 2 * tiles.dist_err, dist_of), (0, np.max, 2 * tiles.dist_err, dist_of),
+             (1, np.min, 2 * tiles.ej_err, ej_of), (1, np.max, 2 * tiles.ej_err, ej_of))
+
+    def near(values: np.ndarray, extreme: float, margin: float) -> np.ndarray:
+        # nan-safe: a value not known to lie beyond the margin is near
+        return ~(np.abs(values - extreme) > margin)
+
+    # per statistic, the (value, i, j) of the pairs near their tile's extreme;
+    # a pair near the global extreme is near its tile's as well
+    found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in stats]
+    for lo, dist, ej in tiles:
+        rows, cols = np.nonzero(np.arange(n)[None, :] > np.arange(lo, lo + len(dist))[:, None])
+        if len(rows):
+            pair_values = (dist[rows, cols], ej[rows, cols])
+            for (tile, extreme, margin, _), out in zip(stats, found):
+                values = pair_values[tile]
+                keep = near(values, extreme(values), margin)
+                out.append((values[keep], rows[keep] + lo, cols[keep]))
+    exact = []
+    for (tile, extreme, margin, scalar), out in zip(stats, found):
+        values, rows, cols = (np.concatenate(parts) for parts in zip(*out))
+        approx = extreme(values)
+        if tile == 1 and extreme is np.min and approx == 0.0:
+            exact.append(0.0)
+            continue
+        keep = near(values, approx, margin)
+        pick = min if extreme is np.min else max
+        exact.append(pick(scalar(i, j) for i, j in zip(rows[keep].tolist(), cols[keep].tolist())))
+    return NormStats(*exact)
 
 
 def spatial_score(dist: float, stats: NormStats) -> float:

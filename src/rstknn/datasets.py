@@ -38,7 +38,10 @@ def _terms_from_json(raw: object, path: str | Path, line_no: int) -> TermVector:
         if w < 0:
             raise ParseError(path, line_no, f"negative weight for term {term!r}")
         weights[term] = float(w)
-    return TermVector(weights)
+    try:
+        return TermVector(weights)
+    except ValueError as exc:  # a squared norm beyond float range
+        raise ParseError(path, line_no, str(exc)) from exc
 
 
 def _number(raw: object, name: str, path: str | Path, line_no: int) -> float:

@@ -12,7 +12,6 @@ share one tree.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -378,33 +377,26 @@ def _str_layout(objects: Sequence[STObject], fanout: int) -> Layout:
     """Nested id layout produced by a Sort-Tile-Recursive bulk load."""
     if len(objects) <= fanout:
         return [o.id for o in sorted(objects, key=lambda o: (o.loc[0], o.loc[1], o.id))]
-    locs = {o.id: o.loc for o in objects}
-
-    def layout_box(layout: Layout) -> Mbr:
-        return Mbr.from_points([locs[i] for i in _layout_ids(layout)])
-
-    records = [(o.loc[0], o.loc[1], o.id, o.id) for o in objects]
-    level: list[tuple[float, float, str, Layout]] = []
+    records = [(o.loc[0], o.loc[1], o.id, (o.id, o.loc)) for o in objects]
+    # level records: (center x, center y, min id, (layout, box, min id))
+    level: list[tuple[float, float, str, tuple[Layout, Mbr, str]]] = []
     for group in _tile(records, fanout):
-        box = layout_box(group)
-        level.append((box.center[0], box.center[1], min(group), group))
+        box = Mbr.from_points([loc for _, loc in group])
+        first = min(oid for oid, _ in group)
+        level.append((*box.center, first, ([oid for oid, _ in group], box, first)))
     # repeatedly pack the current level until a single root remains
     while len(level) > 1:
         packed = _tile(level, fanout)
         level = []
         for group in packed:
-            box = Mbr.union([layout_box(g) for g in group])
-            level.append((box.center[0], box.center[1], min(_layout_ids(group)), group))
-    return level[0][3]
+            box = Mbr.union([b for _, b, _ in group])
+            first = min(f for _, _, f in group)
+            level.append((*box.center, first, ([sub for sub, _, _ in group], box, first)))
+    return level[0][3][0]
 
 
-def _layout_ids(layout: Layout) -> list[str]:
-    if all(isinstance(x, str) for x in layout):
-        return list(layout)
-    out: list[str] = []
-    for sub in layout:
-        out.extend(_layout_ids(sub))
-    return out
+def _is_leaf_layout(layout: Layout) -> bool:
+    return all(isinstance(x, str) for x in layout)
 
 
 def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
@@ -414,46 +406,53 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
     strings.  Node ids are assigned in preorder (root gets 0), so a layout
     ``[["P0","P1"], [["P2","P3"], ["P4","P5"]]]`` yields nodes N0 (root),
     N1 = {P0,P1}, N2, N3 = {P2,P3}, N4 = {P4,P5}.  Used for hand-crafted
-    fixtures whose shape an STR bulk load would not reproduce.
+    fixtures whose shape an STR bulk load would not reproduce.  Both passes
+    are iterative, so a layout of any depth builds.
     """
     _validate_objects(objects)
     by_id = {o.id: o for o in objects}
-    placed = _layout_ids(layout)
+    # preorder: the sub-layout and the child node ids of every node
+    order: list[Layout] = []
+    child_ids: list[list[int]] = []
+    stack: list[tuple[Layout, int | None]] = [(layout, None)]
+    while stack:
+        sub, parent = stack.pop()
+        if parent is not None:
+            child_ids[parent].append(len(order))
+        if not _is_leaf_layout(sub):
+            stack.extend((c, len(order)) for c in reversed(sub))
+        order.append(sub)
+        child_ids.append([])
+    placed = [oid for sub in order if _is_leaf_layout(sub) for oid in sub]
     if sorted(placed) != sorted(by_id):
         raise ValueError("layout must mention each object id exactly once")
 
-    nodes: dict[int, IurNode] = {}
-    counter = itertools.count()
-
-    def build(sub: Layout) -> IurNode:
-        nid = next(counter)
-        if all(isinstance(x, str) for x in sub):
-            members = [by_id[i] for i in sub]
-            node = IurNode(
+    # a child's preorder id exceeds its parent's: build the highest ids first
+    nodes: list[IurNode] = [None] * len(order)  # type: ignore[list-item]
+    for nid in reversed(range(len(order))):
+        if _is_leaf_layout(order[nid]):
+            members = [by_id[i] for i in order[nid]]
+            nodes[nid] = IurNode(
                 node_id=nid,
                 mbr=Mbr.from_points([o.loc for o in members]),
                 int_vct=_intersect_vectors([o.vct for o in members]),
                 union_vct=_union_vectors([o.vct for o in members]),
                 count=len(members),
                 child_ids=(),
-                object_ids=tuple(sub),
+                object_ids=tuple(order[nid]),
             )
         else:
-            children = [build(c) for c in sub]
-            node = IurNode(
+            children = [nodes[c] for c in child_ids[nid]]
+            nodes[nid] = IurNode(
                 node_id=nid,
                 mbr=Mbr.union([c.mbr for c in children]),
                 int_vct=_intersect_vectors([c.int_vct for c in children]),
                 union_vct=_union_vectors([c.union_vct for c in children]),
                 count=sum(c.count for c in children),
-                child_ids=tuple(c.node_id for c in children),
+                child_ids=tuple(child_ids[nid]),
                 object_ids=(),
             )
-        nodes[nid] = node
-        return node
-
-    root = build(layout)
-    return IurTree(list(objects), nodes, root.node_id)
+    return IurTree(list(objects), dict(enumerate(nodes)), 0)
 
 
 def build_tree(objects: Sequence[STObject], fanout: int = 4) -> IurTree:

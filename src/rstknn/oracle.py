@@ -1,9 +1,12 @@
 """Ground-truth computations and adversarial search.
 
-Everything here is deliberately simple and exhaustive: quadratic brute force
-over object pairs, full enumeration of node pairs for bound checking, and a
-seeded random search that hunts for datasets on which the legacy query modes
-disagree with the brute-force answer.
+Everything here is exhaustive: quadratic brute force over object pairs, full
+enumeration of node pairs for bound checking, and a seeded random search that
+hunts for datasets on which the legacy query modes disagree with the
+brute-force answer.  The brute force takes every object's k-th-neighbour
+similarity from the tiled NumPy pair kernel of ``core`` and settles each
+object whose query similarity lies near it with the scalar ``kth_nn_sim``, so
+its answer is the scalar definition's, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .core import (
     STObject,
     SimParams,
     TermVector,
+    _PairTiles,
+    combined_similarity,
     extended_jaccard,
     fdim_ratio,
     sim_st,
@@ -57,18 +62,56 @@ def kth_nn_sim(obj: STObject, dataset: Sequence[STObject], k: int,
     return sims[k - 1]
 
 
+def _kth_sims(dataset: Sequence[STObject], params: SimParams, stats: NormStats
+              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Vectorized k-th-neighbour similarity of every object, the rows that
+    must go to the scalar code whatever the query, and the decision margin.
+
+    A k-th order statistic moves by at most the largest error of its row's
+    elements, so the tiles' ``sim_err`` bounds it too.  A row with a
+    non-finite value escapes that bound.
+    """
+    tiles = _PairTiles(dataset)
+    n, k = tiles.n, params.k
+    kth = np.empty(n)
+    unsure = np.empty(n, dtype=bool)
+    for lo, dist, ej in tiles:
+        sim = np.empty_like(dist)
+        sim[...] = combined_similarity(dist, ej, params, stats)  # a scalar when both scores are constant
+        rows = np.arange(len(dist))
+        sim[rows, rows + lo] = NEG_INF
+        # the k-th largest of each row is its (n - k)-th smallest, self included
+        kth[lo:lo + len(dist)] = np.partition(sim, n - k, axis=1)[:, n - k]
+        unsure[lo:lo + len(dist)] = np.isfinite(sim).sum(axis=1) < n - 1
+    return kth, unsure, tiles.sim_err(params, stats)
+
+
 def rknn_bruteforce(dataset: Sequence[STObject], query: QueryObject,
                     params: SimParams, stats: NormStats) -> set[str]:
     """Objects that count the query among their k most similar neighbors.
 
     Strict comparison: on a tie the database point wins and the object stays
-    out of the result.
+    out of the result.  Equal to ``{o.id for o in dataset if sim_st(o, query)
+    > kth_nn_sim(o, dataset, ...)}``: each query similarity is scalar, and
+    each k-th-neighbour similarity is vectorized unless it lies within the
+    kernel's error margin of the query similarity, where ``kth_nn_sim``
+    decides.  Ids must be unique, as a tree requires.
     """
-    return {
-        o.id
-        for o in dataset
-        if sim_st(o, query, params, stats) > kth_nn_sim(o, dataset, params.k, params, stats)
-    }
+    if len({o.id for o in dataset}) != len(dataset):
+        raise ValueError("duplicate object id in dataset")
+    to_query = [sim_st(o, query, params, stats) for o in dataset]
+    if len(dataset) - 1 < params.k:  # no object has a k-th neighbour
+        return {o.id for o, s in zip(dataset, to_query) if s > NEG_INF}
+    kth, unsure, margin = _kth_sims(dataset, params, stats)
+    # nan-safe: a comparison not known to clear the margin goes to the scalar code
+    recheck = unsure | ~(np.abs(np.array(to_query) - kth) > margin)
+    out = set()
+    for o, s, t, again in zip(dataset, to_query, kth.tolist(), recheck.tolist()):
+        if again:
+            t = kth_nn_sim(o, dataset, params.k, params, stats)
+        if s > t:
+            out.add(o.id)
+    return out
 
 
 @dataclass

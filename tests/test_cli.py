@@ -95,6 +95,38 @@ def test_read_dataset_rejects_non_finite_values(tmp_path, line):
     assert "nonfinite.jsonl:2" in err
 
 
+def test_read_dataset_rejects_squared_norm_overflow(tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_text('{"id": "a", "x": 0, "y": 0, "terms": {}}\n'
+                    '{"id": "b", "x": 0, "y": 0, "terms": {"t": 1e200}}\n')
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line_no == 2 and "squared norm" in exc.value.message
+    code, out, err = run_cli(["compare", str(path), "--qx", "0", "--qy", "0"])
+    assert code == EXIT_PARSE and not out
+    assert "huge.jsonl:2" in err
+
+
+def test_read_query_rejects_squared_norm_overflow(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text('{"x": 0, "y": 0, "terms": {"t": 1e200}}')
+    with pytest.raises(ParseError) as exc:
+        read_query(path)
+    assert exc.value.line_no == 1
+    dataset = _write_collinear(tmp_path)
+    code, out, err = run_cli(["query", str(dataset), "--query-file", str(path)])
+    assert code == EXIT_PARSE and not out
+    assert "q.json:1" in err
+
+
+def test_query_rejects_squared_norm_overflow_in_qterms(tmp_path):
+    dataset = _write_collinear(tmp_path)
+    code, out, err = run_cli(["query", str(dataset), "--qx", "0", "--qy", "0",
+                              "--qterms", "t=1e200"])
+    assert code == EXIT_USAGE and not out
+    assert "squared norm" in err
+
+
 def test_read_query_rejects_non_finite_values(tmp_path):
     path = tmp_path / "q.json"
     for text in ('{"x": NaN, "y": 0}', '{"x": 0, "y": 0, "terms": {"t": Infinity}}'):

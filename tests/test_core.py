@@ -59,6 +59,19 @@ def test_term_vector_rejects_int_weight_beyond_float_range():
         TermVector({"a": 10**400})
 
 
+@pytest.mark.parametrize("weights", [
+    {"a": 1e200}, {"a": 1e154, "b": 1e154}, {"a": 1e-170}, {"a": 1e-160, "b": 1e-160},
+])
+def test_term_vector_rejects_squared_norm_beyond_float_range(weights):
+    # without the check, extended_jaccard(v, v) of {"a": 1e200} returned 1.0
+    # only because min(1.0, nan) keeps its first argument, {"a": 1e-170}
+    # (norm_sq 0.0) divided by zero against itself, and a subnormal norm_sq
+    # carries too few digits for a relative error bound
+    with pytest.raises(ValueError, match="squared norm"):
+        TermVector(weights)
+    TermVector({"a": 1e150, "b": 1e-160})  # large and tiny weights alone are fine
+
+
 def test_st_object_rejects_int_coordinate_beyond_float_range():
     with pytest.raises(ValueError, match="non-finite"):
         STObject("x", (10**400, 0.0), TermVector())

@@ -1,6 +1,9 @@
+import gc
 import itertools
 import math
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +166,38 @@ def test_layout_builder_builds_single_child_chains(depth):
     assert len(tree.nodes) == depth + 1
     assert tree.depth(object_entry("P0")) == depth + 1
     assert len(tree.covering(object_entry("P0"))) == depth + 1
+
+
+def test_layout_builder_builds_chains_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 50
+    layout: list = ["P0", "P1"]
+    for _ in range(depth):
+        layout = [layout]
+    objs = [STObject("P0", (0.0, 0.0), TermVector({"a": 1.0})),
+            STObject("P1", (1.0, 0.0), TermVector())]
+    tree = tree_from_layout(objs, layout)
+    assert len(tree.nodes) == depth + 1
+    assert tree.nodes[depth].object_ids == ("P0", "P1")
+    assert tree.depth(object_entry("P1")) == depth + 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda objs: build_tree(objs, 4),
+    lambda objs: tree_from_layout(objs, [[o.id for o in objs[:5]], [[o.id for o in objs[5:]]]]),
+])
+def test_dropped_tree_is_freed_by_reference_counting(make):
+    objs = random_dataset(random.Random(5), 40, 6)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree = make(objs)
+        root = weakref.ref(tree.nodes[tree.root_id])
+        leaf = weakref.ref(tree.nodes[max(tree.nodes)])
+        del tree
+        assert root() is None and leaf() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_layout_builder_rejects_incomplete_layouts():

@@ -1,13 +1,23 @@
-import pytest
+import math
+import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rstknn.core as core_mod
 import rstknn.iur_tree as iur_tree
 import rstknn.oracle as oracle_mod
 from rstknn.core import (
+    NormStats,
     QueryObject,
     STObject,
     SimParams,
     TermVector,
     compute_norm_stats,
+    euclidean_dist,
+    extended_jaccard,
     sim_st,
 )
 from rstknn.datasets import random_dataset, random_query
@@ -119,6 +129,171 @@ def test_rknn_bruteforce_permutation_invariant(rng):
         shuffled = objs[:]
         rng.shuffle(shuffled)
         assert rknn_bruteforce(shuffled, q, params, stats) == base
+
+
+def test_rknn_bruteforce_rejects_duplicate_ids():
+    objs = _two_objects() + [STObject("a", (9.0, 9.0), TermVector())]
+    stats = NormStats(0.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="duplicate"):
+        rknn_bruteforce(objs, QueryObject((0.0, 0.0), TermVector()), SimParams(0.5, 1), stats)
+
+
+# -- the vectorized oracle and statistics against the scalar definitions -------
+
+
+def pair_table_stats(objs):
+    """The scalar definition of the statistics: extremes of the pair table."""
+    if len(objs) < 2:
+        return NormStats(0.0, 0.0, 0.0, 0.0)
+    pairs = [(a, b) for i, a in enumerate(objs) for b in objs[i + 1:]]
+    dists = [euclidean_dist(a.loc, b.loc) for a, b in pairs]
+    sims = [extended_jaccard(a.vct, b.vct) for a, b in pairs]
+    return NormStats(min(dists), max(dists), min(sims), max(sims))
+
+
+def scalar_rknn(objs, q, params, stats):
+    """The scalar definition of the reverse k-NN answer."""
+    return {o.id for o in objs
+            if sim_st(o, q, params, stats) > kth_nn_sim(o, objs, params.k, params, stats)}
+
+
+@st.composite
+def real_instances(draw):
+    """Gaussian coordinates and fractional weights, with the cases that put
+    comparisons on a knife's edge: duplicate locations and vectors, empty
+    vectors, all points identical, nearly degenerate statistics, lattice
+    points a few ulps off the lattice (many pair distances equal but for
+    their last digits), and a query copied from a dataset object."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 14))
+    vocab = draw(st.integers(1, 6))
+    magnitude = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    shape = draw(st.sampled_from(["spread", "duplicates", "identical", "near-degenerate",
+                                  "lattice"]))
+    spread = magnitude * (1e-9 if shape == "near-degenerate" else 1.0)
+    center = (rng.gauss(0, magnitude), rng.gauss(0, magnitude))
+    same_text = draw(st.booleans()) and shape != "spread"
+
+    def terms():
+        chosen = rng.sample(range(vocab), rng.randint(0, min(vocab, 4)))
+        return {f"t{j}": rng.uniform(0.01, 5.0) for j in chosen}
+
+    base = terms()
+    objs = []
+    for i in range(n):
+        if shape == "identical" or (shape == "duplicates" and objs and rng.random() < 0.4):
+            loc = objs[rng.randrange(len(objs))].loc if objs else center
+        elif shape == "lattice":
+            loc = tuple(c + magnitude * rng.randint(0, 3) + rng.gauss(0, 1e-15 * magnitude)
+                        for c in center)
+        else:
+            loc = (center[0] + rng.gauss(0, spread), center[1] + rng.gauss(0, spread))
+        if same_text:  # nearly degenerate text statistics
+            weights = {t: w * (1 + 1e-9 * rng.random()) for t, w in base.items()}
+        elif shape == "duplicates" and objs and rng.random() < 0.4:
+            weights = objs[rng.randrange(len(objs))].vct.as_dict()
+        else:
+            weights = terms()
+        objs.append(STObject(f"P{i}", loc, TermVector(weights)))
+    source = objs[rng.randrange(n)]
+    kind = draw(st.sampled_from(["copy", "same place", "free"]))
+    if kind == "copy":  # ties the object it copies with each of that object's neighbours
+        query = QueryObject(source.loc, source.vct)
+    elif kind == "same place":
+        query = QueryObject(source.loc, TermVector(terms()))
+    else:
+        query = QueryObject((center[0] + rng.gauss(0, spread), center[1] + rng.gauss(0, spread)),
+                            TermVector(terms()))
+    params = SimParams(draw(st.sampled_from([0.0, 0.4, 1.0, rng.random()])),
+                       draw(st.integers(1, n + 1)))
+    return objs, query, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_instances())
+def test_compute_norm_stats_equals_pair_table_off_the_grid(instance):
+    objs, _, _ = instance
+    if len(objs) < 2:
+        return
+    got = compute_norm_stats(objs)
+    want = pair_table_stats(objs)
+    assert [x.hex() for x in (got.phi_s, got.psi_s, got.phi_t, got.psi_t)] == \
+        [x.hex() for x in (want.phi_s, want.psi_s, want.phi_t, want.psi_t)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_instances())
+def test_rknn_bruteforce_equals_scalar_definition_off_the_grid(instance):
+    objs, query, params = instance
+    stats = pair_table_stats(objs)
+    assert rknn_bruteforce(objs, query, params, stats) == scalar_rknn(objs, query, params, stats)
+
+
+def _perturbed_tiles(monkeypatch, seed):
+    """Make every tile element err by up to half its declared bound, the
+    worst the margins must absorb besides NumPy's own last-ulp errors."""
+    noise = np.random.default_rng(seed)
+    real_iter = core_mod._PairTiles.__iter__
+
+    def perturbed(tiles):
+        for lo, dist, ej in real_iter(tiles):
+            dist = dist + noise.uniform(-0.5, 0.5, dist.shape) * tiles.dist_err
+            # a zero Extended Jaccard stays zero: it comes from a zero dot product
+            bumped = np.maximum(ej + noise.uniform(-0.5, 0.5, ej.shape) * tiles.ej_err, 5e-324)
+            yield lo, dist, np.where(ej > 0, bumped, ej)
+
+    monkeypatch.setattr(core_mod._PairTiles, "__iter__", perturbed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_instances(), st.integers(0, 2**32 - 1))
+def test_answers_stay_exact_when_tiles_err_within_their_bound(instance, seed):
+    objs, query, params = instance
+    stats = pair_table_stats(objs)
+    want = scalar_rknn(objs, query, params, stats)
+    with pytest.MonkeyPatch.context() as mp:
+        _perturbed_tiles(mp, seed)
+        got = rknn_bruteforce(objs, query, params, stats)
+        got_stats = compute_norm_stats(objs) if len(objs) > 1 else stats
+    assert got == want
+    assert got_stats == stats
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rows_with_non_finite_tile_values_go_to_the_scalar_code(monkeypatch, bad):
+    real_iter = core_mod._PairTiles.__iter__
+
+    def spoiled(tiles):
+        for lo, dist, ej in real_iter(tiles):
+            rows = np.arange(len(ej))
+            ej[rows, (rows + lo + 1) % tiles.n] = bad  # the element after each row's diagonal
+            yield lo, dist, ej
+
+    monkeypatch.setattr(core_mod._PairTiles, "__iter__", spoiled)
+    rng = random.Random(11)
+    for _ in range(20):
+        objs = random_dataset(rng, 12, 5)
+        stats = pair_table_stats(objs)
+        params = SimParams(alpha=0.4, k=rng.randint(1, 4))
+        q = random_query(rng, 5)
+        assert rknn_bruteforce(objs, q, params, stats) == scalar_rknn(objs, q, params, stats)
+
+
+def test_integer_grid_ties_go_to_the_scalar_code(monkeypatch):
+    # a query placed on a dataset object ties that object with each of its
+    # neighbours; the vectorized k-th similarity cannot tell such a tie from
+    # a last-ulp error, so those rows are re-decided by kth_nn_sim
+    rng = random.Random(3)
+    objs = random_dataset(rng, 30, 4)
+    calls = []
+    real = oracle_mod.kth_nn_sim
+    monkeypatch.setattr(oracle_mod, "kth_nn_sim", lambda o, *a: calls.append(o.id) or real(o, *a))
+    stats = compute_norm_stats(objs)
+    params = SimParams(alpha=0.4, k=1)
+    for o in objs:
+        q = QueryObject(o.loc, o.vct)
+        assert rknn_bruteforce(objs, q, params, stats) == scalar_rknn(objs, q, params, stats)
+    assert 0 < len(calls) < len(objs) ** 2
 
 
 def test_check_bound_sandwich_singleton_leaves_tight():
