@@ -2,13 +2,19 @@
 
 Three query modes share the bound machinery but differ in control flow:
 
-* ``CORRECT`` — FIFO queue; each dequeued entry sheds itself/its parent from
-  its inherited lists, adds itself when it is an index node (locality), then
-  exchanges updates with every queued entry (completeness) before the
-  accept/prune test runs.  A runtime assertion verifies that every list is
-  complete at test time; survivors of the main loop are settled by exact
-  point-to-point verification.  Each update pair shares one bound
-  evaluation, and an entry's lists are freed once it is decided or expanded.
+* ``CORRECT`` — FIFO queue over a frontier of tree entries (queued,
+  candidate and routed) that partitions the dataset.  Every NN-list is a
+  partition of the dataset too, so it is complete by construction.  Each
+  dequeued entry splits its inherited list toward itself and adds itself
+  when it is an index node (locality), then runs a demand-driven exchange:
+  its tuples that do not yet hold direct bounds for frontier entries are
+  visited by decreasing upper bound, and the frontier entries under each
+  are refined, each pair bound also refining the other entry's list.  The
+  exchange stops once the list's slot counts decide the entry, or once no
+  remaining tuple can change its verdict.  A runtime assertion verifies
+  that every list is complete at test time; survivors of the main loop are
+  settled by the same exchange over single objects.  An entry's lists are
+  freed once it is decided or expanded.
 * ``FAULTY2011`` — a reproduction of the legacy priority-queue algorithm
   that never lets a node account for its own contents.  Intentionally
   unsound; kept as an executable regression of that failure mode.
@@ -27,6 +33,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 from .core import NormStats, QueryObject, SimParams
 from .iur_tree import Entry, IurTree, max_sim_st, object_entry
@@ -123,13 +130,62 @@ def _assert_complete(lists: NNLists, audit: EngineAudit | None) -> None:
 
 
 def _checked_verdict(lists: NNLists, query: QueryObject, params: SimParams,
-                     stats: NormStats, audit: EngineAudit | None) -> Verdict:
+                     stats: NormStats, audit: EngineAudit | None,
+                     query_bounds: tuple[float, float]) -> Verdict:
     _assert_complete(lists, audit)
     if audit is not None and audit.record_bounds:
         audit.bound_records.append(
             (lists.owner, lists.knn_lower(params.k), lists.knn_upper(params.k))
         )
-    return is_hit_or_drop(lists, query, params, stats)
+    verdict = is_hit_or_drop(lists, query, params, stats, query_bounds=query_bounds)
+    if audit is not None and lists.counted_verdict(params.k) is not verdict:
+        raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
+    return verdict
+
+
+def _frontier_under(tree: IurTree, entry: Entry, frontier: set[Entry]) -> Iterator[Entry]:
+    """The frontier entries in ``entry``'s subtree, in preorder."""
+    stack = [entry]
+    while stack:
+        e = stack.pop()
+        if e in frontier:
+            yield e
+        else:
+            stack.extend(reversed(tree.children(e)))
+
+
+def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists],
+              query: QueryObject, params: SimParams,
+              stats: NormStats) -> tuple[float, float]:
+    """Refine the owner's list toward the frontier where its verdict can change.
+
+    A tuple is settled when it holds direct bounds for a frontier entry.
+    The unsettled tuples are visited by decreasing upper bound, and every
+    frontier entry under one is refined; the same pair bounds refine that
+    entry's list toward the owner, if ``others`` holds one.  The exchange
+    stops as soon as the slot counts decide the owner, or at the first tuple
+    whose upper bound is below the owner's pessimistic query similarity:
+    such a tuple counts toward neither mass, and its subsets' bounds cannot
+    make it.  Returns the owner's query bounds.
+    """
+    query_bounds = lists.watch(query, params, stats)
+    owner, k = lists.owner, params.k
+    unsettled = sorted(
+        (t for t in lists.tuples()
+         if t.entry != owner and not (t.direct and t.entry in frontier)),
+        key=lambda t: -t.max_sim,
+    )
+    for t in unsettled:
+        if t.max_sim < query_bounds[0]:
+            break
+        for b in _frontier_under(lists.tree, t.entry, frontier):
+            if lists.counted_verdict(k) is not Verdict.UNDECIDED:
+                return query_bounds
+            bounds = lists.refine(b, params, stats)
+            other = others.get(b)
+            if other is not None:
+                other.refine(owner, params, stats, bounds)
+    return query_bounds
 
 
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
@@ -138,27 +194,29 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
     root = tree.root_entry()
     state.u.append(root)
     state.lists[root] = NNLists(root, tree)
+    state.lists[root].add_self(params, stats)
+    frontier = {root}  # queued, candidate and routed entries: a partition of the dataset
 
     while state.u:
         entry = state.u.popleft()
         action = f"Dequeue {entry.label}"
         lists = state.lists[entry]
-        lists.strip_self_and_parent()
-        if entry.is_node:
+        lists.split(entry)
+        if entry.is_node and not lists.get(entry).direct:  # type: ignore[union-attr]
             lists.add_self(params, stats)
-        for other in list(state.u):  # mutual effect with everything queued
-            bounds = lists.update_with(other, params, stats)
-            state.lists[other].update_with(entry, params, stats, bounds)
-        verdict = _checked_verdict(lists, query, params, stats, audit)
+        query_bounds = _exchange(lists, frontier, state.lists, query, params, stats)
+        verdict = _checked_verdict(lists, query, params, stats, audit, query_bounds)
         # a decided or expanded entry's list is never read again: free it;
         # candidates keep theirs for final_verification
         if verdict is not Verdict.UNDECIDED:
             _route(state, tree, entry, verdict)
             del state.lists[entry]
         elif entry.is_node:
+            frontier.remove(entry)
             for child in tree.children(entry):
                 state.lists[child] = NNLists.inherited(child, lists)
                 state.u.append(child)
+                frontier.add(child)
                 action += f", Enqueue {child.label}"
             del state.lists[entry]
         else:
@@ -174,32 +232,26 @@ def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
                        audit: EngineAudit | None = None) -> None:
     """Settle the candidates left after the main loop.
 
-    Pruned entries are expanded to their contained points, and each candidate
-    updates its lists with every other point (result, pruned, fellow
-    candidates).  All bounds involved are then exact point similarities, so
-    the accept/prune test is guaranteed decisive and the candidate list
-    empties in one pass.
+    Each candidate runs the exchange again with single objects as the
+    frontier, also refining the lists of the candidates still unsettled.
+    Bounds between two objects, and between an object and the query, are
+    exact (lower equals upper), so once every tuple whose upper bound
+    reaches the candidate's query similarity is an object tuple, the two
+    slot counts coincide and the accept/prune test is decisive: the
+    candidate list empties in one pass.
     """
     if not state.col:
         return
-    pel_points: list[str] = sorted(
-        {oid for e in state.pel for oid in tree.subtree_ids(e)}
-    )
+    points = {object_entry(oid) for oid in tree.objects}
     for candidate in list(state.col):
         lists = state.lists[candidate]
-        others = state.rol + pel_points + [
-            c.ident for c in state.col if c != candidate  # type: ignore[misc]
-        ]
-        for oid in others:
-            lists.update_with(object_entry(str(oid)), params, stats)
-        verdict = _checked_verdict(lists, query, params, stats, audit)
+        others = {c: state.lists[c] for c in state.col if c != candidate}
+        query_bounds = _exchange(lists, points, others, query, params, stats)
+        verdict = _checked_verdict(lists, query, params, stats, audit, query_bounds)
         if verdict is Verdict.UNDECIDED:  # pragma: no cover - impossible with exact point bounds
             raise RuntimeError(f"verification left {candidate.label} undecided")
         state.col.remove(candidate)
         _route(state, tree, candidate, verdict)
-        if verdict is Verdict.DROP:
-            pel_points.append(str(candidate.ident))
-            pel_points.sort()
         state.snapshot(f"Verify {candidate.label}")
 
 

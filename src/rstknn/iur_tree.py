@@ -64,9 +64,6 @@ class Mbr:
     def center(self) -> Point:
         return ((self.lo[0] + self.hi[0]) / 2.0, (self.lo[1] + self.hi[1]) / 2.0)
 
-    def contains_point(self, p: Point) -> bool:
-        return self.lo[0] <= p[0] <= self.hi[0] and self.lo[1] <= p[1] <= self.hi[1]
-
 
 def min_dist(a: Mbr, b: Mbr) -> float:
     """Minimum L2 distance between any point of a and any point of b."""
@@ -271,6 +268,9 @@ class IurTree:
 
     def objects_sorted(self) -> list[STObject]:
         return [self.objects[i] for i in sorted(self.objects)]
+
+    def record(self, entry: Entry) -> EntryRecord:
+        return self._records[entry]
 
     def children(self, entry: Entry) -> tuple[Entry, ...]:
         """Child entries in stored order; none for an object."""

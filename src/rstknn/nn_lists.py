@@ -1,27 +1,39 @@
 """Per-entry neighbor-contribution lists and the accept/prune test.
 
-An entry's NN-lists record, for a set of pairwise non-overlapping tree
+An entry's NN-list records, for a set of pairwise non-overlapping tree
 entries, how many neighbor slots each one accounts for (``m``) together with
 lower/upper similarity bounds.  Walking the tuples in decreasing bound order
 and accumulating ``m`` yields under/over-estimates of the similarity to the
 k-th nearest neighbor of any point inside the owner.  The walk sorts the
 tuples when it is asked for; ties in bound cannot change its value.
 
-Two safety rules are load-bearing here and deliberately asymmetric:
+Counting a point twice inflates the lower cumulative walk and can trigger a
+false prune; leaving a point out deflates the upper walk and can trigger a
+false accept.  The correct mode therefore keeps every list a partition of
+the dataset: at every moment the tuples' preorder spans tile [0, N) exactly
+once.  A list starts as the root's self-tuple or as a copy of its parent's,
+and changes only by refinement toward an entry B (:meth:`NNLists.refine`):
+the held tuple T that covers B is split into B and T's off-path descendants
+along the path from T down to B, each keeping T's bounds (sound, since each
+is a subset of T), and then B's directly computed bounds replace T's on B.
 
-* Under-coverage is tolerated: it only makes bounds unavailable, and a
-  missing bound can never cause a wrong decision.
-* Over-coverage is forbidden: counting a point twice inflates the lower
-  cumulative walk and can trigger a false prune.  Therefore an update with
-  entry B first removes every tuple whose entry covers B: its proper
-  ancestors and the equal-span chain entries below it (a single-child node's
-  child, a single-object leaf's object).  The tree precomputes that set per
-  entry (:meth:`IurTree.covering`), so the removal pops at most depth plus
-  chain-length keys instead of scanning the held tuples.
+:meth:`NNLists.update_with` on its own pops every tuple that covers B (its
+proper ancestors and the equal-span chain entries below it) instead of
+splitting it, so the popped tuple's other points lose coverage.  The tree
+precomputes that set per entry (:meth:`IurTree.covering`), so the removal
+pops at most depth plus chain-length keys.  The legacy modes update that way.
 
 The upper-bound walk is additionally gated on completeness: it is only
 meaningful when every database object is accounted for, which is exactly the
 condition the legacy algorithms failed to maintain.
+
+Once :meth:`NNLists.watch` is given the owner's query bounds, the list keeps
+two slot counts up to date through every change: the drop mass (sum of m
+over tuples whose lower bound reaches the optimistic owner-query similarity)
+and the hit mass (sum of m over tuples whose upper bound reaches the
+pessimistic one).  Drop mass >= k is exactly the lower walk's prune
+condition and hit mass < k the upper walk's accept condition, so an exchange
+can test after every refinement, in O(1), whether the owner is decided.
 """
 
 from __future__ import annotations
@@ -45,12 +57,13 @@ class NotInternalNode(ValueError):
     """Self-addition only applies to index nodes, never to single objects."""
 
 
-@dataclass
+@dataclass(slots=True)
 class NNTuple:
     entry: Entry
     m: int
     min_sim: float
     max_sim: float
+    direct: bool = False  # bounds computed for this entry, not inherited or split off
 
 
 class NNLists:
@@ -64,6 +77,10 @@ class NNLists:
         self.owner = owner
         self.tree = tree
         self._tuples: dict[Entry, NNTuple] = {}
+        self._span = tree.record(owner).span
+        self._query_bounds: tuple[float, float] | None = None  # set by watch()
+        self.drop_mass = 0
+        self.hit_mass = 0
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -78,10 +95,35 @@ class NNLists:
         return list(self._tuples.values())
 
     def _m_for(self, entry: Entry) -> int:
-        count = self.tree.count(entry)
-        return count - 1 if self.tree.overlaps(entry, self.owner) else count
+        """The entry's size, less one when it overlaps the owner (a point is
+        not its own neighbor)."""
+        record = self.tree.record(entry)
+        lo, hi = record.span
+        olo, ohi = self._span
+        return record.count - ((lo <= olo and ohi <= hi) or (olo <= lo and hi <= ohi))
 
     # -- mutations ----------------------------------------------------------
+
+    def _count(self, t: NNTuple, sign: int) -> None:
+        lower, upper = self._query_bounds  # type: ignore[misc]
+        if t.min_sim >= upper:
+            self.drop_mass += sign * t.m
+        if t.max_sim >= lower:
+            self.hit_mass += sign * t.m
+
+    def _put(self, t: NNTuple) -> None:
+        old = self._tuples.get(t.entry)
+        self._tuples[t.entry] = t
+        if self._query_bounds is not None:
+            if old is not None:
+                self._count(old, -1)
+            self._count(t, 1)
+
+    def _pop(self, entry: Entry) -> NNTuple | None:
+        t = self._tuples.pop(entry, None)
+        if t is not None and self._query_bounds is not None:
+            self._count(t, -1)
+        return t
 
     def add_self(self, params: SimParams, stats: NormStats) -> None:
         """Insert the owner itself so its own points count as candidates.
@@ -92,12 +134,7 @@ class NNLists:
         if not self.owner.is_node:
             raise NotInternalNode(f"cannot add_self on object entry {self.owner.label}")
         lo, hi = pair_sim_bounds(self.tree, self.owner, self.owner, params, stats)
-        self._tuples[self.owner] = NNTuple(
-            entry=self.owner,
-            m=self.tree.count(self.owner) - 1,
-            min_sim=lo,
-            max_sim=hi,
-        )
+        self._put(NNTuple(self.owner, self.tree.count(self.owner) - 1, lo, hi, True))
 
     def update_with(self, other: Entry, params: SimParams, stats: NormStats,
                     bounds: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -116,14 +153,51 @@ class NNLists:
         """
         if other == self.owner:
             raise ValueError("an entry never contributes to its own list via update")
-        tuples = self._tuples
         for e in self.tree.covering(other):
-            tuples.pop(e, None)
+            self._pop(e)
         if bounds is None:
             bounds = pair_sim_bounds(self.tree, self.owner, other, params, stats)
         lo, hi = bounds
-        tuples[other] = NNTuple(entry=other, m=self._m_for(other), min_sim=lo, max_sim=hi)
+        self._put(NNTuple(other, self._m_for(other), lo, hi, True))
         return bounds
+
+    def split(self, entry: Entry) -> None:
+        """Give ``entry`` a tuple of its own without changing what is covered.
+
+        The held tuple T whose entry covers ``entry`` is replaced by
+        ``entry`` and by T's off-path descendants along the path from T down
+        to ``entry``; all of them keep T's bounds, which hold for any subset
+        of T's points.  Nothing changes when ``entry`` already has a tuple.
+        """
+        tuples = self._tuples
+        if entry in tuples:
+            return
+        tree = self.tree
+        held = next((e for e in tree.covering(entry) if e in tuples), None)
+        if held is None:
+            raise ValueError(f"no tuple in {self.owner.label}'s list covers {entry.label}")
+        t = self._pop(held)
+        lo, hi = t.min_sim, t.max_sim  # type: ignore[union-attr]
+        if tree.depth(held) < tree.depth(entry):  # else an equal-span descendant
+            node = entry
+            while node != held:
+                parent = tree.parent(node)
+                for c in tree.children(parent):  # type: ignore[arg-type]
+                    if c != node:
+                        self._put(NNTuple(c, self._m_for(c), lo, hi))
+                node = parent  # type: ignore[assignment]
+        self._put(NNTuple(entry, self._m_for(entry), lo, hi))
+
+    def refine(self, entry: Entry, params: SimParams, stats: NormStats,
+               bounds: tuple[float, float] | None = None) -> tuple[float, float]:
+        """Split toward ``entry``, then store its direct bounds.
+
+        After the split no held tuple covers ``entry``, so
+        :meth:`update_with` pops nothing and the list stays a partition.
+        ``bounds`` and the return value are as for :meth:`update_with`.
+        """
+        self.split(entry)
+        return self.update_with(entry, params, stats, bounds)
 
     @classmethod
     def inherited(cls, child: Entry, parent_lists: "NNLists") -> "NNLists":
@@ -135,12 +209,7 @@ class NNLists:
         """
         lists = cls(child, parent_lists.tree)
         for t in parent_lists._tuples.values():
-            lists._tuples[t.entry] = NNTuple(
-                entry=t.entry,
-                m=lists._m_for(t.entry),
-                min_sim=t.min_sim,
-                max_sim=t.max_sim,
-            )
+            lists._tuples[t.entry] = NNTuple(t.entry, lists._m_for(t.entry), t.min_sim, t.max_sim)
         return lists
 
     def strip_self_and_parent(self) -> None:
@@ -150,10 +219,36 @@ class NNLists:
         if parent is not None:
             doomed.append(parent)
         for e in doomed:
-            self._tuples.pop(e, None)
+            self._pop(e)
 
     def remove(self, entry: Entry) -> None:
-        self._tuples.pop(entry, None)
+        self._pop(entry)
+
+    # -- the slot counts ------------------------------------------------------
+
+    def watch(self, query: QueryObject, params: SimParams,
+              stats: NormStats) -> tuple[float, float]:
+        """Start keeping the drop and hit masses against the query.
+
+        Returns the owner's (pessimistic, optimistic) query similarity, the
+        two thresholds of the masses.
+        """
+        tree, owner = self.tree, self.owner
+        self._query_bounds = (min_sim_st(tree, owner, query, params, stats),
+                              max_sim_st(tree, owner, query, params, stats))
+        self.drop_mass = self.hit_mass = 0
+        for t in self._tuples.values():
+            self._count(t, 1)
+        return self._query_bounds
+
+    def counted_verdict(self, k: int) -> Verdict:
+        """The verdict the slot counts give; agrees with the gated
+        :func:`is_hit_or_drop` on a complete list at the watched bounds."""
+        if self.drop_mass >= k:
+            return Verdict.DROP
+        if self.hit_mass < k:
+            return Verdict.HIT
+        return Verdict.UNDECIDED
 
     # -- bounds -------------------------------------------------------------
 
@@ -238,7 +333,8 @@ class NNLists:
 
 
 def is_hit_or_drop(lists: NNLists, query: QueryObject, params: SimParams,
-                   stats: NormStats, *, gated: bool = True) -> Verdict:
+                   stats: NormStats, *, gated: bool = True,
+                   query_bounds: tuple[float, float] | None = None) -> Verdict:
     """Sufficient accept/prune test for the list's owner against the query.
 
     Drop when even the optimistic owner-query similarity cannot beat the
@@ -248,14 +344,22 @@ def is_hit_or_drop(lists: NNLists, query: QueryObject, params: SimParams,
 
     ``gated=False`` walks the upper bounds without the completeness gate
     (and without -inf when fewer than k neighbors are covered); only the
-    deliberately faulty legacy modes use it.
+    deliberately faulty legacy modes use it.  ``query_bounds`` takes the
+    owner's (pessimistic, optimistic) query similarity when the caller
+    already has it; otherwise each is computed when a walk needs it.
     """
     tree = lists.tree
     k = params.k
     lower = lists.knn_lower(k)
-    if lower is not None and max_sim_st(tree, lists.owner, query, params, stats) <= lower:
-        return Verdict.DROP
+    if lower is not None:
+        optimistic = (query_bounds[1] if query_bounds is not None
+                      else max_sim_st(tree, lists.owner, query, params, stats))
+        if optimistic <= lower:
+            return Verdict.DROP
     upper = lists.knn_upper(k) if gated else lists._walk(k, upper=True)
-    if upper is not None and min_sim_st(tree, lists.owner, query, params, stats) > upper:
-        return Verdict.HIT
+    if upper is not None:
+        pessimistic = (query_bounds[0] if query_bounds is not None
+                       else min_sim_st(tree, lists.owner, query, params, stats))
+        if pessimistic > upper:
+            return Verdict.HIT
     return Verdict.UNDECIDED

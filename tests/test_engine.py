@@ -18,6 +18,7 @@ from rstknn.engine import (
     trace_to_jsonl,
 )
 from rstknn.iur_tree import build_tree, node_entry, object_entry, tree_from_layout
+from rstknn.nn_lists import NNLists
 from rstknn.oracle import rknn_bruteforce
 
 
@@ -195,6 +196,54 @@ def test_correct_mode_keeps_only_candidate_lists():
         assert {e.label for e in state.lists} == verified
         candidates += len(verified)
     assert candidates > 0
+
+
+def _assert_tiles(lists):
+    """The tuples' preorder spans tile [0, n) exactly once."""
+    end = 0
+    for lo, hi in sorted(lists.tree.record(t.entry).span for t in lists.tuples()):
+        assert lo == end, f"{lists.owner.label}: gap or overlap at position {end}"
+        end = hi
+    assert end == lists.tree.size, f"{lists.owner.label}: positions from {end} uncovered"
+
+
+def test_correct_mode_lists_stay_partitions(monkeypatch, equal_span_trees):
+    # every change to a correct-mode list goes through one of these methods,
+    # so checking the changed list after each call checks every live list
+    # after every refinement
+    checks = []
+
+    def checked(method):
+        def wrapper(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            _assert_tiles(self)
+            checks.append(method.__name__)
+            return out
+        return wrapper
+
+    for name in ("split", "update_with", "refine", "add_self"):
+        monkeypatch.setattr(NNLists, name, checked(getattr(NNLists, name)))
+    inherit = NNLists.__dict__["inherited"].__func__
+
+    def inherited(cls, child, parent_lists):
+        lists = inherit(cls, child, parent_lists)
+        _assert_tiles(lists)
+        return lists
+
+    monkeypatch.setattr(NNLists, "inherited", classmethod(inherited))
+    rng = random.Random(4242)
+    trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
+             for fanout in (2, 3, 4, 8) for _ in range(6)]
+    for tree in trees + equal_span_trees:
+        objs = tree.objects_sorted()
+        stats = tree.norm_stats()
+        for _ in range(3):
+            q = random_query(rng, 5)
+            params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]),
+                               k=rng.choice([1, 2, 4, len(objs), len(objs) + 1]))
+            got, _ = rstknn_query(tree, q, params, stats=stats, audit=EngineAudit())
+            assert got == rknn_bruteforce(objs, q, params, stats)
+    assert checks.count("refine") > 1000
 
 
 def test_each_entry_enqueued_at_most_once():

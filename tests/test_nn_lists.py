@@ -1,7 +1,7 @@
 import pytest
 
 from rstknn.core import QueryObject, STObject, SimParams, TermVector
-from rstknn.datasets import random_dataset
+from rstknn.datasets import random_dataset, random_query
 from rstknn.iur_tree import (
     build_tree,
     max_sim_st,
@@ -122,6 +122,80 @@ def test_update_with_stores_and_returns_shared_bounds():
     assert (t.min_sim, t.max_sim, t.m) == (*forward, 1)
 
 
+def _manual_lists(tree, owner, rows):
+    lists = NNLists(owner, tree)
+    for entry, m, lo, hi in rows:
+        lists._tuples[entry] = NNTuple(entry, m, lo, hi)
+    return lists
+
+
+def test_split_replaces_the_covering_tuple_by_the_path_pieces():
+    objs, tree, stats = _line_tree()
+    n1 = node_entry(1)
+    lists = _manual_lists(tree, n1, [(node_entry(0), 5, 0.1, 0.9)])
+    lists.split(object_entry("P2"))  # path N0 > N2 > N3 > P2
+    pieces = {t.entry.label: (t.m, t.min_sim, t.max_sim, t.direct) for t in lists.tuples()}
+    assert pieces == {
+        "N1": (1, 0.1, 0.9, False),  # overlaps the owner: one slot fewer
+        "N4": (2, 0.1, 0.9, False),
+        "P3": (1, 0.1, 0.9, False),
+        "P2": (1, 0.1, 0.9, False),
+    }
+    lists.split(object_entry("P2"))  # already has its own tuple
+    assert len(lists) == 4
+    bounds = lists.refine(object_entry("P3"), PARAMS, stats)
+    assert bounds == pair_sim_bounds(tree, n1, object_entry("P3"), PARAMS, stats)
+    assert lists.get(object_entry("P3")).direct and len(lists) == 4
+    with pytest.raises(ValueError, match="covers"):
+        lists.split(node_entry(2))  # finer tuples tile it; no single one covers it
+
+
+def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
+    # the masses kept through splits, refinements and plain pops equal a
+    # recount, and on a partition they give the walks' verdict
+    agreements = {v: 0 for v in Verdict}
+    trees = [build_tree(random_dataset(rng, rng.randint(2, 30), 5), f) for f in (2, 3, 4, 8)]
+    for tree in trees + equal_span_trees:
+        stats = tree.norm_stats()
+        entries = [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+        for _ in range(4):
+            params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=1)
+            q = random_query(rng, 5)
+            # inherit down to a random owner, as the traversal does
+            owner = rng.choice(entries)
+            path = [owner]
+            while tree.parent(path[-1]) is not None:
+                path.append(tree.parent(path[-1]))
+            lists = NNLists(path[-1], tree)
+            lists.add_self(params, stats)
+            for child in reversed(path[:-1]):
+                lists = NNLists.inherited(child, lists)
+                lists.split(child)
+                if child.is_node:
+                    lists.add_self(params, stats)
+            lists.watch(q, params, stats)
+            for _ in range(20):
+                options = [e for e in entries if not tree.overlaps(e, owner) and (
+                    e in lists or any(c in lists for c in tree.covering(e)))]
+                if not options:
+                    break
+                lists.refine(rng.choice(options), params, stats)
+                drop, hit = lists.drop_mass, lists.hit_mass
+                assert lists.watch(q, params, stats) and (drop, hit) == (
+                    lists.drop_mass, lists.hit_mass)
+                for k in range(1, tree.size + 2):
+                    params_k = SimParams(params.alpha, k)
+                    verdict = is_hit_or_drop(lists, q, params_k, stats)
+                    assert lists.counted_verdict(k) is verdict
+                    agreements[verdict] += 1
+            if len(lists) > 1:  # a plain pop keeps the counts too
+                lists.remove(lists.tuples()[-1].entry)
+                drop, hit = lists.drop_mass, lists.hit_mass
+                lists.watch(q, params, stats)
+                assert (drop, hit) == (lists.drop_mass, lists.hit_mass)
+    assert min(agreements.values()) > 0
+
+
 def test_update_overlap_rule_point_inside_node():
     objs, tree, stats = _line_tree()
     lists = NNLists(object_entry("P2"), tree)
@@ -168,13 +242,6 @@ def test_strip_self_and_parent():
     # no-op when absent
     lists.strip_self_and_parent()
     assert node_entry(1) in lists
-
-
-def _manual_lists(tree, owner, rows):
-    lists = NNLists(owner, tree)
-    for entry, m, lo, hi in rows:
-        lists._tuples[entry] = NNTuple(entry, m, lo, hi)
-    return lists
 
 
 def test_knn_lower_cumulative_walk():

@@ -21,8 +21,8 @@ from rstknn.core import (
     sim_st,
 )
 from rstknn.datasets import random_dataset, random_query
-from rstknn.engine import Mode, rstknn_query
-from rstknn.iur_tree import build_tree
+from rstknn.engine import EngineAudit, Mode, rstknn_query
+from rstknn.iur_tree import build_tree, max_sim_st, min_sim_st, object_entry, pair_sim_bounds
 from rstknn.oracle import (
     check_bound_sandwich,
     counterexample_search,
@@ -227,6 +227,38 @@ def test_rknn_bruteforce_equals_scalar_definition_off_the_grid(instance):
     objs, query, params = instance
     stats = pair_table_stats(objs)
     assert rknn_bruteforce(objs, query, params, stats) == scalar_rknn(objs, query, params, stats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_instances(), st.sampled_from([2, 3, 4, 8]))
+def test_correct_mode_equals_bruteforce_off_the_grid(instance, fanout):
+    objs, query, params = instance
+    tree = build_tree(objs, fanout)
+    stats = tree.norm_stats()
+    audit = EngineAudit()
+    got, _ = rstknn_query(tree, query, params, stats=stats, audit=audit)
+    assert got == rknn_bruteforce(objs, query, params, stats)
+    assert audit.completeness_failures == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_instances())
+def test_single_object_bounds_collapse_to_sim_st_off_the_grid(instance):
+    # what makes the final verification decisive: with exact point bounds
+    # the pessimistic and the optimistic walk see the same values
+    objs, query, params = instance
+    tree = build_tree(objs, 2)
+    stats = tree.norm_stats()
+    for a in objs:
+        exact = sim_st(a, query, params, stats).hex()
+        entry = object_entry(a.id)
+        assert min_sim_st(tree, entry, query, params, stats).hex() == exact
+        assert max_sim_st(tree, entry, query, params, stats).hex() == exact
+        for b in objs:
+            if b is not a:
+                exact = sim_st(a, b, params, stats).hex()
+                bounds = pair_sim_bounds(tree, entry, object_entry(b.id), params, stats)
+                assert [x.hex() for x in bounds] == [exact, exact]
 
 
 def _perturbed_tiles(monkeypatch, seed):
