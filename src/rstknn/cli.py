@@ -16,7 +16,7 @@ import random
 import sys
 from pathlib import Path
 
-from .core import QueryObject, SimParams
+from .core import NormStats, QueryObject, STObject, SimParams
 from .datasets import (
     ParseError,
     parse_query_terms,
@@ -26,7 +26,7 @@ from .datasets import (
     write_dataset,
 )
 from .engine import Mode, format_trace_table, rstknn_query, trace_to_jsonl
-from .iur_tree import build_tree
+from .iur_tree import IurTree, build_tree
 from .oracle import rknn_bruteforce
 
 EXIT_OK = 0
@@ -34,7 +34,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 
-MODES = ("correct", "faulty2011", "faulty2014", "oracle")
+MODES = (*(mode.value for mode in Mode), "oracle")
 
 
 class UsageError(ValueError):
@@ -96,6 +96,18 @@ def _parse_params(args: argparse.Namespace) -> SimParams:
         raise UsageError(str(exc)) from exc
 
 
+def _set_up(args: argparse.Namespace
+            ) -> tuple[SimParams, list[STObject], QueryObject, IurTree, NormStats]:
+    """Parameters, dataset, query, tree and statistics of a query command."""
+    params = _parse_params(args)
+    if args.fanout < 2:
+        raise UsageError(f"--fanout must be >= 2, got {args.fanout}")
+    objects = read_dataset(args.dataset)
+    query = _parse_query(args)
+    tree = build_tree(objects, args.fanout)
+    return params, objects, query, tree, tree.norm_stats()
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
@@ -111,13 +123,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    params = _parse_params(args)
-    if args.fanout < 2:
-        raise UsageError(f"--fanout must be >= 2, got {args.fanout}")
-    objects = read_dataset(args.dataset)
-    query = _parse_query(args)
-    tree = build_tree(objects, args.fanout)
-    stats = tree.norm_stats()
+    params, objects, query, tree, stats = _set_up(args)
     if args.mode == "oracle":
         result = rknn_bruteforce(objects, query, params, stats)
         trace = []
@@ -135,17 +141,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    params = _parse_params(args)
-    if args.fanout < 2:
-        raise UsageError(f"--fanout must be >= 2, got {args.fanout}")
-    objects = read_dataset(args.dataset)
-    query = _parse_query(args)
-    tree = build_tree(objects, args.fanout)
-    stats = tree.norm_stats()
+    params, objects, query, tree, stats = _set_up(args)
     want = rknn_bruteforce(objects, query, params, stats)
     print(f"oracle: {' '.join(sorted(want)) or '-'}")
     status = EXIT_OK
-    for mode in (Mode.CORRECT, Mode.FAULTY2011, Mode.FAULTY2014):
+    for mode in Mode:
         got, _ = rstknn_query(tree, query, params, mode, stats=stats)
         if got == want:
             print(f"{mode.value}: match")

@@ -1,6 +1,8 @@
 """Branch-and-bound reverse spatio-textual k-NN traversal.
 
-Three query modes share the bound machinery but differ in control flow:
+Three query modes share the bound machinery and one accept/prune test,
+:func:`is_hit_or_drop`, which reads an NN-list's running slot totals, but
+differ in control flow:
 
 * ``CORRECT`` — FIFO queue over a frontier of tree entries (queued,
   candidate and routed) that partitions the dataset.  Every NN-list is a
@@ -12,15 +14,19 @@ Three query modes share the bound machinery but differ in control flow:
   are refined, each pair bound also refining the other entry's list.  The
   exchange stops once the list's slot counts decide the entry, or once no
   remaining tuple can change its verdict.  A runtime assertion verifies
-  that every list is complete at test time; survivors of the main loop are
-  settled by the same exchange over single objects.  An entry's lists are
-  freed once it is decided or expanded.
+  that every list is complete at test time, and audit runs check every
+  verdict against the sorted walks; survivors of the main loop are settled
+  by the same exchange over single objects.  An entry's lists are freed
+  once it is decided or expanded.
 * ``FAULTY2011`` — a reproduction of the legacy priority-queue algorithm
   that never lets a node account for its own contents.  Intentionally
   unsound; kept as an executable regression of that failure mode.
 * ``FAULTY2014`` — the later legacy variant that restored self-accounting
   but still accepts on upper bounds computed from incomplete lists.
   Intentionally unsound as well.
+
+Both legacy modes take the test ungated: a hit needs only k covered slots,
+not a complete list.
 
 Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
@@ -130,15 +136,14 @@ def _assert_complete(lists: NNLists, audit: EngineAudit | None) -> None:
 
 
 def _checked_verdict(lists: NNLists, query: QueryObject, params: SimParams,
-                     stats: NormStats, audit: EngineAudit | None,
-                     query_bounds: tuple[float, float]) -> Verdict:
+                     stats: NormStats, audit: EngineAudit | None) -> Verdict:
     _assert_complete(lists, audit)
     if audit is not None and audit.record_bounds:
         audit.bound_records.append(
             (lists.owner, lists.knn_lower(params.k), lists.knn_upper(params.k))
         )
-    verdict = is_hit_or_drop(lists, query, params, stats, query_bounds=query_bounds)
-    if audit is not None and lists.counted_verdict(params.k) is not verdict:
+    verdict = is_hit_or_drop(lists, query, params, stats)
+    if audit is not None and lists.walked_verdict(query, params, stats) is not verdict:
         raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
     return verdict
 
@@ -155,8 +160,7 @@ def _frontier_under(tree: IurTree, entry: Entry, frontier: set[Entry]) -> Iterat
 
 
 def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists],
-              query: QueryObject, params: SimParams,
-              stats: NormStats) -> tuple[float, float]:
+              query: QueryObject, params: SimParams, stats: NormStats) -> None:
     """Refine the owner's list toward the frontier where its verdict can change.
 
     A tuple is settled when it holds direct bounds for a frontier entry.
@@ -166,9 +170,9 @@ def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists]
     stops as soon as the slot counts decide the owner, or at the first tuple
     whose upper bound is below the owner's pessimistic query similarity:
     such a tuple counts toward neither mass, and its subsets' bounds cannot
-    make it.  Returns the owner's query bounds.
+    make it.
     """
-    query_bounds = lists.watch(query, params, stats)
+    pessimistic, _ = lists.watch(query, params, stats)
     owner, k = lists.owner, params.k
     unsettled = sorted(
         (t for t in lists.tuples()
@@ -176,16 +180,15 @@ def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists]
         key=lambda t: -t.max_sim,
     )
     for t in unsettled:
-        if t.max_sim < query_bounds[0]:
+        if t.max_sim < pessimistic:
             break
         for b in _frontier_under(lists.tree, t.entry, frontier):
             if lists.counted_verdict(k) is not Verdict.UNDECIDED:
-                return query_bounds
+                return
             bounds = lists.refine(b, params, stats)
             other = others.get(b)
             if other is not None:
                 other.refine(owner, params, stats, bounds)
-    return query_bounds
 
 
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
@@ -204,8 +207,8 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
         lists.split(entry)
         if entry.is_node and not lists.get(entry).direct:  # type: ignore[union-attr]
             lists.add_self(params, stats)
-        query_bounds = _exchange(lists, frontier, state.lists, query, params, stats)
-        verdict = _checked_verdict(lists, query, params, stats, audit, query_bounds)
+        _exchange(lists, frontier, state.lists, query, params, stats)
+        verdict = _checked_verdict(lists, query, params, stats, audit)
         # a decided or expanded entry's list is never read again: free it;
         # candidates keep theirs for final_verification
         if verdict is not Verdict.UNDECIDED:
@@ -246,8 +249,8 @@ def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
     for candidate in list(state.col):
         lists = state.lists[candidate]
         others = {c: state.lists[c] for c in state.col if c != candidate}
-        query_bounds = _exchange(lists, points, others, query, params, stats)
-        verdict = _checked_verdict(lists, query, params, stats, audit, query_bounds)
+        _exchange(lists, points, others, query, params, stats)
+        verdict = _checked_verdict(lists, query, params, stats, audit)
         if verdict is Verdict.UNDECIDED:  # pragma: no cover - impossible with exact point bounds
             raise RuntimeError(f"verification left {candidate.label} undecided")
         state.col.remove(candidate)
@@ -261,12 +264,6 @@ def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
 def _ranked(queue: dict[Entry, float]) -> list[Entry]:
     """Queued entries by decreasing priority, ties broken by entry order."""
     return sorted(queue, key=lambda e: (-queue[e], e.order_key))
-
-
-def _ungated(lists: NNLists, query: QueryObject, params: SimParams,
-             stats: NormStats) -> Verdict:
-    """The legacy test: upper bounds walked without the completeness gate."""
-    return is_hit_or_drop(lists, query, params, stats, gated=False)
 
 
 def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
@@ -294,7 +291,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
             if locality:
                 lists.remove(parent)
             state.lists[child] = lists
-            verdict = _ungated(lists, query, params, stats)
+            verdict = is_hit_or_drop(lists, query, params, stats, gated=False)
             if verdict is Verdict.UNDECIDED:
                 if locality and child.is_node:
                     lists.add_self(params, stats)
@@ -312,13 +309,14 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                     if other == child:
                         continue
                     bounds = lists.update_with(other, params, stats)
-                    verdict = _ungated(lists, query, params, stats)
+                    verdict = is_hit_or_drop(lists, query, params, stats, gated=False)
                     if verdict is not Verdict.UNDECIDED:
                         break
                     if other in queue or other in state.col:
                         other_lists = state.lists[other]
                         other_lists.update_with(child, params, stats, bounds)
-                        other_verdict = _ungated(other_lists, query, params, stats)
+                        other_verdict = is_hit_or_drop(other_lists, query, params, stats,
+                                                       gated=False)
                         if other_verdict is not Verdict.UNDECIDED:
                             queue.pop(other, None)
                             if other in state.col:
@@ -359,7 +357,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryOb
         for candidate in list(state.col):
             lists = state.lists[candidate]
             lists.update_with(entry, params, stats)
-            verdict = _ungated(lists, query, params, stats)
+            verdict = is_hit_or_drop(lists, query, params, stats, gated=False)
             if verdict is not Verdict.UNDECIDED:
                 state.col.remove(candidate)
                 _route(state, tree, candidate, verdict)
@@ -370,7 +368,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryOb
         lists = state.lists[candidate]
         for other in state.rol + [c.ident for c in state.col if c != candidate]:
             lists.update_with(object_entry(str(other)), params, stats)
-        verdict = _ungated(lists, query, params, stats)
+        verdict = is_hit_or_drop(lists, query, params, stats, gated=False)
         if verdict is Verdict.UNDECIDED:
             # fewer than k neighbors reachable: unconditional member
             verdict = Verdict.HIT

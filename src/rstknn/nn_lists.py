@@ -23,17 +23,16 @@ splitting it, so the popped tuple's other points lose coverage.  The tree
 precomputes that set per entry (:meth:`IurTree.covering`), so the removal
 pops at most depth plus chain-length keys.  The legacy modes update that way.
 
-The upper-bound walk is additionally gated on completeness: it is only
-meaningful when every database object is accounted for, which is exactly the
-condition the legacy algorithms failed to maintain.
-
-Once :meth:`NNLists.watch` is given the owner's query bounds, the list keeps
-two slot counts up to date through every change: the drop mass (sum of m
-over tuples whose lower bound reaches the optimistic owner-query similarity)
-and the hit mass (sum of m over tuples whose upper bound reaches the
-pessimistic one).  Drop mass >= k is exactly the lower walk's prune
-condition and hit mass < k the upper walk's accept condition, so an exchange
-can test after every refinement, in O(1), whether the owner is decided.
+The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  Once
+:meth:`NNLists.watch` has counted them, the list keeps three slot totals
+through every change: the drop mass (m summed over tuples whose lower bound
+reaches the optimistic owner-query similarity), the hit mass (upper bounds
+against the pessimistic one) and the covered slots.  A walk's k-th slot
+reaches a threshold exactly when at least k slots reach it, so drop mass >= k
+is the lower walk's prune and hit mass < k the upper walk's accept.  An
+accept also needs a complete list, the condition the legacy algorithms failed
+to maintain; their ungated test needs only k covered slots.  The walks stay
+as the reference that audit runs and the tests compare the totals with.
 """
 
 from __future__ import annotations
@@ -78,9 +77,11 @@ class NNLists:
         self.tree = tree
         self._tuples: dict[Entry, NNTuple] = {}
         self._span = tree.record(owner).span
-        self._query_bounds: tuple[float, float] | None = None  # set by watch()
+        self._watched: tuple[QueryObject, float, NormStats] | None = None  # set by watch()
+        self._query_bounds: tuple[float, float] | None = None
         self.drop_mass = 0
         self.hit_mass = 0
+        self.covered_slots = 0
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -106,10 +107,12 @@ class NNLists:
 
     def _count(self, t: NNTuple, sign: int) -> None:
         lower, upper = self._query_bounds  # type: ignore[misc]
+        m = sign * t.m
+        self.covered_slots += m
         if t.min_sim >= upper:
-            self.drop_mass += sign * t.m
+            self.drop_mass += m
         if t.max_sim >= lower:
-            self.hit_mass += sign * t.m
+            self.hit_mass += m
 
     def _put(self, t: NNTuple) -> None:
         old = self._tuples.get(t.entry)
@@ -228,22 +231,20 @@ class NNLists:
 
     def watch(self, query: QueryObject, params: SimParams,
               stats: NormStats) -> tuple[float, float]:
-        """Start keeping the drop and hit masses against the query.
-
-        Returns the owner's (pessimistic, optimistic) query similarity, the
-        two thresholds of the masses.
-        """
+        """Recount the slot totals against the query and keep them from then
+        on; returns the owner's (pessimistic, optimistic) query similarity."""
         tree, owner = self.tree, self.owner
+        self._watched = (query, params.alpha, stats)
         self._query_bounds = (min_sim_st(tree, owner, query, params, stats),
                               max_sim_st(tree, owner, query, params, stats))
-        self.drop_mass = self.hit_mass = 0
+        self.drop_mass = self.hit_mass = self.covered_slots = 0
         for t in self._tuples.values():
             self._count(t, 1)
         return self._query_bounds
 
     def counted_verdict(self, k: int) -> Verdict:
-        """The verdict the slot counts give; agrees with the gated
-        :func:`is_hit_or_drop` on a complete list at the watched bounds."""
+        """The accept/prune rule on the slot totals of a list known to be
+        complete; :func:`is_hit_or_drop` adds what a hit needs otherwise."""
         if self.drop_mass >= k:
             return Verdict.DROP
         if self.hit_mass < k:
@@ -255,12 +256,6 @@ class NNLists:
     def coverage(self) -> int:
         return sum(t.m for t in self._tuples.values())
 
-    def covered_object_ids(self) -> set[str]:
-        covered: set[str] = set()
-        for e in self._tuples:
-            covered |= self.tree.subtree_ids(e)
-        return covered
-
     def is_complete(self) -> bool:
         """Every database object is accounted for.
 
@@ -268,7 +263,7 @@ class NNLists:
         self-tuple or an ancestor).  A point owner is its own 0th nearest
         neighbor, so only the other N-1 objects need covering.
         """
-        missing = self.tree.all_object_ids - self.covered_object_ids()
+        missing = self.tree.all_object_ids.difference(*map(self.tree.subtree_ids, self._tuples))
         if not missing:
             return True
         return self.owner.is_object and missing == {self.owner.ident}
@@ -312,6 +307,19 @@ class NNLists:
         upper = self._walk(k, upper=True)
         return NEG_INF if upper is None else upper
 
+    def walked_verdict(self, query: QueryObject, params: SimParams, stats: NormStats,
+                       *, gated: bool = True) -> Verdict:
+        """:func:`is_hit_or_drop` by the sorted walks, the reference that audit
+        runs and the tests compare it with."""
+        tree, owner, k = self.tree, self.owner, params.k
+        lower = self.knn_lower(k)
+        if lower is not None and max_sim_st(tree, owner, query, params, stats) <= lower:
+            return Verdict.DROP
+        upper = self.knn_upper(k) if gated else self._walk(k, upper=True)
+        if upper is not None and min_sim_st(tree, owner, query, params, stats) > upper:
+            return Verdict.HIT
+        return Verdict.UNDECIDED
+
     # -- test support ---------------------------------------------------------
 
     def check_invariants(self) -> None:
@@ -333,33 +341,22 @@ class NNLists:
 
 
 def is_hit_or_drop(lists: NNLists, query: QueryObject, params: SimParams,
-                   stats: NormStats, *, gated: bool = True,
-                   query_bounds: tuple[float, float] | None = None) -> Verdict:
+                   stats: NormStats, *, gated: bool = True) -> Verdict:
     """Sufficient accept/prune test for the list's owner against the query.
 
-    Drop when even the optimistic owner-query similarity cannot beat the
-    pessimistic k-th-neighbor bound (ties drop: database points win them).
-    Hit when the pessimistic owner-query similarity strictly beats the
-    optimistic k-th-neighbor bound.  Otherwise undecided.
-
-    ``gated=False`` walks the upper bounds without the completeness gate
-    (and without -inf when fewer than k neighbors are covered); only the
-    deliberately faulty legacy modes use it.  ``query_bounds`` takes the
-    owner's (pessimistic, optimistic) query similarity when the caller
-    already has it; otherwise each is computed when a walk needs it.
+    Drop when at least k slots have a lower bound at or above the optimistic
+    owner-query similarity (ties drop: database points win them).  Hit when
+    fewer than k slots have an upper bound at or above the pessimistic one
+    and the list is complete, or, with ``gated=False`` (only the deliberately
+    faulty legacy modes), covers at least k slots.  Otherwise undecided.  The
+    list recounts its totals only for another query, alpha or statistics,
+    and completeness is checked only when a hit is possible.
     """
-    tree = lists.tree
+    w = lists._watched  # the query and statistics are frozen: compare by identity
+    if w is None or w[0] is not query or w[1] != params.alpha or w[2] is not stats:
+        lists.watch(query, params, stats)
     k = params.k
-    lower = lists.knn_lower(k)
-    if lower is not None:
-        optimistic = (query_bounds[1] if query_bounds is not None
-                      else max_sim_st(tree, lists.owner, query, params, stats))
-        if optimistic <= lower:
-            return Verdict.DROP
-    upper = lists.knn_upper(k) if gated else lists._walk(k, upper=True)
-    if upper is not None:
-        pessimistic = (query_bounds[0] if query_bounds is not None
-                       else min_sim_st(tree, lists.owner, query, params, stats))
-        if pessimistic > upper:
-            return Verdict.HIT
-    return Verdict.UNDECIDED
+    verdict = lists.counted_verdict(k)
+    if verdict is Verdict.HIT and not (lists.is_complete() if gated else lists.covered_slots >= k):
+        return Verdict.UNDECIDED
+    return verdict

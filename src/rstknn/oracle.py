@@ -25,6 +25,7 @@ from .core import (
     TermVector,
     _PairTiles,
     combined_similarity,
+    euclidean_dist,
     extended_jaccard,
     fdim_ratio,
     sim_st,
@@ -38,6 +39,7 @@ from .iur_tree import (
     max_text_sim,
     min_sim_st,
     min_text_sim,
+    object_entry,
 )
 
 NEG_INF = float("-inf")
@@ -139,23 +141,25 @@ def check_bound_sandwich(tree: IurTree, params: SimParams, stats: NormStats,
     violations are orders of magnitude larger.
     """
     report = SandwichReport()
-    objs = tree.objects_sorted()
-    index = {o.id: i for i, o in enumerate(objs)}
+    # in preorder, each node's objects are the slice of its span
+    objs = sorted(tree.objects.values(), key=lambda o: tree.record(object_entry(o.id)).span)
     n = len(objs)
     sim = np.empty((n, n))
     ej = np.empty((n, n))
     for i, a in enumerate(objs):
-        for j, b in enumerate(objs):
-            sim[i, j] = sim_st(a, b, params, stats)
-            ej[i, j] = extended_jaccard(a.vct, b.vct)
+        for j in range(i, n):  # both scores are symmetric bit for bit: mirror
+            b = objs[j]
+            ej[i, j] = ej[j, i] = text = extended_jaccard(a.vct, b.vct)
+            sim[i, j] = sim[j, i] = combined_similarity(
+                euclidean_dist(a.loc, b.loc), text, params, stats)  # sim_st(a, b)
 
     entries = list(tree.iter_node_entries())
-    rows = {e: np.array([index[o] for o in tree.subtree_ids(e)]) for e in entries}
+    spans = {e: slice(*tree.record(e).span) for e in entries}
 
     for i, e in enumerate(entries):
         for f in entries[i:]:
-            sub = sim[np.ix_(rows[e], rows[f])]
-            tsub = ej[np.ix_(rows[e], rows[f])]
+            sub = sim[spans[e], spans[f]]
+            tsub = ej[spans[e], spans[f]]
             lo = min_sim_st(tree, e, f, params, stats)
             hi = max_sim_st(tree, e, f, params, stats)
             tlo = min_text_sim(tree, e, f)
@@ -181,7 +185,7 @@ def check_bound_sandwich(tree: IurTree, params: SimParams, stats: NormStats,
     if query is not None:
         to_q = np.array([sim_st(o, query, params, stats) for o in objs])
         for e in entries:
-            vals = to_q[rows[e]]
+            vals = to_q[spans[e]]
             lo = min_sim_st(tree, e, query, params, stats)
             hi = max_sim_st(tree, e, query, params, stats)
             report.query_pairs += 1

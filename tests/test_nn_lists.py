@@ -1,6 +1,6 @@
 import pytest
 
-from rstknn.core import QueryObject, STObject, SimParams, TermVector
+from rstknn.core import NormStats, QueryObject, STObject, SimParams, TermVector
 from rstknn.datasets import random_dataset, random_query
 from rstknn.iur_tree import (
     build_tree,
@@ -185,8 +185,9 @@ def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
                     lists.drop_mass, lists.hit_mass)
                 for k in range(1, tree.size + 2):
                     params_k = SimParams(params.alpha, k)
-                    verdict = is_hit_or_drop(lists, q, params_k, stats)
+                    verdict = lists.walked_verdict(q, params_k, stats)
                     assert lists.counted_verdict(k) is verdict
+                    assert is_hit_or_drop(lists, q, params_k, stats) is verdict
                     agreements[verdict] += 1
             if len(lists) > 1:  # a plain pop keeps the counts too
                 lists.remove(lists.tuples()[-1].entry)
@@ -194,6 +195,63 @@ def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
                 lists.watch(q, params, stats)
                 assert (drop, hit) == (lists.drop_mass, lists.hit_mass)
     assert min(agreements.values()) > 0
+
+
+def test_slot_counts_agree_with_the_walks_on_popped_lists(rng, equal_span_trees):
+    # the legacy modes change lists by update_with alone, whose pops leave
+    # them incomplete and sometimes short of k slots: the kept totals equal a
+    # recount, and both tests give the walks' verdict, gated or not
+    agreements = {gated: {v: 0 for v in Verdict} for gated in (True, False)}
+    trees = [build_tree(random_dataset(rng, rng.randint(2, 30), 5), f) for f in (2, 3, 4, 8)]
+    for tree in trees + equal_span_trees:
+        stats = tree.norm_stats()
+        entries = [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+        for _ in range(4):
+            params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=1)
+            q = random_query(rng, 5)
+            owner = rng.choice(entries)
+            others = [e for e in entries if e != owner]
+            lists = NNLists(owner, tree)
+            if owner.is_node and rng.random() < 0.5:
+                lists.add_self(params, stats)
+            lists.watch(q, params, stats)
+            for _ in range(12):
+                lists.update_with(rng.choice(others), params, stats)
+                totals = lists.drop_mass, lists.hit_mass, lists.covered_slots
+                lists.watch(q, params, stats)
+                assert totals == (lists.drop_mass, lists.hit_mass, lists.covered_slots)
+                for k in range(1, tree.size + 2):
+                    params_k = SimParams(params.alpha, k)
+                    for gated in (True, False):
+                        verdict = lists.walked_verdict(q, params_k, stats, gated=gated)
+                        assert is_hit_or_drop(lists, q, params_k, stats, gated=gated) is verdict
+                        agreements[gated][verdict] += 1
+    assert min(min(counts.values()) for counts in agreements.values()) > 0
+
+
+def test_is_hit_or_drop_recounts_for_another_query_alpha_or_stats(rng):
+    # one list tested in turn against other queries, alphas and statistics
+    # gives the walks' verdict for each
+    verdicts = set()
+    for _ in range(20):
+        tree = build_tree(random_dataset(rng, rng.randint(2, 20), 5), rng.choice([2, 4]))
+        base = tree.norm_stats()
+        stats = [base, NormStats(0.0, 2 * base.psi_s + 1, 0.0, 1.0)]
+        queries = [random_query(rng, 5) for _ in range(2)]
+        entries = [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+        owner = rng.choice(entries)
+        lists = NNLists(owner, tree)
+        others = [e for e in entries if e != owner]
+        for e in rng.sample(others, min(4, len(others))):
+            lists.update_with(e, SimParams(0.4, 1), base)
+        for _ in range(12):
+            params = SimParams(rng.choice([0.0, 0.4, 1.0]), rng.randint(1, 4))
+            q, st = rng.choice(queries), rng.choice(stats)
+            for gated in (True, False):
+                verdict = lists.walked_verdict(q, params, st, gated=gated)
+                assert is_hit_or_drop(lists, q, params, st, gated=gated) is verdict
+                verdicts.add(verdict)
+    assert verdicts == set(Verdict)
 
 
 def test_update_overlap_rule_point_inside_node():

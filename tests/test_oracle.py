@@ -1,5 +1,8 @@
 import math
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +264,27 @@ def test_single_object_bounds_collapse_to_sim_st_off_the_grid(instance):
                 assert [x.hex() for x in bounds] == [exact, exact]
 
 
+@settings(max_examples=300, deadline=None)
+@given(real_instances(), st.sampled_from([2, 3, 4]))
+def test_bound_sandwich_holds_off_the_grid(instance, fanout):
+    objs, query, params = instance
+    tree = build_tree(objs, fanout)
+    report = check_bound_sandwich(tree, params, tree.norm_stats(), query=query)
+    assert report.ok, report.violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_instances())
+def test_pair_scores_are_symmetric_bit_for_bit(instance):
+    # check_bound_sandwich evaluates each unordered pair once and mirrors it
+    objs, _, params = instance
+    stats = pair_table_stats(objs)
+    for a in objs:
+        for b in objs:
+            assert extended_jaccard(a.vct, b.vct).hex() == extended_jaccard(b.vct, a.vct).hex()
+            assert sim_st(a, b, params, stats).hex() == sim_st(b, a, params, stats).hex()
+
+
 def _perturbed_tiles(monkeypatch, seed):
     """Make every tile element err by up to half its declared bound, the
     worst the margins must absorb besides NumPy's own last-ulp errors."""
@@ -399,6 +423,17 @@ def test_counterexample_search_finds_faulty_fixtures():
         assert rknn_bruteforce(fx.objects, fx.query, fx.params, stats) == fx.oracle_result
         correct, _ = rstknn_query(tree, fx.query, fx.params, stats=stats)
         assert correct == fx.oracle_result
+
+
+def test_committed_fixtures_are_what_the_search_script_writes(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    script = runpy.run_path(str(root / "scripts" / "find_counterexamples.py"))
+    monkeypatch.setattr(sys, "argv", ["find_counterexamples.py", "--out", str(tmp_path)])
+    assert script["main"]() == 0
+    for name in ("faulty2011", "faulty2014"):
+        for suffix in (".dataset.jsonl", ".meta.json"):
+            file = f"{name}{suffix}"
+            assert (tmp_path / file).read_bytes() == (root / "fixtures" / file).read_bytes()
 
 
 def test_counterexample_search_correct_mode_control():
