@@ -17,7 +17,7 @@ def main() -> None:
     stats = tree.norm_stats()
     want = rknn_bruteforce(list(fx.objects), fx.query, fx.params, stats)
     print(f"brute force: {' '.join(sorted(want))}\n")
-    for mode in (Mode.CORRECT, Mode.FAULTY2011, Mode.FAULTY2014):
+    for mode in Mode:
         got, trace = rstknn_query(tree, fx.query, fx.params, mode, stats=stats)
         verdict = "matches brute force" if got == want else (
             f"WRONG (extra: {' '.join(sorted(got - want)) or '-'})"

@@ -124,25 +124,27 @@ def _route(state: EngineState, tree: IurTree, entry: Entry, verdict: Verdict) ->
         state.pel.append(entry)
 
 
-def _assert_complete(lists: NNLists, audit: EngineAudit | None) -> None:
+def _checked_verdict(lists: NNLists, query: QueryObject, params: SimParams,
+                     stats: NormStats, audit: EngineAudit | None) -> Verdict:
+    """The gated verdict, taken only on a complete list.
+
+    A HIT has just passed the gate's completeness check; any other verdict
+    checks here.  An incomplete list raises either way: its gate turns a
+    would-be HIT into UNDECIDED.
+    """
+    verdict = is_hit_or_drop(lists, query, params, stats)
     if audit is not None:
         audit.completeness_evaluations += 1
-    if not lists.is_complete():
+    if verdict is not Verdict.HIT and not lists.is_complete():
         if audit is not None:
             audit.completeness_failures += 1
         raise CompletenessViolation(
             f"incomplete NN-list for {lists.owner.label} at decision time"
         )
-
-
-def _checked_verdict(lists: NNLists, query: QueryObject, params: SimParams,
-                     stats: NormStats, audit: EngineAudit | None) -> Verdict:
-    _assert_complete(lists, audit)
     if audit is not None and audit.record_bounds:
         audit.bound_records.append(
             (lists.owner, lists.knn_lower(params.k), lists.knn_upper(params.k))
         )
-    verdict = is_hit_or_drop(lists, query, params, stats)
     if audit is not None and lists.walked_verdict(query, params, stats) is not verdict:
         raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
     return verdict

@@ -6,6 +6,9 @@ a union vector (per-term maximum weight) and the object count.  Those three
 ingredients, together with the node MBRs, yield sound lower/upper bounds on
 the similarity between any two groups of objects.
 
+The tree is one :class:`EntryRecord` per entry, node or object, and nothing
+else.  One builder, :func:`tree_from_layout`, writes the records straight
+from a nested layout; :func:`build_tree` hands it a Sort-Tile-Recursive one.
 Trees are immutable after construction; any number of concurrent queries may
 share one tree.
 """
@@ -121,30 +124,6 @@ def object_entry(object_id: str) -> Entry:
     return Entry("object", object_id)
 
 
-@dataclass
-class IurNode:
-    """One index node.
-
-    Invariants (checked by the test suite, relied on everywhere):
-      * ``mbr`` is tight over the subtree's object locations;
-      * for every contained object o and term t:
-        int_vct[t] <= o.vct[t] <= union_vct[t] (absent terms read as 0);
-      * ``count`` equals the number of objects in the subtree.
-    """
-
-    node_id: int
-    mbr: Mbr
-    int_vct: TermVector
-    union_vct: TermVector
-    count: int
-    child_ids: tuple[int, ...]   # empty for leaves
-    object_ids: tuple[str, ...]  # empty for internal nodes
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.child_ids
-
-
 def _intersect_vectors(vectors: Sequence[TermVector]) -> TermVector:
     """Coordinatewise minimum, treating absent terms as zero.
 
@@ -175,7 +154,12 @@ class EntryRecord(NamedTuple):
     """What the tree knows about one entry, the same for nodes and objects.
 
     An object is a degenerate node: count 1, no children, a point MBR and
-    both vectors equal to its term vector.
+    both vectors equal to its term vector.  Invariants (checked by the test
+    suite, relied on everywhere):
+      * ``mbr`` is tight over the subtree's object locations;
+      * for every contained object o and term t:
+        int_vct[t] <= o.vct[t] <= union_vct[t] (absent terms read as 0);
+      * ``count`` equals the number of objects in the subtree.
     """
 
     span: tuple[int, int]         # preorder object interval [lo, hi)
@@ -193,66 +177,23 @@ class EntryRecord(NamedTuple):
 class IurTree:
     """Immutable index over a dataset of :class:`STObject`.
 
-    Construction maps every entry, node or object, to one
-    :class:`EntryRecord`, filled by one iterative preorder pass over the
-    nodes, so that no accessor walks the tree or branches on entry kind.
-    Objects are numbered in preorder, so an entry's span, the interval of
-    its objects' positions, decides ancestry by containment.  The record's
-    ``covering`` is the other entries whose span contains the entry's: its
-    proper ancestors plus the descendants that share its span, the nodes of
-    a single-child chain below it and the object of a single-object leaf.
-    The NN-lists drop exactly these entries before adding it, at O(depth)
-    cost instead of a scan over every held tuple.
+    The tree is its records: one :class:`EntryRecord` per entry, node or
+    object, built by :func:`tree_from_layout`, so that no accessor walks the
+    tree or branches on entry kind.  Node ids and object positions follow
+    preorder, so an entry's span, the interval of its objects' positions,
+    decides ancestry by containment.  The record's ``covering`` is the other
+    entries whose span contains the entry's: its proper ancestors plus the
+    descendants that share its span, the nodes of a single-child chain below
+    it and the object of a single-object leaf.  The NN-lists drop exactly
+    these entries before adding it, at O(depth) cost instead of a scan over
+    every held tuple.
     """
 
-    def __init__(self, objects: Sequence[STObject], nodes: dict[int, IurNode], root_id: int):
+    def __init__(self, objects: Sequence[STObject], records: dict[Entry, EntryRecord]):
         self.objects: dict[str, STObject] = {o.id: o for o in objects}
-        self.nodes = nodes
-        self.root_id = root_id
         self.all_object_ids: frozenset[str] = frozenset(self.objects)
         self._stats: NormStats | None = None
-        self._records = self._index()
-
-    def _index(self) -> dict[Entry, EntryRecord]:
-        records: dict[Entry, EntryRecord] = {}
-        order: list[str] = []  # object ids in preorder
-        pending: list[tuple] = []  # nodes wait for their objects: (entry, fields but subtree_ids)
-        stack: list[tuple[int, tuple[Entry, ...]]] = [(self.root_id, ())]
-        while stack:
-            node_id, ancestors = stack.pop()
-            node = self.nodes[node_id]
-            entry = node_entry(node_id)
-            lo = len(order)
-            below = ancestors + (entry,)
-            if node.is_leaf:
-                children = tuple(map(object_entry, node.object_ids))
-                for pos, child in enumerate(children, lo):
-                    obj = self.objects[child.ident]
-                    records[child] = EntryRecord(
-                        (pos, pos + 1), 1, len(below), entry, (), Mbr.from_point(obj.loc),
-                        obj.vct, obj.vct, below, frozenset((obj.id,)))
-                order.extend(node.object_ids)
-            else:
-                children = tuple(map(node_entry, node.child_ids))
-                stack.extend((c, below) for c in reversed(node.child_ids))
-            pending.append((entry, (lo, lo + node.count), node.count, len(ancestors),
-                            ancestors[-1] if ancestors else None, children,
-                            node.mbr, node.int_vct, node.union_vct,
-                            ancestors + self._equal_span_descendants(node)))
-        # a node's objects are the slice of the preorder under its span
-        for entry, span, *fields in pending:
-            records[entry] = EntryRecord(span, *fields, frozenset(order[span[0]:span[1]]))
-        return records
-
-    def _equal_span_descendants(self, node: IurNode) -> tuple[Entry, ...]:
-        """The chain of descendants holding exactly the node's objects."""
-        chain: list[Entry] = []
-        while len(node.child_ids) == 1:
-            node = self.nodes[node.child_ids[0]]
-            chain.append(node_entry(node.node_id))
-        if len(node.object_ids) == 1:
-            chain.append(object_entry(node.object_ids[0]))
-        return tuple(chain)
+        self._records = records
 
     # -- basic accessors ---------------------------------------------------
 
@@ -261,7 +202,7 @@ class IurTree:
         return len(self.objects)
 
     def root_entry(self) -> Entry:
-        return node_entry(self.root_id)
+        return node_entry(0)
 
     def object(self, object_id: str) -> STObject:
         return self.objects[object_id]
@@ -322,8 +263,8 @@ class IurTree:
         return (alo <= blo and bhi <= ahi) or (blo <= alo and ahi <= bhi)
 
     def iter_node_entries(self) -> Iterator[Entry]:
-        for nid in sorted(self.nodes):
-            yield node_entry(nid)
+        """Node entries in id order, which is preorder."""
+        return map(node_entry, range(len(self._records) - self.size))
 
     def norm_stats(self) -> NormStats:
         """Dataset normalization stats, computed once and cached.
@@ -395,69 +336,76 @@ def _str_layout(objects: Sequence[STObject], fanout: int) -> Layout:
     return level[0][3][0]
 
 
-def _is_leaf_layout(layout: Layout) -> bool:
-    return all(isinstance(x, str) for x in layout)
-
-
 def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
     """Build a tree with an explicitly given nesting.
 
-    A layout is a nested list structure whose leaves are lists of object-id
-    strings.  Node ids are assigned in preorder (root gets 0), so a layout
+    A layout is a nested list structure: every node is a non-empty list,
+    either of sub-lists or, for a leaf, of object-id strings.  Node ids are
+    assigned in preorder (root gets 0), so a layout
     ``[["P0","P1"], [["P2","P3"], ["P4","P5"]]]`` yields nodes N0 (root),
     N1 = {P0,P1}, N2, N3 = {P2,P3}, N4 = {P4,P5}.  Used for hand-crafted
-    fixtures whose shape an STR bulk load would not reproduce.  Both passes
-    are iterative, so a layout of any depth builds.
+    fixtures whose shape an STR bulk load would not reproduce.
+
+    A preorder pass numbers the nodes and the objects and writes the object
+    records; a pass in reverse preorder, children before parents, then
+    aggregates each node's record from its children's.  Both passes are
+    iterative, so a layout of any depth builds.
     """
     _validate_objects(objects)
     by_id = {o.id: o for o in objects}
-    # preorder: the sub-layout and the child node ids of every node
-    order: list[Layout] = []
-    child_ids: list[list[int]] = []
-    stack: list[tuple[Layout, int | None]] = [(layout, None)]
+    records: dict[Entry, EntryRecord] = {}
+    order: list[str] = []  # object ids in preorder
+    nodes: list[tuple[tuple[Entry, ...], list[Entry], int]] = []  # ancestors, children, span start
+    stack: list[tuple[object, tuple[Entry, ...]]] = [(layout, ())]
     while stack:
-        sub, parent = stack.pop()
-        if parent is not None:
-            child_ids[parent].append(len(order))
-        if not _is_leaf_layout(sub):
-            stack.extend((c, len(order)) for c in reversed(sub))
-        order.append(sub)
-        child_ids.append([])
-    placed = [oid for sub in order if _is_leaf_layout(sub) for oid in sub]
-    if sorted(placed) != sorted(by_id):
+        sub, ancestors = stack.pop()
+        if not isinstance(sub, list) or not sub:  # also an id beside sub-lists
+            raise ValueError(f"a layout node must be a non-empty list of ids or of "
+                             f"sub-lists, got {sub!r}")
+        entry = node_entry(len(nodes))
+        children: list[Entry] = []
+        if ancestors:
+            nodes[ancestors[-1].ident][1].append(entry)  # type: ignore[index]
+        nodes.append((ancestors, children, len(order)))
+        below = ancestors + (entry,)
+        if any(isinstance(x, list) for x in sub):
+            stack.extend((c, below) for c in reversed(sub))
+            continue
+        for oid in sub:
+            if not isinstance(oid, str):
+                raise ValueError(f"leaf element {oid!r} of {entry.label} is not an object id")
+            obj = by_id.get(oid)
+            child = object_entry(oid)
+            if obj is None or child in records:
+                raise ValueError("layout must mention each object id exactly once")
+            pos = len(order)
+            records[child] = EntryRecord(
+                (pos, pos + 1), 1, len(below), entry, (), Mbr.from_point(obj.loc),
+                obj.vct, obj.vct, below, frozenset((oid,)))
+            children.append(child)
+            order.append(oid)
+    if len(order) != len(by_id):
         raise ValueError("layout must mention each object id exactly once")
 
-    # a child's preorder id exceeds its parent's: build the highest ids first
-    nodes: list[IurNode] = [None] * len(order)  # type: ignore[list-item]
-    for nid in reversed(range(len(order))):
-        if _is_leaf_layout(order[nid]):
-            members = [by_id[i] for i in order[nid]]
-            nodes[nid] = IurNode(
-                node_id=nid,
-                mbr=Mbr.from_points([o.loc for o in members]),
-                int_vct=_intersect_vectors([o.vct for o in members]),
-                union_vct=_union_vectors([o.vct for o in members]),
-                count=len(members),
-                child_ids=(),
-                object_ids=tuple(order[nid]),
-            )
-        else:
-            children = [nodes[c] for c in child_ids[nid]]
-            nodes[nid] = IurNode(
-                node_id=nid,
-                mbr=Mbr.union([c.mbr for c in children]),
-                int_vct=_intersect_vectors([c.int_vct for c in children]),
-                union_vct=_union_vectors([c.union_vct for c in children]),
-                count=sum(c.count for c in children),
-                child_ids=tuple(child_ids[nid]),
-                object_ids=(),
-            )
-    return IurTree(list(objects), dict(enumerate(nodes)), 0)
+    for nid in reversed(range(len(nodes))):
+        ancestors, children, lo = nodes[nid]
+        below_records = [records[c] for c in children]
+        count = sum(r.count for r in below_records)
+        chain: tuple[Entry, ...] = ()  # the descendants holding exactly this node's objects
+        if len(children) == 1:  # the only child, then its chain: its covering past its ancestors
+            only = below_records[0]
+            chain = (children[0], *only.covering[only.depth:])
+        records[node_entry(nid)] = EntryRecord(
+            (lo, lo + count), count, len(ancestors), ancestors[-1] if ancestors else None,
+            tuple(children), Mbr.union([r.mbr for r in below_records]),
+            _intersect_vectors([r.int_vct for r in below_records]),
+            _union_vectors([r.union_vct for r in below_records]),
+            ancestors + chain, frozenset(order[lo:lo + count]))
+    return IurTree(objects, records)
 
 
 def build_tree(objects: Sequence[STObject], fanout: int = 4) -> IurTree:
     """Sort-Tile-Recursive bulk load over the object locations."""
-    _validate_objects(objects)
     if fanout < 2:
         raise ValueError(f"fanout must be >= 2, got {fanout}")
     return tree_from_layout(objects, _str_layout(objects, fanout))

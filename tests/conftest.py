@@ -6,14 +6,18 @@ import random
 
 import pytest
 
-from rstknn import build_tree
 from rstknn.datasets import random_dataset
-from rstknn.iur_tree import tree_from_layout
+from rstknn.iur_tree import _str_layout, object_entry, tree_from_layout
 
 
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def all_entries(tree) -> list:
+    """Every entry of ``tree``: the nodes in id order, then the objects by id."""
+    return [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
 
 
 def _chain_layout(rng: random.Random, ids: list[str]) -> list:
@@ -38,26 +42,34 @@ def wrapped(layout: list, depth: int) -> list:
 
 
 @pytest.fixture
-def equal_span_trees():
-    """Trees where entries share a preorder span with a descendant.
+def equal_span_layouts():
+    """(objects, layout) pairs whose trees have entries sharing a preorder
+    span with a descendant.
 
-    STR trees with n = 1 (mod fanout) end in a single-object leaf (and often
+    STR layouts with n = 1 (mod fanout) end in a single-object leaf (and often
     in single-child nodes above it); hand-nested layouts add chains anywhere,
     a few of them dozens of nodes deep.
     """
     rng = random.Random(7)
-    trees = []
+    cases = []
     for fanout in (2, 3, 4, 8):
         for j in (1, 2, 3, 4):
-            trees.append(build_tree(random_dataset(rng, fanout * j + 1, 5), fanout))
+            objects = random_dataset(rng, fanout * j + 1, 5)
+            cases.append((objects, _str_layout(objects, fanout)))
     for _ in range(12):
         objects = random_dataset(rng, rng.randint(1, 14), 5)
-        trees.append(tree_from_layout(objects, _chain_layout(rng, [o.id for o in objects])))
+        cases.append((objects, _chain_layout(rng, [o.id for o in objects])))
     for depth in (3, 17, 40):
         objects = random_dataset(rng, 1, 5)
-        trees.append(tree_from_layout(objects, wrapped([objects[0].id], depth)))
+        cases.append((objects, wrapped([objects[0].id], depth)))
     objects = random_dataset(rng, 6, 5)
     ids = [o.id for o in objects]
     layout = [wrapped(ids[:1], 12), wrapped(ids[1:3], 8), ids[3:]]
-    trees.append(tree_from_layout(objects, wrapped(layout, 5)))
-    return trees
+    cases.append((objects, wrapped(layout, 5)))
+    return cases
+
+
+@pytest.fixture
+def equal_span_trees(equal_span_layouts):
+    """The trees of :func:`equal_span_layouts`."""
+    return [tree_from_layout(objects, layout) for objects, layout in equal_span_layouts]

@@ -8,6 +8,7 @@ from rstknn.core import QueryObject, STObject, SimParams, TermVector, sim_st
 from rstknn.datasets import random_dataset, random_query
 from rstknn.demo import EXPECTED_RESULT, two_cluster_fixture
 from rstknn.engine import (
+    CompletenessViolation,
     EngineAudit,
     EngineState,
     Mode,
@@ -18,7 +19,7 @@ from rstknn.engine import (
     trace_to_jsonl,
 )
 from rstknn.iur_tree import build_tree, node_entry, object_entry, tree_from_layout
-from rstknn.nn_lists import NNLists
+from rstknn.nn_lists import NNLists, Verdict
 from rstknn.oracle import rknn_bruteforce
 
 
@@ -157,12 +158,12 @@ def test_trace_partition_invariant():
             assert sorted(seen) == sorted(o.id for o in objs), f"step {ev.step}"
 
 
-def _mirror_layout(tree, node_id):
+def _mirror_layout(tree, entry):
     """The tree's layout with children and leaf objects reversed at every level."""
-    node = tree.nodes[node_id]
-    if node.is_leaf:
-        return list(reversed(node.object_ids))
-    return [_mirror_layout(tree, c) for c in reversed(node.child_ids)]
+    children = tree.children(entry)[::-1]
+    if children[0].is_object:
+        return [c.ident for c in children]
+    return [_mirror_layout(tree, c) for c in children]
 
 
 def test_fifo_order_indifference():
@@ -174,7 +175,7 @@ def test_fifo_order_indifference():
         q = random_query(rng, 5)
         params = SimParams(alpha=rng.choice([0.0, 0.7, 1.0]), k=rng.randint(1, 3))
         tree = build_tree(objs, rng.choice([2, 4]))
-        mirror = tree_from_layout(objs, _mirror_layout(tree, tree.root_id))
+        mirror = tree_from_layout(objs, _mirror_layout(tree, tree.root_entry()))
         forward, _ = rstknn_query(tree, q, params)
         backward, _ = rstknn_query(mirror, q, params)
         assert forward == backward
@@ -270,6 +271,40 @@ def test_audit_counts_and_bound_records():
             assert lower <= upper or upper == float("-inf")
 
 
+@pytest.mark.parametrize("n,alpha,k,target,would_be", [
+    (8, 0.0, 1, "P0", Verdict.DROP),
+    (8, 0.4, 3, "P5", Verdict.HIT),
+    (16, 0.0, 1, "N3", Verdict.UNDECIDED),
+])
+def test_completeness_assertion_fires_on_an_incomplete_list(monkeypatch, n, alpha, k,
+                                                            target, would_be):
+    # the target inherits its list without one tuple that does not overlap
+    # it; whatever its slot counts would decide, the decision raises (a
+    # would-be hit through the gate, any other verdict through the check)
+    rng = random.Random(0)
+    objs = random_dataset(rng, n, 4)
+    q = random_query(rng, 4)
+    tree = build_tree(objs, 2)
+    inherited = NNLists.inherited
+    incomplete = []
+
+    def inherited_less_one(cls, child, parent_lists):
+        lists = inherited(child, parent_lists)
+        if child.label == target:
+            lists.remove(next(t.entry for t in lists.tuples()
+                              if not tree.overlaps(t.entry, child)))
+            incomplete.append(lists)
+        return lists
+
+    monkeypatch.setattr(NNLists, "inherited", classmethod(inherited_less_one))
+    audit = EngineAudit()
+    with pytest.raises(CompletenessViolation, match=f"for {target} "):
+        rstknn_query(tree, q, SimParams(alpha=alpha, k=k), audit=audit)
+    assert audit.completeness_failures == 1
+    [lists] = incomplete
+    assert lists.counted_verdict(k) is would_be
+
+
 def test_knn_bound_sandwich_against_bruteforce():
     # every recorded lower/upper k-NN bound must sandwich the true k-th
     # neighbor similarity of every object under the owner, with no tolerance
@@ -311,7 +346,7 @@ def test_faulty2014_matches_oracle_on_trivial_flat_tree():
     q = QueryObject((1.0, 0.0), TermVector())
     params = SimParams(alpha=1.0, k=1)
     tree = build_tree(objs, 4)  # single leaf root
-    assert tree.nodes[tree.root_id].is_leaf
+    assert all(c.is_object for c in tree.children(tree.root_entry()))
     oracle = rknn_bruteforce(objs, q, params, tree.norm_stats())
     assert oracle == {"a", "b"}
     assert rstknn_query(tree, q, params, Mode.FAULTY2014)[0] == oracle

@@ -3,16 +3,18 @@
 ``tests/golden/`` holds, for each fixture under ``fixtures/``, the standard
 output of ``rstknn query --trace --out`` in every mode with the JSON-lines
 trace it writes, and the standard output of ``rstknn compare``, each run with
-the fixture's recorded query, k, alpha and fanout.  A change that alters any
-decision, label or column of the snapshot trace shows up here.  To re-record
-after an intended change, write each case's output to the file it is
-compared with.
+the fixture's recorded query, k, alpha and fanout, and the standard output
+of ``scripts/demo_traces.py`` on the hand-laid-out two-cluster tree.  A
+change that alters any decision, label or column of the snapshot trace shows
+up here.  To re-record after an intended change, write each case's output to
+the file it is compared with.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import runpy
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,7 +23,8 @@ import pytest
 from rstknn.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 FIXTURE_NAMES = ("faulty2011", "faulty2014")
 QUERY_MODES = ("correct", "faulty2011", "faulty2014", "oracle")
 
@@ -65,3 +68,11 @@ def test_compare_matches_golden(name):
     code, out = run_cli(["compare", *_fixture_args(name)])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.compare.stdout").read_bytes()
+
+
+def test_demo_traces_match_golden():
+    script = runpy.run_path(str(ROOT / "scripts" / "demo_traces.py"))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        script["main"]()
+    assert out.getvalue().encode() == (GOLDEN / "demo_traces.stdout").read_bytes()

@@ -6,6 +6,7 @@ import sys
 import weakref
 
 import pytest
+from conftest import all_entries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from rstknn.iur_tree import (
     object_entry,
     pair_sim_bounds,
     tree_from_layout,
+    _str_layout,
     _view,
 )
 
@@ -82,10 +84,25 @@ def test_mbr_rejects_inverted_bounds():
         Mbr((1, 0), (0, 1))
 
 
-def _scan_subtree(tree, node):
-    """Invariant oracle: recompute a node's summary from its objects."""
-    ids = sorted(tree.subtree_ids(node_entry(node.node_id)))
-    objs = [tree.object(i) for i in ids]
+def _descendants(tree, entry):
+    out, stack = [], list(tree.children(entry))
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        stack.extend(tree.children(e))
+    return out
+
+
+def _objects_under(tree, entry):
+    """The entry's object ids, found by walking its children."""
+    if entry.is_object:
+        return [entry.ident]
+    return sorted(d.ident for d in _descendants(tree, entry) if d.is_object)
+
+
+def _scan_subtree(tree, entry):
+    """Invariant oracle: recompute an entry's summary from its objects."""
+    objs = [tree.object(i) for i in _objects_under(tree, entry)]
     xs = [o.loc[0] for o in objs]
     ys = [o.loc[1] for o in objs]
     terms = sorted({t for o in objs for t in o.vct.terms()})
@@ -99,15 +116,16 @@ def _scan_subtree(tree, node):
 
 
 def _check_tree_invariants(tree, fanout=None):
-    for nid, node in tree.nodes.items():
-        count, lo, hi, inter, union = _scan_subtree(tree, node)
+    for e in tree.iter_node_entries():
+        node = tree.record(e)
+        count, lo, hi, inter, union = _scan_subtree(tree, e)
         assert node.count == count
         assert node.mbr.lo == lo and node.mbr.hi == hi
         assert node.int_vct.as_dict() == inter
         assert node.union_vct.as_dict() == union
         if fanout is not None:
-            assert len(node.object_ids or node.child_ids) <= fanout
-        for oid in tree.subtree_ids(node_entry(nid)):
+            assert len(node.children) <= fanout
+        for oid in tree.subtree_ids(e):
             o = tree.object(oid)
             for t in set(o.vct.terms()) | set(node.union_vct.terms()):
                 assert node.int_vct.weight(t) <= o.vct.weight(t) <= node.union_vct.weight(t)
@@ -116,8 +134,8 @@ def _check_tree_invariants(tree, fanout=None):
 def test_build_singleton():
     o = STObject("only", (3.0, 4.0), TermVector({"a": 2.0}))
     tree = build_tree([o])
-    root = tree.nodes[tree.root_id]
-    assert root.is_leaf and root.object_ids == ("only",)
+    root = tree.record(tree.root_entry())
+    assert root.children == (object_entry("only"),)
     assert root.mbr == Mbr((3.0, 4.0), (3.0, 4.0))
     assert root.int_vct == o.vct == root.union_vct
     assert tree.norm_stats().phi_s == 0.0  # degenerate single-object stats
@@ -147,13 +165,12 @@ def test_layout_builder_reproduces_unbalanced_shape():
     objs = [STObject(f"P{i}", (float(i * 10), 0.0), TermVector()) for i in range(6)]
     layout = [["P0", "P1"], [["P2", "P3"], ["P4", "P5"]]]
     tree = tree_from_layout(objs, layout)
-    root = tree.nodes[tree.root_id]
-    assert root.node_id == 0 and root.child_ids == (1, 2)
-    n1, n2 = tree.nodes[1], tree.nodes[2]
-    assert n1.is_leaf and n1.object_ids == ("P0", "P1")
-    assert n2.child_ids == (3, 4)
-    assert tree.nodes[3].object_ids == ("P2", "P3")
-    assert tree.nodes[4].object_ids == ("P4", "P5")
+    assert tree.root_entry() == node_entry(0)
+    assert tree.children(node_entry(0)) == (node_entry(1), node_entry(2))
+    assert tree.children(node_entry(1)) == (object_entry("P0"), object_entry("P1"))
+    assert tree.children(node_entry(2)) == (node_entry(3), node_entry(4))
+    assert tree.children(node_entry(3)) == (object_entry("P2"), object_entry("P3"))
+    assert tree.children(node_entry(4)) == (object_entry("P4"), object_entry("P5"))
     _check_tree_invariants(tree)
 
 
@@ -163,7 +180,7 @@ def test_layout_builder_builds_single_child_chains(depth):
     for _ in range(depth):
         layout = [layout]
     tree = tree_from_layout([STObject("P0", (0.0, 0.0), TermVector())], layout)
-    assert len(tree.nodes) == depth + 1
+    assert len(list(tree.iter_node_entries())) == depth + 1
     assert tree.depth(object_entry("P0")) == depth + 1
     assert len(tree.covering(object_entry("P0"))) == depth + 1
 
@@ -176,8 +193,8 @@ def test_layout_builder_builds_chains_deeper_than_the_recursion_limit():
     objs = [STObject("P0", (0.0, 0.0), TermVector({"a": 1.0})),
             STObject("P1", (1.0, 0.0), TermVector())]
     tree = tree_from_layout(objs, layout)
-    assert len(tree.nodes) == depth + 1
-    assert tree.nodes[depth].object_ids == ("P0", "P1")
+    assert len(list(tree.iter_node_entries())) == depth + 1
+    assert tree.children(node_entry(depth)) == (object_entry("P0"), object_entry("P1"))
     assert tree.depth(object_entry("P1")) == depth + 1
 
 
@@ -191,10 +208,10 @@ def test_dropped_tree_is_freed_by_reference_counting(make):
     gc.disable()
     try:
         tree = make(objs)
-        root = weakref.ref(tree.nodes[tree.root_id])
-        leaf = weakref.ref(tree.nodes[max(tree.nodes)])
+        *_, leaf = tree.iter_node_entries()
+        refs = [weakref.ref(x) for x in (tree, tree.mbr(tree.root_entry()), tree.mbr(leaf))]
         del tree
-        assert root() is None and leaf() is None
+        assert all(ref() is None for ref in refs)
     finally:
         if enabled:
             gc.enable()
@@ -206,6 +223,22 @@ def test_layout_builder_rejects_incomplete_layouts():
         tree_from_layout(objs, [["P0", "P1"]])
     with pytest.raises(ValueError):
         tree_from_layout(objs, [["P0", "P1"], ["P1", "P2"]])
+    # malformed layouts: ids beside sub-lists, a node that is not a non-empty
+    # list, a leaf element that is not an id
+    for layout in (
+        ["P0", ["P1", "P2"]],
+        [["P0", "P1", "P2"], []],
+        [["P0", "P1", "P2"], 5],
+        [["P0", "P1"], ["P2", 5]],
+        [["P0"], ("P1", "P2")],
+        "P0P1P2",
+    ):
+        with pytest.raises(ValueError):
+            tree_from_layout(objs, layout)
+    # a one-character id iterates as a leaf of itself: still rejected
+    abc = [STObject(c, (float(i), 0.0), TermVector()) for i, c in enumerate("abc")]
+    with pytest.raises(ValueError):
+        tree_from_layout(abc, ["a", ["b", "c"]])
 
 
 def test_ancestry_and_overlap():
@@ -224,19 +257,6 @@ def test_ancestry_and_overlap():
     assert tree.subtree_objects(p2) == ["P2"]
 
 
-def _all_entries(tree):
-    return [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
-
-
-def _descendants(tree, entry):
-    out, stack = [], list(tree.children(entry))
-    while stack:
-        e = stack.pop()
-        out.append(e)
-        stack.extend(tree.children(e))
-    return out
-
-
 def test_entry_records_match_the_nodes(equal_span_trees):
     str_trees = [build_tree(random_dataset(random.Random(s), 64, 6), f)
                  for s, f in ((1, 2), (2, 3), (3, 4), (4, 8))]
@@ -251,14 +271,15 @@ def test_entry_records_match_the_nodes(equal_span_trees):
             assert tree.count(e) == len(tree.subtree_ids(e))
             equal_below = {d for d in _descendants(tree, e) if tree.count(d) == tree.count(e)}
             assert set(tree.covering(e)) == set(ancestors) | equal_below
+            count, lo, hi, inter, union = _scan_subtree(tree, e)
+            assert tree.count(e) == count
+            assert tree.subtree_ids(e) == set(_objects_under(tree, e))
+            assert _view(tree, e) == (Mbr(lo, hi), TermVector(inter), TermVector(union))
             if e.is_node:
-                node = tree.nodes[e.ident]
-                assert children == tuple(map(object_entry, node.object_ids)) + tuple(
-                    map(node_entry, node.child_ids))
+                assert children and (all(c.is_node for c in children)
+                                     or all(c.is_object for c in children))
                 assert sum(tree.count(c) for c in children) == tree.count(e)
                 assert frozenset().union(*map(tree.subtree_ids, children)) == tree.subtree_ids(e)
-                assert tree.mbr(e) == node.mbr
-                assert _view(tree, e) == (node.mbr, node.int_vct, node.union_vct)
             else:
                 obj = tree.object(e.ident)
                 assert children == ()
@@ -270,13 +291,41 @@ def test_entry_records_match_the_nodes(equal_span_trees):
                 stack.append((c, ancestors + (e,)))
             reached.extend(children)
         assert sorted(reached, key=lambda e: e.order_key) == sorted(
-            _all_entries(tree), key=lambda e: e.order_key)
+            all_entries(tree), key=lambda e: e.order_key)
+
+
+def _layout_of(tree, entry):
+    """The nested layout under ``entry``, rebuilt from the children."""
+    children = tree.children(entry)
+    if children[0].is_object:
+        return [c.ident for c in children]
+    return [_layout_of(tree, c) for c in children]
+
+
+def test_layout_round_trips_through_the_children(equal_span_layouts):
+    cases = list(equal_span_layouts)
+    for fanout in (2, 3, 4, 8):
+        for n in (1, 5, 17, 64):
+            objects = random_dataset(random.Random(n * fanout), n, 6)
+            cases.append((objects, _str_layout(objects, fanout)))
+    for objects, layout in cases:
+        tree = tree_from_layout(objects, layout)
+        assert _layout_of(tree, tree.root_entry()) == layout
+        # node ids are preorder positions
+        preorder, stack = [], [tree.root_entry()]
+        while stack:
+            e = stack.pop()
+            if e.is_node:
+                preorder.append(e.ident)
+                stack.extend(reversed(tree.children(e)))
+        assert preorder == list(range(len(preorder)))
+        assert list(tree.iter_node_entries()) == [node_entry(i) for i in preorder]
 
 
 def test_covering_is_every_other_entry_with_a_containing_span(equal_span_trees):
     equal_spans = 0
     for tree in equal_span_trees:
-        entries = _all_entries(tree)
+        entries = all_entries(tree)
         for b in entries:
             covering = tree.covering(b)
             assert len(covering) == len(set(covering))
@@ -298,7 +347,7 @@ def test_pair_sim_bounds_symmetric_bit_for_bit():
     trees = [build_tree(real_valued, 3), build_tree(random_dataset(rng, 40, 6), 4)]
     for tree in trees:
         stats = tree.norm_stats()
-        entries = _all_entries(tree)
+        entries = all_entries(tree)
         for _ in range(300):
             a, b = rng.choice(entries), rng.choice(entries)
             params = SimParams(alpha=rng.choice([0.0, 0.4, 0.7, 1.0]), k=1)
@@ -355,7 +404,7 @@ def test_max_text_sim_degenerate_denominator_is_one():
     ]
     tree = tree_from_layout(objs, [["a", "b"], ["c", "d"]])
     e, f = node_entry(1), node_entry(2)
-    assert tree.nodes[1].int_vct.is_empty and tree.nodes[2].int_vct.is_empty
+    assert tree.record(e).int_vct.is_empty and tree.record(f).int_vct.is_empty
     assert max_text_sim(tree, e, f) == 1.0
 
 

@@ -1,4 +1,5 @@
 import pytest
+from conftest import all_entries
 
 from rstknn.core import NormStats, QueryObject, STObject, SimParams, TermVector
 from rstknn.datasets import random_dataset, random_query
@@ -87,7 +88,7 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
     equal_span_removals = 0
     for tree in equal_span_trees:
         stats = tree.norm_stats()
-        entries = [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+        entries = all_entries(tree)
         for _ in range(5):
             owner = rng.choice(entries)
             lists = NNLists(owner, tree)
@@ -157,7 +158,7 @@ def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
     trees = [build_tree(random_dataset(rng, rng.randint(2, 30), 5), f) for f in (2, 3, 4, 8)]
     for tree in trees + equal_span_trees:
         stats = tree.norm_stats()
-        entries = [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+        entries = all_entries(tree)
         for _ in range(4):
             params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=1)
             q = random_query(rng, 5)
@@ -205,7 +206,7 @@ def test_slot_counts_agree_with_the_walks_on_popped_lists(rng, equal_span_trees)
     trees = [build_tree(random_dataset(rng, rng.randint(2, 30), 5), f) for f in (2, 3, 4, 8)]
     for tree in trees + equal_span_trees:
         stats = tree.norm_stats()
-        entries = [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+        entries = all_entries(tree)
         for _ in range(4):
             params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=1)
             q = random_query(rng, 5)
@@ -238,7 +239,7 @@ def test_is_hit_or_drop_recounts_for_another_query_alpha_or_stats(rng):
         base = tree.norm_stats()
         stats = [base, NormStats(0.0, 2 * base.psi_s + 1, 0.0, 1.0)]
         queries = [random_query(rng, 5) for _ in range(2)]
-        entries = [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
+        entries = all_entries(tree)
         owner = rng.choice(entries)
         lists = NNLists(owner, tree)
         others = [e for e in entries if e != owner]

@@ -367,7 +367,7 @@ def test_check_bound_sandwich_random_tree_clean(rng):
     q = random_query(rng, 6)
     report = check_bound_sandwich(tree, SimParams(alpha=0.4, k=2), stats, query=q)
     assert report.ok
-    assert report.query_pairs == len(tree.nodes)
+    assert report.query_pairs == len(list(tree.iter_node_entries()))
 
 
 def test_check_bound_sandwich_detects_corruption(rng, monkeypatch):
