@@ -30,7 +30,8 @@ not a complete list.
 
 Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
-lists.
+lists.  A snapshot copies the entries; their labels are made only when a
+column is read.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator
 
 from .core import NormStats, QueryObject, SimParams
@@ -56,16 +58,36 @@ class CompletenessViolation(RuntimeError):
     """An accept/prune test was about to run on an incomplete list."""
 
 
-@dataclass
 class TraceEvent:
-    """One row of the run log, mirroring the Steps/Actions/U/COL/ROL/PEL table."""
+    """One row of the run log, mirroring the Steps/Actions/U/COL/ROL/PEL table.
 
-    step: int
-    action: str
-    u: list[str]
-    col: list[str]
-    rol: list[str]
-    pel: list[str]
+    The columns are kept as the entries (object ids for ROL) at snapshot
+    time; reading one makes a fresh list of labels.
+    """
+
+    __slots__ = ("step", "action", "_u", "_col", "_rol", "_pel")
+
+    def __init__(self, step: int, action: str, u: tuple[Entry, ...], col: tuple[Entry, ...],
+                 rol: tuple[str, ...], pel: tuple[Entry, ...]):
+        self.step = step
+        self.action = action
+        self._u, self._col, self._rol, self._pel = u, col, rol, pel
+
+    @property
+    def u(self) -> list[str]:
+        return [e.label for e in self._u]
+
+    @property
+    def col(self) -> list[str]:
+        return [e.label for e in self._col]
+
+    @property
+    def rol(self) -> list[str]:
+        return list(self._rol)
+
+    @property
+    def pel(self) -> list[str]:
+        return [e.label for e in self._pel]
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,16 +124,8 @@ class EngineState:
 
     def snapshot(self, action: str) -> None:
         self.step += 1
-        self.trace.append(
-            TraceEvent(
-                step=self.step,
-                action=action,
-                u=[e.label for e in self.u],
-                col=[e.label for e in self.col],
-                rol=list(self.rol),
-                pel=[e.label for e in self.pel],
-            )
-        )
+        self.trace.append(TraceEvent(self.step, action, tuple(self.u), tuple(self.col),
+                                     tuple(self.rol), tuple(self.pel)))
 
 
 # -- correct mode -----------------------------------------------------------
@@ -161,29 +175,31 @@ def _frontier_under(tree: IurTree, entry: Entry, frontier: set[Entry]) -> Iterat
             stack.extend(reversed(tree.children(e)))
 
 
+_MAX_SIM = attrgetter("max_sim")
+
+
 def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists],
               query: QueryObject, params: SimParams, stats: NormStats) -> None:
     """Refine the owner's list toward the frontier where its verdict can change.
 
-    A tuple is settled when it holds direct bounds for a frontier entry.
-    The unsettled tuples are visited by decreasing upper bound, and every
-    frontier entry under one is refined; the same pair bounds refine that
-    entry's list toward the owner, if ``others`` holds one.  The exchange
-    stops as soon as the slot counts decide the owner, or at the first tuple
-    whose upper bound is below the owner's pessimistic query similarity:
-    such a tuple counts toward neither mass, and its subsets' bounds cannot
-    make it.
+    A tuple is settled when it holds direct bounds for a frontier entry,
+    bounds this owner computed.  The unsettled tuples are visited by
+    decreasing upper bound, and every frontier entry under one is refined;
+    the same pair bounds refine that entry's list toward the owner, if
+    ``others`` holds one.  The exchange stops as soon as the slot counts
+    decide the owner.  Tuples whose upper bound is below the owner's
+    pessimistic query similarity are never visited: such a tuple counts
+    toward neither mass, and its subsets' bounds cannot make it.
     """
-    pessimistic, _ = lists.watch(query, params, stats)
+    pessimistic, _ = lists.query_bounds(query, params, stats)
     owner, k = lists.owner, params.k
     unsettled = sorted(
         (t for t in lists.tuples()
-         if t.entry != owner and not (t.direct and t.entry in frontier)),
-        key=lambda t: -t.max_sim,
+         if t.max_sim >= pessimistic and t.entry != owner
+         and not (t.source == owner and t.entry in frontier)),
+        key=_MAX_SIM, reverse=True,  # stable: ties keep list order
     )
     for t in unsettled:
-        if t.max_sim < pessimistic:
-            break
         for b in _frontier_under(lists.tree, t.entry, frontier):
             if lists.counted_verdict(k) is not Verdict.UNDECIDED:
                 return
@@ -207,7 +223,7 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
         action = f"Dequeue {entry.label}"
         lists = state.lists[entry]
         lists.split(entry)
-        if entry.is_node and not lists.get(entry).direct:  # type: ignore[union-attr]
+        if entry.is_node and lists.get(entry).source != entry:  # type: ignore[union-attr]
             lists.add_self(params, stats)
         _exchange(lists, frontier, state.lists, query, params, stats)
         verdict = _checked_verdict(lists, query, params, stats, audit)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     NormStats,
@@ -28,6 +29,7 @@ from .core import (
     TermVector,
     combined_similarity,
     compute_norm_stats,
+    sim_st,
 )
 
 
@@ -174,6 +176,9 @@ class EntryRecord(NamedTuple):
     subtree_ids: frozenset[str]
 
 
+_SUBTREE_IDS = attrgetter("subtree_ids")
+
+
 class IurTree:
     """Immutable index over a dataset of :class:`STObject`.
 
@@ -231,6 +236,11 @@ class IurTree:
 
     def subtree_ids(self, entry: Entry) -> frozenset[str]:
         return self._records[entry].subtree_ids
+
+    def subtree_id_sets(self, entries: Iterable[Entry]) -> Iterator[frozenset[str]]:
+        """The ``subtree_ids`` of each entry, looked up without a Python call
+        per entry."""
+        return map(_SUBTREE_IDS, map(self._records.__getitem__, entries))
 
     def subtree_objects(self, entry: Entry) -> list[str]:
         """All object ids under the entry, in id order."""
@@ -493,7 +503,16 @@ def max_sim_st(tree: IurTree, a: Entry | STObject | QueryObject,
 def pair_sim_bounds(tree: IurTree, a: Entry | STObject | QueryObject,
                     b: Entry | STObject | QueryObject,
                     params: SimParams, stats: NormStats) -> tuple[float, float]:
-    """(lower, upper) sim_st bounds computed with one pass over the views."""
+    """(lower, upper) sim_st bounds computed with one pass over the views.
+
+    Between two object entries both bounds are the exact :func:`sim_st`,
+    which is what the general arithmetic gives there, bit for bit: the
+    corner distances of two point MBRs are the points' distance, and both
+    text bounds are the Extended Jaccard of the two term vectors.
+    """
+    if type(a) is Entry and type(b) is Entry and a.kind == b.kind == "object":
+        s = sim_st(tree.objects[a.ident], tree.objects[b.ident], params, stats)  # type: ignore[index]
+        return s, s
     ma, ia, ua = _view(tree, a)
     mb, ib, ub = _view(tree, b)
     lower = combined_similarity(max_dist(ma, mb), _min_text(ia, ua, ib, ub), params, stats)

@@ -11,11 +11,21 @@ Counting a point twice inflates the lower cumulative walk and can trigger a
 false prune; leaving a point out deflates the upper walk and can trigger a
 false accept.  The correct mode therefore keeps every list a partition of
 the dataset: at every moment the tuples' preorder spans tile [0, N) exactly
-once.  A list starts as the root's self-tuple or as a copy of its parent's,
-and changes only by refinement toward an entry B (:meth:`NNLists.refine`):
-the held tuple T that covers B is split into B and T's off-path descendants
-along the path from T down to B, each keeping T's bounds (sound, since each
-is a subset of T), and then B's directly computed bounds replace T's on B.
+once.  A list starts as the root's self-tuple or as its parent's, and
+changes only by refinement toward an entry B (:meth:`NNLists.refine`): the
+held tuple T that covers B is split into T's off-path descendants along the
+path from T down to B, each keeping T's bounds (sound, since each is a
+subset of T), and B gets its directly computed bounds.
+
+Tuples are immutable and shared: a child's list starts as a copy of its
+parent's dict, holding the very same tuples.  That is exact because no list
+ever holds a proper descendant of its owner (every refinement targets the
+owner itself or an entry disjoint from it, and a split adds only pieces off
+the path to its target): every held entry then overlaps both the parent and
+the child or neither, so its slot count is the same for both.  Because a
+tuple is shared, it does not say whether its bounds were computed for this
+list's owner: it records the owner that computed them (``source``), and a
+tuple is *direct* for a list exactly when that owner is the list's.
 
 :meth:`NNLists.update_with` on its own pops every tuple that covers B (its
 proper ancestors and the equal-span chain entries below it) instead of
@@ -37,8 +47,8 @@ as the reference that audit runs and the tests compare the totals with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import NormStats, QueryObject, SimParams
 from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, pair_sim_bounds
@@ -56,13 +66,14 @@ class NotInternalNode(ValueError):
     """Self-addition only applies to index nodes, never to single objects."""
 
 
-@dataclass(slots=True)
-class NNTuple:
+class NNTuple(NamedTuple):
+    """One list entry; immutable, so lists inherited from one parent share it."""
+
     entry: Entry
     m: int
     min_sim: float
     max_sim: float
-    direct: bool = False  # bounds computed for this entry, not inherited or split off
+    source: Entry | None = None  # the owner that computed the bounds; None if split off
 
 
 class NNLists:
@@ -137,7 +148,7 @@ class NNLists:
         if not self.owner.is_node:
             raise NotInternalNode(f"cannot add_self on object entry {self.owner.label}")
         lo, hi = pair_sim_bounds(self.tree, self.owner, self.owner, params, stats)
-        self._put(NNTuple(self.owner, self.tree.count(self.owner) - 1, lo, hi, True))
+        self._put(NNTuple(self.owner, self.tree.count(self.owner) - 1, lo, hi, self.owner))
 
     def update_with(self, other: Entry, params: SimParams, stats: NormStats,
                     bounds: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -156,32 +167,28 @@ class NNLists:
         """
         if other == self.owner:
             raise ValueError("an entry never contributes to its own list via update")
+        tuples = self._tuples
         for e in self.tree.covering(other):
-            self._pop(e)
+            if e in tuples:
+                self._pop(e)
         if bounds is None:
             bounds = pair_sim_bounds(self.tree, self.owner, other, params, stats)
         lo, hi = bounds
-        self._put(NNTuple(other, self._m_for(other), lo, hi, True))
+        self._put(NNTuple(other, self._m_for(other), lo, hi, self.owner))
         return bounds
 
-    def split(self, entry: Entry) -> None:
-        """Give ``entry`` a tuple of its own without changing what is covered.
-
-        The held tuple T whose entry covers ``entry`` is replaced by
-        ``entry`` and by T's off-path descendants along the path from T down
-        to ``entry``; all of them keep T's bounds, which hold for any subset
-        of T's points.  Nothing changes when ``entry`` already has a tuple.
-        """
-        tuples = self._tuples
-        if entry in tuples:
-            return
+    def _split_toward(self, entry: Entry) -> NNTuple:
+        """Pop the held tuple T whose entry covers ``entry`` and add T's
+        off-path descendants along the path from T down to ``entry``, all
+        with T's bounds, which hold for any subset of T's points.  Returns T;
+        ``entry`` itself is left without a tuple."""
         tree = self.tree
-        held = next((e for e in tree.covering(entry) if e in tuples), None)
+        held = next((e for e in tree.covering(entry) if e in self._tuples), None)
         if held is None:
             raise ValueError(f"no tuple in {self.owner.label}'s list covers {entry.label}")
         t = self._pop(held)
-        lo, hi = t.min_sim, t.max_sim  # type: ignore[union-attr]
         if tree.depth(held) < tree.depth(entry):  # else an equal-span descendant
+            lo, hi = t.min_sim, t.max_sim  # type: ignore[union-attr]
             node = entry
             while node != held:
                 parent = tree.parent(node)
@@ -189,30 +196,45 @@ class NNLists:
                     if c != node:
                         self._put(NNTuple(c, self._m_for(c), lo, hi))
                 node = parent  # type: ignore[assignment]
-        self._put(NNTuple(entry, self._m_for(entry), lo, hi))
+        return t  # type: ignore[return-value]
+
+    def split(self, entry: Entry) -> None:
+        """Give ``entry`` a tuple of its own without changing what is covered.
+
+        The held tuple T that covers ``entry`` is replaced by T's off-path
+        pieces (:meth:`_split_toward`) and by ``entry`` with T's bounds.
+        Nothing changes when ``entry`` already has a tuple.
+        """
+        if entry not in self._tuples:
+            t = self._split_toward(entry)
+            self._put(NNTuple(entry, self._m_for(entry), t.min_sim, t.max_sim))
 
     def refine(self, entry: Entry, params: SimParams, stats: NormStats,
                bounds: tuple[float, float] | None = None) -> tuple[float, float]:
         """Split toward ``entry``, then store its direct bounds.
 
-        After the split no held tuple covers ``entry``, so
+        The split stops short of giving ``entry`` the covering tuple's
+        bounds; no held tuple covers ``entry`` after it, so
         :meth:`update_with` pops nothing and the list stays a partition.
         ``bounds`` and the return value are as for :meth:`update_with`.
         """
-        self.split(entry)
+        if entry not in self._tuples:
+            self._split_toward(entry)
         return self.update_with(entry, params, stats, bounds)
 
     @classmethod
     def inherited(cls, child: Entry, parent_lists: "NNLists") -> "NNLists":
-        """Deep-copy the parent's tuples for a child entry.
+        """The parent's tuples, shared, as the child's list.
 
         Bounds are inherited verbatim (any bound over the parent's point set
-        bounds the child's subset, just more loosely); the slot counts are
-        recomputed against the new owner's overlap.
+        bounds the child's subset, just more loosely), and so are the slot
+        counts: an entry's count differs between the two owners only when it
+        overlaps exactly one of them, and an entry that overlaps the parent
+        but not the child is a proper descendant of the parent, which no
+        list holds.
         """
         lists = cls(child, parent_lists.tree)
-        for t in parent_lists._tuples.values():
-            lists._tuples[t.entry] = NNTuple(t.entry, lists._m_for(t.entry), t.min_sim, t.max_sim)
+        lists._tuples = parent_lists._tuples.copy()
         return lists
 
     def strip_self_and_parent(self) -> None:
@@ -235,12 +257,27 @@ class NNLists:
         on; returns the owner's (pessimistic, optimistic) query similarity."""
         tree, owner = self.tree, self.owner
         self._watched = (query, params.alpha, stats)
-        self._query_bounds = (min_sim_st(tree, owner, query, params, stats),
-                              max_sim_st(tree, owner, query, params, stats))
-        self.drop_mass = self.hit_mass = self.covered_slots = 0
-        for t in self._tuples.values():
-            self._count(t, 1)
+        lower, upper = self._query_bounds = (min_sim_st(tree, owner, query, params, stats),
+                                             max_sim_st(tree, owner, query, params, stats))
+        drop = hit = covered = 0
+        for _, m, min_sim, max_sim, _ in self._tuples.values():
+            covered += m
+            if min_sim >= upper:
+                drop += m
+            if max_sim >= lower:
+                hit += m
+        self.drop_mass, self.hit_mass, self.covered_slots = drop, hit, covered
         return self._query_bounds
+
+    def query_bounds(self, query: QueryObject, params: SimParams,
+                     stats: NormStats) -> tuple[float, float]:
+        """The owner's (pessimistic, optimistic) query similarity, with the
+        slot totals counted against it: :meth:`watch` runs only for another
+        query, alpha or statistics than the last."""
+        w = self._watched  # the query and statistics are frozen: compare by identity
+        if w is None or w[0] is not query or w[1] != params.alpha or w[2] is not stats:
+            return self.watch(query, params, stats)
+        return self._query_bounds  # type: ignore[return-value]
 
     def counted_verdict(self, k: int) -> Verdict:
         """The accept/prune rule on the slot totals of a list known to be
@@ -263,7 +300,8 @@ class NNLists:
         self-tuple or an ancestor).  A point owner is its own 0th nearest
         neighbor, so only the other N-1 objects need covering.
         """
-        missing = self.tree.all_object_ids.difference(*map(self.tree.subtree_ids, self._tuples))
+        tree = self.tree
+        missing = tree.all_object_ids.difference(*tree.subtree_id_sets(self._tuples))
         if not missing:
             return True
         return self.owner.is_object and missing == {self.owner.ident}
@@ -327,9 +365,14 @@ class NNLists:
         entries = list(self._tuples)
         n = len(self.tree.all_object_ids)
         assert self.coverage() <= n - 1, "over-coverage: sum(m) exceeds N - 1"
+        depth = self.tree.depth(self.owner)
         for t in self._tuples.values():
             count = self.tree.count(t.entry)
             assert 0 <= t.m <= count
+            assert not (self.tree.depth(t.entry) > depth
+                        and self.tree.is_ancestor_or_equal(self.owner, t.entry)), (
+                f"{t.entry.label} is a proper descendant of the owner {self.owner.label}"
+            )
             if self.tree.overlaps(t.entry, self.owner):
                 assert t.m == count - 1, "overlapping entry must give up one slot"
             assert t.min_sim <= t.max_sim + 1e-12
@@ -349,12 +392,11 @@ def is_hit_or_drop(lists: NNLists, query: QueryObject, params: SimParams,
     fewer than k slots have an upper bound at or above the pessimistic one
     and the list is complete, or, with ``gated=False`` (only the deliberately
     faulty legacy modes), covers at least k slots.  Otherwise undecided.  The
-    list recounts its totals only for another query, alpha or statistics,
-    and completeness is checked only when a hit is possible.
+    list recounts its totals only for another query, alpha or statistics
+    (:meth:`NNLists.query_bounds`), and completeness is checked only when a
+    hit is possible.
     """
-    w = lists._watched  # the query and statistics are frozen: compare by identity
-    if w is None or w[0] is not query or w[1] != params.alpha or w[2] is not stats:
-        lists.watch(query, params, stats)
+    lists.query_bounds(query, params, stats)
     k = params.k
     verdict = lists.counted_verdict(k)
     if verdict is Verdict.HIT and not (lists.is_complete() if gated else lists.covered_slots >= k):

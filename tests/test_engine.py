@@ -76,6 +76,32 @@ def test_two_cluster_fixture_correct_mode_matches_oracle():
     assert "P2" in verify_p2.pel and "P2" not in verify_p2.col
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_trace_columns_are_label_lists_fixed_at_snapshot_time(monkeypatch, mode):
+    # an event keeps the entries it copied and makes the labels on read:
+    # each read is a fresh list of strings, equal to the last, and equal to
+    # what the event showed when it was taken, however the run went on
+    shown = []
+    snapshot = EngineState.snapshot
+
+    def recording(self, action):
+        snapshot(self, action)
+        ev = self.trace[-1]
+        shown.append((ev.u, ev.col, ev.rol, ev.pel))
+
+    monkeypatch.setattr(EngineState, "snapshot", recording)
+    fx = two_cluster_fixture()
+    _, trace = rstknn_query(fx.build_tree(), fx.query, fx.params, mode)
+    assert len(trace) == len(shown) > 1
+    assert len({tuple(map(tuple, columns)) for columns in shown}) > 1
+    for ev, columns in zip(trace, shown):
+        for read in (ev.u, ev.col, ev.rol, ev.pel):
+            assert type(read) is list and all(type(label) is str for label in read)
+        assert ev.u is not ev.u
+        ev.u.append("changed")  # the caller's own copy
+        assert (ev.u, ev.col, ev.rol, ev.pel) == columns
+
+
 def test_two_cluster_fixture_faulty2011_accepts_cluster_subtree():
     fx = two_cluster_fixture()
     tree = fx.build_tree()

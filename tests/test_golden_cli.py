@@ -4,10 +4,11 @@
 output of ``rstknn query --trace --out`` in every mode with the JSON-lines
 trace it writes, and the standard output of ``rstknn compare``, each run with
 the fixture's recorded query, k, alpha and fanout, and the standard output
-of ``scripts/demo_traces.py`` on the hand-laid-out two-cluster tree.  A
-change that alters any decision, label or column of the snapshot trace shows
-up here.  To re-record after an intended change, write each case's output to
-the file it is compared with.
+of ``scripts/demo_traces.py`` on the hand-laid-out two-cluster tree, and
+the digest ``scripts/trace_digest.py`` prints over a seeded sweep of random
+instances in all three modes.  A change that alters any decision, label or
+column of the snapshot trace shows up here.  To re-record after an intended
+change, write each case's output to the file it is compared with.
 """
 
 from __future__ import annotations
@@ -76,3 +77,12 @@ def test_demo_traces_match_golden():
     with redirect_stdout(out):
         script["main"]()
     assert out.getvalue().encode() == (GOLDEN / "demo_traces.stdout").read_bytes()
+
+
+def test_trace_digest_matches_golden():
+    script = runpy.run_path(str(ROOT / "scripts" / "trace_digest.py"))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = script["main"](["--instances", "60"])
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / "trace_digest.stdout").read_bytes()

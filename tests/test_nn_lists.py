@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from conftest import all_entries
 
 from rstknn.core import NormStats, QueryObject, STObject, SimParams, TermVector
 from rstknn.datasets import random_dataset, random_query
+from rstknn.engine import Mode, rstknn_query
 from rstknn.iur_tree import (
     build_tree,
     max_sim_st,
@@ -83,7 +86,8 @@ def test_update_upsert_keeps_m():
 
 def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
     # refinement sequences as the engine produces them: an update never adds
-    # an entry that strictly contains a held one
+    # an entry that strictly contains a held one, nor a proper descendant of
+    # the owner
     params = SimParams(alpha=0.4, k=2)
     equal_span_removals = 0
     for tree in equal_span_trees:
@@ -96,7 +100,9 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
                 held = {t.entry for t in lists.tuples()}
                 options = [
                     b for b in entries
-                    if b != owner and not any(
+                    if b != owner and not (tree.depth(b) > tree.depth(owner)
+                                           and tree.is_ancestor_or_equal(owner, b))
+                    and not any(
                         tree.is_ancestor_or_equal(b, e) and not tree.is_ancestor_or_equal(e, b)
                         for e in held
                     )
@@ -135,7 +141,7 @@ def test_split_replaces_the_covering_tuple_by_the_path_pieces():
     n1 = node_entry(1)
     lists = _manual_lists(tree, n1, [(node_entry(0), 5, 0.1, 0.9)])
     lists.split(object_entry("P2"))  # path N0 > N2 > N3 > P2
-    pieces = {t.entry.label: (t.m, t.min_sim, t.max_sim, t.direct) for t in lists.tuples()}
+    pieces = {t.entry.label: (t.m, t.min_sim, t.max_sim, t.source == n1) for t in lists.tuples()}
     assert pieces == {
         "N1": (1, 0.1, 0.9, False),  # overlaps the owner: one slot fewer
         "N4": (2, 0.1, 0.9, False),
@@ -146,7 +152,7 @@ def test_split_replaces_the_covering_tuple_by_the_path_pieces():
     assert len(lists) == 4
     bounds = lists.refine(object_entry("P3"), PARAMS, stats)
     assert bounds == pair_sim_bounds(tree, n1, object_entry("P3"), PARAMS, stats)
-    assert lists.get(object_entry("P3")).direct and len(lists) == 4
+    assert lists.get(object_entry("P3")).source == n1 and len(lists) == 4
     with pytest.raises(ValueError, match="covers"):
         lists.split(node_entry(2))  # finer tuples tile it; no single one covers it
 
@@ -279,6 +285,61 @@ def test_inherit_copies_and_recomputes_m():
     # mutating the child leaves the parent untouched
     child.remove(node_entry(1))
     assert node_entry(1) in parent
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_trees):
+    # a child's list holds its parent's very tuples; that is exact because
+    # no list holds a proper descendant of its owner, in every mode, so each
+    # inherited slot count equals a fresh one
+    inherit = NNLists.__dict__["inherited"].__func__
+    shared = 0
+
+    def inherited(cls, child, parent_lists):
+        nonlocal shared
+        lists = inherit(cls, child, parent_lists)
+        tree = lists.tree
+        for t in lists.tuples():
+            assert t is parent_lists.get(t.entry)
+            assert t.m == lists._m_for(t.entry), (child.label, t.entry.label)
+            assert t.source != child  # nothing inherited is direct for the child
+            assert not (tree.depth(t.entry) > tree.depth(child)
+                        and tree.is_ancestor_or_equal(child, t.entry))
+            shared += 1
+        if mode is Mode.CORRECT:
+            lists.check_invariants()
+        return lists
+
+    monkeypatch.setattr(NNLists, "inherited", classmethod(inherited))
+    rng = random.Random(1010)
+    trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
+             for fanout in (2, 3, 4, 8) for _ in range(4)]
+    for tree in trees + equal_span_trees:
+        stats = tree.norm_stats()
+        for _ in range(2):
+            params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]),
+                               k=rng.choice([1, 2, 4, tree.size + 1]))
+            rstknn_query(tree, random_query(rng, 5), params, mode, stats=stats)
+    assert shared > 1000
+
+
+def test_query_bounds_recount_only_for_another_query_alpha_or_stats(rng):
+    tree = build_tree(random_dataset(rng, 20, 5), 4)
+    stats = tree.norm_stats()
+    q = random_query(rng, 5)
+    lists = NNLists(tree.root_entry(), tree)
+    lists.add_self(PARAMS, stats)
+    watch, recounts = lists.watch, []
+    lists.watch = lambda *args: recounts.append(args) or watch(*args)
+    bounds = lists.query_bounds(q, PARAMS, stats)
+    assert bounds == (min_sim_st(tree, lists.owner, q, PARAMS, stats),
+                      max_sim_st(tree, lists.owner, q, PARAMS, stats))
+    assert lists.query_bounds(q, SimParams(PARAMS.alpha, 5), stats) == bounds  # k is free
+    assert len(recounts) == 1
+    lists.query_bounds(QueryObject(q.loc, q.vct), PARAMS, stats)  # an equal, other query
+    lists.query_bounds(q, SimParams(0.5, 2), stats)
+    lists.query_bounds(q, SimParams(0.5, 2), NormStats(*vars(stats).values()))
+    assert len(recounts) == 4
 
 
 def test_inherit_empty_parent():

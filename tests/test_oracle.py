@@ -259,8 +259,16 @@ def test_single_object_bounds_collapse_to_sim_st_off_the_grid(instance):
         assert max_sim_st(tree, entry, query, params, stats).hex() == exact
         for b in objs:
             if b is not a:
+                # pair_sim_bounds of two object entries returns sim_st itself;
+                # the general arithmetic, reached through the separate bounds
+                # and through the bare objects' views, must agree with it
                 exact = sim_st(a, b, params, stats).hex()
-                bounds = pair_sim_bounds(tree, entry, object_entry(b.id), params, stats)
+                other = object_entry(b.id)
+                bounds = pair_sim_bounds(tree, entry, other, params, stats)
+                assert [x.hex() for x in bounds] == [exact, exact]
+                assert min_sim_st(tree, entry, other, params, stats).hex() == exact
+                assert max_sim_st(tree, entry, other, params, stats).hex() == exact
+                bounds = pair_sim_bounds(tree, a, b, params, stats)
                 assert [x.hex() for x in bounds] == [exact, exact]
 
 
