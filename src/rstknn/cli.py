@@ -123,16 +123,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    if args.mode == "oracle" and (args.trace or args.out is not None):
+        raise UsageError("--trace and --out need an engine mode: the oracle records no trace")
     params, objects, query, tree, stats = _set_up(args)
     if args.mode == "oracle":
-        result = rknn_bruteforce(objects, query, params, stats)
-        trace = []
-    else:
-        result, trace = rstknn_query(tree, query, params, Mode(args.mode), stats=stats)
+        print(" ".join(sorted(rknn_bruteforce(objects, query, params, stats))))
+        return EXIT_OK
+    result, trace = rstknn_query(tree, query, params, Mode(args.mode), stats=stats)
     print(" ".join(sorted(result)))
-    if args.trace and trace:
+    if args.trace:
         print(format_trace_table(trace))
-    if args.out is not None and trace:
+    if args.out is not None:
         try:
             args.out.write_text(trace_to_jsonl(trace) + "\n", encoding="utf-8")
         except OSError as exc:

@@ -105,7 +105,6 @@ class EngineAudit:
     """Counters and optional bound samples collected from a correct-mode run."""
 
     completeness_evaluations: int = 0
-    completeness_failures: int = 0
     record_bounds: bool = False
     bound_records: list[tuple[Entry, float | None, float | None]] = field(default_factory=list)
 
@@ -138,28 +137,24 @@ def _route(state: EngineState, tree: IurTree, entry: Entry, verdict: Verdict) ->
         state.pel.append(entry)
 
 
-def _checked_verdict(lists: NNLists, query: QueryObject, params: SimParams,
-                     stats: NormStats, audit: EngineAudit | None) -> Verdict:
+def _checked_verdict(lists: NNLists, audit: EngineAudit | None) -> Verdict:
     """The gated verdict, taken only on a complete list.
 
     A HIT has just passed the gate's completeness check; any other verdict
     checks here.  An incomplete list raises either way: its gate turns a
     would-be HIT into UNDECIDED.
     """
-    verdict = is_hit_or_drop(lists, query, params, stats)
+    verdict = is_hit_or_drop(lists)
     if audit is not None:
         audit.completeness_evaluations += 1
     if verdict is not Verdict.HIT and not lists.is_complete():
-        if audit is not None:
-            audit.completeness_failures += 1
         raise CompletenessViolation(
             f"incomplete NN-list for {lists.owner.label} at decision time"
         )
     if audit is not None and audit.record_bounds:
-        audit.bound_records.append(
-            (lists.owner, lists.knn_lower(params.k), lists.knn_upper(params.k))
-        )
-    if audit is not None and lists.walked_verdict(query, params, stats) is not verdict:
+        k = lists.params.k
+        audit.bound_records.append((lists.owner, lists.knn_lower(k), lists.knn_upper(k)))
+    if audit is not None and lists.walked_verdict() is not verdict:
         raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
     return verdict
 
@@ -178,21 +173,21 @@ def _frontier_under(tree: IurTree, entry: Entry, frontier: set[Entry]) -> Iterat
 _MAX_SIM = attrgetter("max_sim")
 
 
-def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists],
-              query: QueryObject, params: SimParams, stats: NormStats) -> None:
+def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists]) -> None:
     """Refine the owner's list toward the frontier where its verdict can change.
 
     A tuple is settled when it holds direct bounds for a frontier entry,
     bounds this owner computed.  The unsettled tuples are visited by
     decreasing upper bound, and every frontier entry under one is refined;
     the same pair bounds refine that entry's list toward the owner, if
-    ``others`` holds one.  The exchange stops as soon as the slot counts
-    decide the owner.  Tuples whose upper bound is below the owner's
-    pessimistic query similarity are never visited: such a tuple counts
-    toward neither mass, and its subsets' bounds cannot make it.
+    ``others`` holds one.  All the lists belong to one query run and keep
+    their slot totals current, so the exchange stops as soon as the owner's
+    totals decide it.  Tuples whose upper bound is below the owner's
+    pessimistic query similarity (``lists.pessimistic``) are never visited:
+    such a tuple counts toward neither mass, and its subsets' bounds cannot
+    make it.
     """
-    pessimistic, _ = lists.query_bounds(query, params, stats)
-    owner, k = lists.owner, params.k
+    owner, pessimistic = lists.owner, lists.pessimistic
     unsettled = sorted(
         (t for t in lists.tuples()
          if t.max_sim >= pessimistic and t.entry != owner
@@ -201,12 +196,12 @@ def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists]
     )
     for t in unsettled:
         for b in _frontier_under(lists.tree, t.entry, frontier):
-            if lists.counted_verdict(k) is not Verdict.UNDECIDED:
+            if lists.counted_verdict() is not Verdict.UNDECIDED:
                 return
-            bounds = lists.refine(b, params, stats)
+            bounds = lists.refine(b)
             other = others.get(b)
             if other is not None:
-                other.refine(owner, params, stats, bounds)
+                other.refine(owner, bounds)
 
 
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
@@ -214,8 +209,8 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
     state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
     root = tree.root_entry()
     state.u.append(root)
-    state.lists[root] = NNLists(root, tree)
-    state.lists[root].add_self(params, stats)
+    state.lists[root] = NNLists(root, tree, query, params, stats)
+    state.lists[root].add_self()
     frontier = {root}  # queued, candidate and routed entries: a partition of the dataset
 
     while state.u:
@@ -224,9 +219,9 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
         lists = state.lists[entry]
         lists.split(entry)
         if entry.is_node and lists.get(entry).source != entry:  # type: ignore[union-attr]
-            lists.add_self(params, stats)
-        _exchange(lists, frontier, state.lists, query, params, stats)
-        verdict = _checked_verdict(lists, query, params, stats, audit)
+            lists.add_self()
+        _exchange(lists, frontier, state.lists)
+        verdict = _checked_verdict(lists, audit)
         # a decided or expanded entry's list is never read again: free it;
         # candidates keep theirs for final_verification
         if verdict is not Verdict.UNDECIDED:
@@ -244,12 +239,11 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
             state.col.append(entry)
         state.snapshot(action)
 
-    final_verification(state, tree, query, params, stats, audit=audit)
+    final_verification(state, tree, audit=audit)
     return state
 
 
-def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
-                       params: SimParams, stats: NormStats,
+def final_verification(state: EngineState, tree: IurTree,
                        audit: EngineAudit | None = None) -> None:
     """Settle the candidates left after the main loop.
 
@@ -267,8 +261,8 @@ def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
     for candidate in list(state.col):
         lists = state.lists[candidate]
         others = {c: state.lists[c] for c in state.col if c != candidate}
-        _exchange(lists, points, others, query, params, stats)
-        verdict = _checked_verdict(lists, query, params, stats, audit)
+        _exchange(lists, points, others)
+        verdict = _checked_verdict(lists, audit)
         if verdict is Verdict.UNDECIDED:  # pragma: no cover - impossible with exact point bounds
             raise RuntimeError(f"verification left {candidate.label} undecided")
         state.col.remove(candidate)
@@ -296,7 +290,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
     """
     state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
     root = tree.root_entry()
-    state.lists[root] = NNLists(root, tree)
+    state.lists[root] = NNLists(root, tree, query, params, stats)
     queue: dict[Entry, float] = {root: 0.0}  # live entry -> priority
 
     while queue:
@@ -309,32 +303,26 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
             if locality:
                 lists.remove(parent)
             state.lists[child] = lists
-            verdict = is_hit_or_drop(lists, query, params, stats, gated=False)
+            verdict = is_hit_or_drop(lists, gated=False)
             if verdict is Verdict.UNDECIDED:
                 if locality and child.is_node:
-                    lists.add_self(params, stats)
+                    lists.add_self()
                 candidates = list(state.col) + [object_entry(o) for o in state.rol]
                 candidates += _ranked(queue)
+                pairs: dict[Entry, tuple[float, float]] = {}
                 if locality:
                     # the later variant scans neighbors most-similar first
-                    candidates.sort(
-                        key=lambda e: (
-                            -max_sim_st(tree, child, e, params, stats),
-                            e.order_key,
-                        )
-                    )
-                for other in candidates:
-                    if other == child:
-                        continue
-                    bounds = lists.update_with(other, params, stats)
-                    verdict = is_hit_or_drop(lists, query, params, stats, gated=False)
+                    pairs = {e: lists.bounds(e) for e in candidates}
+                    candidates.sort(key=lambda e: (-pairs[e][1], e.order_key))
+                for other in candidates:  # never the child, which is new to the run
+                    bounds = lists.update_with(other, pairs.get(other))
+                    verdict = is_hit_or_drop(lists, gated=False)
                     if verdict is not Verdict.UNDECIDED:
                         break
                     if other in queue or other in state.col:
                         other_lists = state.lists[other]
-                        other_lists.update_with(child, params, stats, bounds)
-                        other_verdict = is_hit_or_drop(other_lists, query, params, stats,
-                                                       gated=False)
+                        other_lists.update_with(child, bounds)
+                        other_verdict = is_hit_or_drop(other_lists, gated=False)
                         if other_verdict is not Verdict.UNDECIDED:
                             queue.pop(other, None)
                             if other in state.col:
@@ -352,12 +340,11 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
         state.u = deque(_ranked(queue))
         state.snapshot(action)
 
-    _faulty_final_verification(state, tree, query, params, stats)
+    _faulty_final_verification(state, tree)
     return state
 
 
-def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryObject,
-                               params: SimParams, stats: NormStats) -> None:
+def _faulty_final_verification(state: EngineState, tree: IurTree) -> None:
     """The legacy cleanup pass: feed pruned entries to the candidates.
 
     Entries come off the pruned list deepest-first and are replaced by their
@@ -374,8 +361,8 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryOb
         entry = working.pop(0)
         for candidate in list(state.col):
             lists = state.lists[candidate]
-            lists.update_with(entry, params, stats)
-            verdict = is_hit_or_drop(lists, query, params, stats, gated=False)
+            lists.update_with(entry)
+            verdict = is_hit_or_drop(lists, gated=False)
             if verdict is not Verdict.UNDECIDED:
                 state.col.remove(candidate)
                 _route(state, tree, candidate, verdict)
@@ -385,8 +372,8 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, query: QueryOb
     for candidate in list(state.col):
         lists = state.lists[candidate]
         for other in state.rol + [c.ident for c in state.col if c != candidate]:
-            lists.update_with(object_entry(str(other)), params, stats)
-        verdict = is_hit_or_drop(lists, query, params, stats, gated=False)
+            lists.update_with(object_entry(str(other)))
+        verdict = is_hit_or_drop(lists, gated=False)
         if verdict is Verdict.UNDECIDED:
             # fewer than k neighbors reachable: unconditional member
             verdict = Verdict.HIT

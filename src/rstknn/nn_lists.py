@@ -33,16 +33,22 @@ splitting it, so the popped tuple's other points lose coverage.  The tree
 precomputes that set per entry (:meth:`IurTree.covering`), so the removal
 pops at most depth plus chain-length keys.  The legacy modes update that way.
 
-The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  Once
-:meth:`NNLists.watch` has counted them, the list keeps three slot totals
-through every change: the drop mass (m summed over tuples whose lower bound
-reaches the optimistic owner-query similarity), the hit mass (upper bounds
-against the pessimistic one) and the covered slots.  A walk's k-th slot
-reaches a threshold exactly when at least k slots reach it, so drop mass >= k
-is the lower walk's prune and hit mass < k the upper walk's accept.  An
-accept also needs a complete list, the condition the legacy algorithms failed
-to maintain; their ungated test needs only k covered slots.  The walks stay
-as the reference that audit runs and the tests compare the totals with.
+A list belongs to one query run: it is built with the query, the
+parameters and the statistics, which its refinements and its accept/prune
+test then use, and it computes its owner's pessimistic and optimistic query
+similarity once, at construction.  An inherited list takes its parent's run.
+
+The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  The list
+keeps three slot totals through every change, from its construction on: the
+drop mass (m summed over tuples whose lower bound reaches the optimistic
+owner-query similarity), the hit mass (upper bounds against the pessimistic
+one) and the covered slots.  Only inheritance, where the tuples change owner,
+counts them afresh.  A walk's k-th slot reaches a threshold exactly when at
+least k slots reach it, so drop mass >= k is the lower walk's prune and hit
+mass < k the upper walk's accept.  An accept also needs a complete list, the
+condition the legacy algorithms failed to maintain; their ungated test needs
+only k covered slots.  The walks stay as the reference that audit runs and
+the tests compare the totals with.
 """
 
 from __future__ import annotations
@@ -80,16 +86,20 @@ class NNLists:
     """Tuple store keyed by entry, walked by lower or by upper bound.
 
     One store backs both the pessimistic (lower) and the optimistic (upper)
-    walk, so the two can never disagree on membership.
+    walk, so the two can never disagree on membership.  ``pessimistic`` and
+    ``optimistic`` are the owner's query similarity bounds, which the slot
+    totals are counted against.
     """
 
-    def __init__(self, owner: Entry, tree: IurTree):
+    def __init__(self, owner: Entry, tree: IurTree, query: QueryObject,
+                 params: SimParams, stats: NormStats):
         self.owner = owner
         self.tree = tree
+        self.query, self.params, self.stats = query, params, stats
         self._tuples: dict[Entry, NNTuple] = {}
         self._span = tree.record(owner).span
-        self._watched: tuple[QueryObject, float, NormStats] | None = None  # set by watch()
-        self._query_bounds: tuple[float, float] | None = None
+        self.pessimistic = min_sim_st(tree, owner, query, params, stats)
+        self.optimistic = max_sim_st(tree, owner, query, params, stats)
         self.drop_mass = 0
         self.hit_mass = 0
         self.covered_slots = 0
@@ -117,29 +127,43 @@ class NNLists:
     # -- mutations ----------------------------------------------------------
 
     def _count(self, t: NNTuple, sign: int) -> None:
-        lower, upper = self._query_bounds  # type: ignore[misc]
         m = sign * t.m
         self.covered_slots += m
-        if t.min_sim >= upper:
+        if t.min_sim >= self.optimistic:
             self.drop_mass += m
-        if t.max_sim >= lower:
+        if t.max_sim >= self.pessimistic:
             self.hit_mass += m
+
+    def _recount(self) -> tuple[int, int, int]:
+        """(drop mass, hit mass, covered slots) counted afresh."""
+        drop = hit = covered = 0
+        for _, m, min_sim, max_sim, _ in self._tuples.values():
+            covered += m
+            if min_sim >= self.optimistic:
+                drop += m
+            if max_sim >= self.pessimistic:
+                hit += m
+        return drop, hit, covered
 
     def _put(self, t: NNTuple) -> None:
         old = self._tuples.get(t.entry)
         self._tuples[t.entry] = t
-        if self._query_bounds is not None:
-            if old is not None:
-                self._count(old, -1)
-            self._count(t, 1)
+        if old is not None:
+            self._count(old, -1)
+        self._count(t, 1)
 
     def _pop(self, entry: Entry) -> NNTuple | None:
         t = self._tuples.pop(entry, None)
-        if t is not None and self._query_bounds is not None:
+        if t is not None:
             self._count(t, -1)
         return t
 
-    def add_self(self, params: SimParams, stats: NormStats) -> None:
+    def bounds(self, other: Entry) -> tuple[float, float]:
+        """The (lower, upper) similarity bounds between the owner and ``other``,
+        the pair :meth:`update_with` stores when given none."""
+        return pair_sim_bounds(self.tree, self.owner, other, self.params, self.stats)
+
+    def add_self(self) -> None:
         """Insert the owner itself so its own points count as candidates.
 
         The lower bound pairs the MBR diagonal with the worst group text
@@ -147,10 +171,10 @@ class NNLists:
         """
         if not self.owner.is_node:
             raise NotInternalNode(f"cannot add_self on object entry {self.owner.label}")
-        lo, hi = pair_sim_bounds(self.tree, self.owner, self.owner, params, stats)
+        lo, hi = self.bounds(self.owner)
         self._put(NNTuple(self.owner, self.tree.count(self.owner) - 1, lo, hi, self.owner))
 
-    def update_with(self, other: Entry, params: SimParams, stats: NormStats,
+    def update_with(self, other: Entry,
                     bounds: tuple[float, float] | None = None) -> tuple[float, float]:
         """Upsert a tuple for ``other`` with directly computed bounds.
 
@@ -160,10 +184,10 @@ class NNLists:
         would double-count the covering entry's points, and a double-counted
         lower list can prune entries that belong in the result.
 
-        ``bounds`` takes the (lower, upper) pair already computed for the
-        reverse update, ``other``'s list updated with this owner;
-        :func:`pair_sim_bounds` is symmetric bit for bit, so one evaluation
-        serves both lists.  Returns the pair stored.
+        ``bounds`` takes the (lower, upper) pair already computed, by
+        :meth:`bounds` or for the reverse update, ``other``'s list updated
+        with this owner: :func:`pair_sim_bounds` is symmetric bit for bit, so
+        one evaluation serves both lists.  Returns the pair stored.
         """
         if other == self.owner:
             raise ValueError("an entry never contributes to its own list via update")
@@ -172,7 +196,7 @@ class NNLists:
             if e in tuples:
                 self._pop(e)
         if bounds is None:
-            bounds = pair_sim_bounds(self.tree, self.owner, other, params, stats)
+            bounds = self.bounds(other)
         lo, hi = bounds
         self._put(NNTuple(other, self._m_for(other), lo, hi, self.owner))
         return bounds
@@ -209,7 +233,7 @@ class NNLists:
             t = self._split_toward(entry)
             self._put(NNTuple(entry, self._m_for(entry), t.min_sim, t.max_sim))
 
-    def refine(self, entry: Entry, params: SimParams, stats: NormStats,
+    def refine(self, entry: Entry,
                bounds: tuple[float, float] | None = None) -> tuple[float, float]:
         """Split toward ``entry``, then store its direct bounds.
 
@@ -220,21 +244,24 @@ class NNLists:
         """
         if entry not in self._tuples:
             self._split_toward(entry)
-        return self.update_with(entry, params, stats, bounds)
+        return self.update_with(entry, bounds)
 
     @classmethod
     def inherited(cls, child: Entry, parent_lists: "NNLists") -> "NNLists":
-        """The parent's tuples, shared, as the child's list.
+        """The parent's tuples, shared, as the child's list in the same run.
 
         Bounds are inherited verbatim (any bound over the parent's point set
         bounds the child's subset, just more loosely), and so are the slot
         counts: an entry's count differs between the two owners only when it
         overlaps exactly one of them, and an entry that overlaps the parent
         but not the child is a proper descendant of the parent, which no
-        list holds.
+        list holds.  The slot totals are counted once, against the child's
+        own query bounds.
         """
-        lists = cls(child, parent_lists.tree)
-        lists._tuples = parent_lists._tuples.copy()
+        p = parent_lists
+        lists = cls(child, p.tree, p.query, p.params, p.stats)
+        lists._tuples = p._tuples.copy()
+        lists.drop_mass, lists.hit_mass, lists.covered_slots = lists._recount()
         return lists
 
     def strip_self_and_parent(self) -> None:
@@ -251,37 +278,10 @@ class NNLists:
 
     # -- the slot counts ------------------------------------------------------
 
-    def watch(self, query: QueryObject, params: SimParams,
-              stats: NormStats) -> tuple[float, float]:
-        """Recount the slot totals against the query and keep them from then
-        on; returns the owner's (pessimistic, optimistic) query similarity."""
-        tree, owner = self.tree, self.owner
-        self._watched = (query, params.alpha, stats)
-        lower, upper = self._query_bounds = (min_sim_st(tree, owner, query, params, stats),
-                                             max_sim_st(tree, owner, query, params, stats))
-        drop = hit = covered = 0
-        for _, m, min_sim, max_sim, _ in self._tuples.values():
-            covered += m
-            if min_sim >= upper:
-                drop += m
-            if max_sim >= lower:
-                hit += m
-        self.drop_mass, self.hit_mass, self.covered_slots = drop, hit, covered
-        return self._query_bounds
-
-    def query_bounds(self, query: QueryObject, params: SimParams,
-                     stats: NormStats) -> tuple[float, float]:
-        """The owner's (pessimistic, optimistic) query similarity, with the
-        slot totals counted against it: :meth:`watch` runs only for another
-        query, alpha or statistics than the last."""
-        w = self._watched  # the query and statistics are frozen: compare by identity
-        if w is None or w[0] is not query or w[1] != params.alpha or w[2] is not stats:
-            return self.watch(query, params, stats)
-        return self._query_bounds  # type: ignore[return-value]
-
-    def counted_verdict(self, k: int) -> Verdict:
+    def counted_verdict(self) -> Verdict:
         """The accept/prune rule on the slot totals of a list known to be
         complete; :func:`is_hit_or_drop` adds what a hit needs otherwise."""
+        k = self.params.k
         if self.drop_mass >= k:
             return Verdict.DROP
         if self.hit_mass < k:
@@ -345,16 +345,15 @@ class NNLists:
         upper = self._walk(k, upper=True)
         return NEG_INF if upper is None else upper
 
-    def walked_verdict(self, query: QueryObject, params: SimParams, stats: NormStats,
-                       *, gated: bool = True) -> Verdict:
+    def walked_verdict(self, *, gated: bool = True) -> Verdict:
         """:func:`is_hit_or_drop` by the sorted walks, the reference that audit
         runs and the tests compare it with."""
-        tree, owner, k = self.tree, self.owner, params.k
+        k = self.params.k
         lower = self.knn_lower(k)
-        if lower is not None and max_sim_st(tree, owner, query, params, stats) <= lower:
+        if lower is not None and self.optimistic <= lower:
             return Verdict.DROP
         upper = self.knn_upper(k) if gated else self._walk(k, upper=True)
-        if upper is not None and min_sim_st(tree, owner, query, params, stats) > upper:
+        if upper is not None and self.pessimistic > upper:
             return Verdict.HIT
         return Verdict.UNDECIDED
 
@@ -376,6 +375,9 @@ class NNLists:
             if self.tree.overlaps(t.entry, self.owner):
                 assert t.m == count - 1, "overlapping entry must give up one slot"
             assert t.min_sim <= t.max_sim + 1e-12
+        assert (self.drop_mass, self.hit_mass, self.covered_slots) == self._recount(), (
+            "slot totals differ from a recount"
+        )
         for i, a in enumerate(entries):
             for b in entries[i + 1 :]:
                 assert not self.tree.overlaps(a, b), (
@@ -383,22 +385,19 @@ class NNLists:
                 )
 
 
-def is_hit_or_drop(lists: NNLists, query: QueryObject, params: SimParams,
-                   stats: NormStats, *, gated: bool = True) -> Verdict:
-    """Sufficient accept/prune test for the list's owner against the query.
+def is_hit_or_drop(lists: NNLists, *, gated: bool = True) -> Verdict:
+    """Sufficient accept/prune test for the list's owner against its query.
 
     Drop when at least k slots have a lower bound at or above the optimistic
     owner-query similarity (ties drop: database points win them).  Hit when
     fewer than k slots have an upper bound at or above the pessimistic one
     and the list is complete, or, with ``gated=False`` (only the deliberately
     faulty legacy modes), covers at least k slots.  Otherwise undecided.  The
-    list recounts its totals only for another query, alpha or statistics
-    (:meth:`NNLists.query_bounds`), and completeness is checked only when a
-    hit is possible.
+    list keeps its slot totals current, and completeness is checked only when
+    a hit is possible.
     """
-    lists.query_bounds(query, params, stats)
-    k = params.k
-    verdict = lists.counted_verdict(k)
-    if verdict is Verdict.HIT and not (lists.is_complete() if gated else lists.covered_slots >= k):
+    verdict = lists.counted_verdict()
+    if verdict is Verdict.HIT and not (
+            lists.is_complete() if gated else lists.covered_slots >= lists.params.k):
         return Verdict.UNDECIDED
     return verdict

@@ -204,6 +204,19 @@ def test_query_oracle_mode_matches(tmp_path):
     assert correct_out.splitlines()[0] == oracle_out.splitlines()[0]
 
 
+@pytest.mark.parametrize("flags", [["--trace"], ["--out", "trace.jsonl"],
+                                   ["--trace", "--out", "trace.jsonl"]])
+def test_query_oracle_rejects_trace_and_out(tmp_path, monkeypatch, flags):
+    # brute force records no trace, so asking for one is a usage error, not
+    # a silent success that prints no table and writes no file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["query", str(FIXTURES / "faulty2011.dataset.jsonl"),
+                              "--qx", "126.0", "--qy", "44.0", "--mode", "oracle", *flags])
+    assert code == EXIT_USAGE and not out
+    assert "--trace and --out" in err
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
 def test_query_rejects_bad_params(tmp_path):
     dataset = _write_collinear(tmp_path)
     code, _, _ = run_cli(["query", str(dataset), "--qx", "0", "--qy", "0", "--k", "0"])

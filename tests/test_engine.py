@@ -155,10 +155,9 @@ def test_two_cluster_bound_values_drive_the_faults():
 def test_final_verification_empty_col_is_noop():
     fx = two_cluster_fixture()
     tree = fx.build_tree()
-    stats = tree.norm_stats()
     state = EngineState(u=__import__("collections").deque(), col=[], rol=["P0"],
                         pel=[], lists={}, trace=[])
-    final_verification(state, tree, fx.query, fx.params, stats)
+    final_verification(state, tree)
     assert state.rol == ["P0"] and not state.trace
 
 
@@ -288,7 +287,6 @@ def test_audit_counts_and_bound_records():
     audit = EngineAudit(record_bounds=True)
     result, trace = rstknn_query(tree, fx.query, fx.params, audit=audit)
     assert result == EXPECTED_RESULT
-    assert audit.completeness_failures == 0
     # one gate evaluation per dequeue plus one per verified candidate
     assert audit.completeness_evaluations == len(trace)
     assert audit.bound_records
@@ -326,9 +324,8 @@ def test_completeness_assertion_fires_on_an_incomplete_list(monkeypatch, n, alph
     audit = EngineAudit()
     with pytest.raises(CompletenessViolation, match=f"for {target} "):
         rstknn_query(tree, q, SimParams(alpha=alpha, k=k), audit=audit)
-    assert audit.completeness_failures == 1
     [lists] = incomplete
-    assert lists.counted_verdict(k) is would_be
+    assert lists.counted_verdict() is would_be
 
 
 def test_knn_bound_sandwich_against_bruteforce():

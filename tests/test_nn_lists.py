@@ -18,6 +18,21 @@ from rstknn.iur_tree import (
 from rstknn.nn_lists import NEG_INF, NNLists, NNTuple, NotInternalNode, Verdict, is_hit_or_drop
 
 PARAMS = SimParams(alpha=1.0, k=2)
+ORIGIN = QueryObject((0.0, 0.0), TermVector())
+
+
+def _lists(tree, owner, query=ORIGIN, params=PARAMS, stats=None):
+    """An empty list for ``owner`` in one query run; the tree's statistics
+    unless others are given."""
+    return NNLists(owner, tree, query, params, tree.norm_stats() if stats is None else stats)
+
+
+def _assert_totals(lists):
+    """The kept slot totals equal a recount against the list's query bounds."""
+    ts = lists.tuples()
+    assert lists.covered_slots == sum(t.m for t in ts)
+    assert lists.drop_mass == sum(t.m for t in ts if t.min_sim >= lists.optimistic)
+    assert lists.hit_mass == sum(t.m for t in ts if t.max_sim >= lists.pessimistic)
 
 
 def _line_tree():
@@ -30,55 +45,55 @@ def _line_tree():
 def test_add_self_sets_count_and_bounds():
     objs, tree, stats = _line_tree()
     n3 = node_entry(3)
-    lists = NNLists(n3, tree)
-    lists.add_self(PARAMS, stats)
+    lists = _lists(tree, n3)
+    lists.add_self()
     t = lists.get(n3)
     assert t is not None and t.m == 1  # |N3| - 1
     assert t.min_sim == min_sim_st(tree, n3, n3, PARAMS, stats)
     assert t.max_sim == max_sim_st(tree, n3, n3, PARAMS, stats)
     assert t.min_sim <= t.max_sim
     # idempotent upsert
-    lists.add_self(PARAMS, stats)
+    lists.add_self()
     assert len(lists) == 1
 
 
 def test_add_self_zero_slot_singleton_node():
     o = STObject("only", (0.0, 0.0), TermVector())
     tree = build_tree([o])
-    lists = NNLists(tree.root_entry(), tree)
-    lists.add_self(PARAMS, tree.norm_stats())
+    lists = _lists(tree, tree.root_entry())
+    lists.add_self()
     assert lists.get(tree.root_entry()).m == 0
 
 
 def test_add_self_rejects_object_owner():
     objs, tree, stats = _line_tree()
-    lists = NNLists(object_entry("P0"), tree)
+    lists = _lists(tree, object_entry("P0"))
     with pytest.raises(NotInternalNode):
-        lists.add_self(PARAMS, stats)
+        lists.add_self()
 
 
 def test_update_replaces_proper_ancestor():
     objs, tree, stats = _line_tree()
     owner = object_entry("P0")
-    lists = NNLists(owner, tree)
+    lists = _lists(tree, owner)
     n2, n3 = node_entry(2), node_entry(3)
-    lists.update_with(n2, PARAMS, stats)
+    lists.update_with(n2)
     assert n2 in lists
-    lists.update_with(n3, PARAMS, stats)  # N3 is a child of N2
+    lists.update_with(n3)  # N3 is a child of N2
     assert n2 not in lists and n3 in lists
     # sibling updates never remove each other
-    lists.update_with(node_entry(4), PARAMS, stats)
+    lists.update_with(node_entry(4))
     assert n3 in lists and node_entry(4) in lists
     lists.check_invariants()
 
 
 def test_update_upsert_keeps_m():
     objs, tree, stats = _line_tree()
-    lists = NNLists(object_entry("P0"), tree)
+    lists = _lists(tree, object_entry("P0"))
     n4 = node_entry(4)
-    lists.update_with(n4, PARAMS, stats)
+    lists.update_with(n4)
     before = lists.get(n4)
-    lists.update_with(n4, PARAMS, stats)
+    lists.update_with(n4)
     after = lists.get(n4)
     assert after.m == before.m == 2
     assert after.min_sim == before.min_sim and after.max_sim == before.max_sim
@@ -95,7 +110,7 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
         entries = all_entries(tree)
         for _ in range(5):
             owner = rng.choice(entries)
-            lists = NNLists(owner, tree)
+            lists = _lists(tree, owner, params=params, stats=stats)
             for _ in range(25):
                 held = {t.entry for t in lists.tuples()}
                 options = [
@@ -112,7 +127,7 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
                 b = rng.choice(options)
                 removed = {e for e in held if e != b and tree.is_ancestor_or_equal(e, b)}
                 equal_span_removals += sum(tree.is_ancestor_or_equal(b, e) for e in removed)
-                lists.update_with(b, params, stats)
+                lists.update_with(b)
                 assert {t.entry for t in lists.tuples()} == (held - removed) | {b}
                 lists.check_invariants()
     assert equal_span_removals > 0
@@ -121,18 +136,19 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
 def test_update_with_stores_and_returns_shared_bounds():
     objs, tree, stats = _line_tree()
     p0, n4 = object_entry("P0"), node_entry(4)
-    forward = NNLists(p0, tree).update_with(n4, PARAMS, stats)
+    forward = _lists(tree, p0).update_with(n4)
     assert forward == pair_sim_bounds(tree, p0, n4, PARAMS, stats)
-    reverse = NNLists(n4, tree)
-    assert reverse.update_with(p0, PARAMS, stats, forward) == forward
+    reverse = _lists(tree, n4)
+    assert reverse.bounds(p0) == forward
+    assert reverse.update_with(p0, forward) == forward
     t = reverse.get(p0)
     assert (t.min_sim, t.max_sim, t.m) == (*forward, 1)
 
 
-def _manual_lists(tree, owner, rows):
-    lists = NNLists(owner, tree)
+def _manual_lists(tree, owner, rows, query=ORIGIN, params=PARAMS):
+    lists = _lists(tree, owner, query, params)
     for entry, m, lo, hi in rows:
-        lists._tuples[entry] = NNTuple(entry, m, lo, hi)
+        lists._put(NNTuple(entry, m, lo, hi))
     return lists
 
 
@@ -150,7 +166,7 @@ def test_split_replaces_the_covering_tuple_by_the_path_pieces():
     }
     lists.split(object_entry("P2"))  # already has its own tuple
     assert len(lists) == 4
-    bounds = lists.refine(object_entry("P3"), PARAMS, stats)
+    bounds = lists.refine(object_entry("P3"))
     assert bounds == pair_sim_bounds(tree, n1, object_entry("P3"), PARAMS, stats)
     assert lists.get(object_entry("P3")).source == n1 and len(lists) == 4
     with pytest.raises(ValueError, match="covers"):
@@ -159,86 +175,87 @@ def test_split_replaces_the_covering_tuple_by_the_path_pieces():
 
 def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
     # the masses kept through splits, refinements and plain pops equal a
-    # recount, and on a partition they give the walks' verdict
+    # recount, and on a partition they give the walks' verdict; one list per
+    # k, all built by the same steps
     agreements = {v: 0 for v in Verdict}
     trees = [build_tree(random_dataset(rng, rng.randint(2, 30), 5), f) for f in (2, 3, 4, 8)]
     for tree in trees + equal_span_trees:
         stats = tree.norm_stats()
         entries = all_entries(tree)
         for _ in range(4):
-            params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=1)
+            alpha = rng.choice([0.0, 0.4, 1.0])
             q = random_query(rng, 5)
             # inherit down to a random owner, as the traversal does
             owner = rng.choice(entries)
             path = [owner]
             while tree.parent(path[-1]) is not None:
                 path.append(tree.parent(path[-1]))
-            lists = NNLists(path[-1], tree)
-            lists.add_self(params, stats)
-            for child in reversed(path[:-1]):
-                lists = NNLists.inherited(child, lists)
-                lists.split(child)
-                if child.is_node:
-                    lists.add_self(params, stats)
-            lists.watch(q, params, stats)
+            family = []
+            for k in range(1, tree.size + 2):
+                lists = _lists(tree, path[-1], q, SimParams(alpha, k), stats)
+                lists.add_self()
+                for child in reversed(path[:-1]):
+                    lists = NNLists.inherited(child, lists)
+                    lists.split(child)
+                    if child.is_node:
+                        lists.add_self()
+                family.append(lists)
             for _ in range(20):
                 options = [e for e in entries if not tree.overlaps(e, owner) and (
-                    e in lists or any(c in lists for c in tree.covering(e)))]
+                    e in family[0] or any(c in family[0] for c in tree.covering(e)))]
                 if not options:
                     break
-                lists.refine(rng.choice(options), params, stats)
-                drop, hit = lists.drop_mass, lists.hit_mass
-                assert lists.watch(q, params, stats) and (drop, hit) == (
-                    lists.drop_mass, lists.hit_mass)
-                for k in range(1, tree.size + 2):
-                    params_k = SimParams(params.alpha, k)
-                    verdict = lists.walked_verdict(q, params_k, stats)
-                    assert lists.counted_verdict(k) is verdict
-                    assert is_hit_or_drop(lists, q, params_k, stats) is verdict
+                b = rng.choice(options)
+                for lists in family:
+                    lists.refine(b)
+                    _assert_totals(lists)
+                    verdict = lists.walked_verdict()
+                    assert lists.counted_verdict() is verdict
+                    assert is_hit_or_drop(lists) is verdict
                     agreements[verdict] += 1
-            if len(lists) > 1:  # a plain pop keeps the counts too
-                lists.remove(lists.tuples()[-1].entry)
-                drop, hit = lists.drop_mass, lists.hit_mass
-                lists.watch(q, params, stats)
-                assert (drop, hit) == (lists.drop_mass, lists.hit_mass)
+            if len(family[0]) > 1:  # a plain pop keeps the counts too
+                entry = family[0].tuples()[-1].entry
+                for lists in family:
+                    lists.remove(entry)
+                    _assert_totals(lists)
     assert min(agreements.values()) > 0
 
 
 def test_slot_counts_agree_with_the_walks_on_popped_lists(rng, equal_span_trees):
     # the legacy modes change lists by update_with alone, whose pops leave
     # them incomplete and sometimes short of k slots: the kept totals equal a
-    # recount, and both tests give the walks' verdict, gated or not
+    # recount, and both tests give the walks' verdict, gated or not; one list
+    # per k, all built by the same steps
     agreements = {gated: {v: 0 for v in Verdict} for gated in (True, False)}
     trees = [build_tree(random_dataset(rng, rng.randint(2, 30), 5), f) for f in (2, 3, 4, 8)]
     for tree in trees + equal_span_trees:
         stats = tree.norm_stats()
         entries = all_entries(tree)
         for _ in range(4):
-            params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=1)
+            alpha = rng.choice([0.0, 0.4, 1.0])
             q = random_query(rng, 5)
             owner = rng.choice(entries)
             others = [e for e in entries if e != owner]
-            lists = NNLists(owner, tree)
+            family = [_lists(tree, owner, q, SimParams(alpha, k), stats)
+                      for k in range(1, tree.size + 2)]
             if owner.is_node and rng.random() < 0.5:
-                lists.add_self(params, stats)
-            lists.watch(q, params, stats)
+                for lists in family:
+                    lists.add_self()
             for _ in range(12):
-                lists.update_with(rng.choice(others), params, stats)
-                totals = lists.drop_mass, lists.hit_mass, lists.covered_slots
-                lists.watch(q, params, stats)
-                assert totals == (lists.drop_mass, lists.hit_mass, lists.covered_slots)
-                for k in range(1, tree.size + 2):
-                    params_k = SimParams(params.alpha, k)
+                b = rng.choice(others)
+                for lists in family:
+                    lists.update_with(b)
+                    _assert_totals(lists)
                     for gated in (True, False):
-                        verdict = lists.walked_verdict(q, params_k, stats, gated=gated)
-                        assert is_hit_or_drop(lists, q, params_k, stats, gated=gated) is verdict
+                        verdict = lists.walked_verdict(gated=gated)
+                        assert is_hit_or_drop(lists, gated=gated) is verdict
                         agreements[gated][verdict] += 1
     assert min(min(counts.values()) for counts in agreements.values()) > 0
 
 
 def test_is_hit_or_drop_recounts_for_another_query_alpha_or_stats(rng):
-    # one list tested in turn against other queries, alphas and statistics
-    # gives the walks' verdict for each
+    # lists for one owner and one sequence of updates, each in its own run
+    # with another query, alpha or statistics, give the walks' verdict
     verdicts = set()
     for _ in range(20):
         tree = build_tree(random_dataset(rng, rng.randint(2, 20), 5), rng.choice([2, 4]))
@@ -247,34 +264,35 @@ def test_is_hit_or_drop_recounts_for_another_query_alpha_or_stats(rng):
         queries = [random_query(rng, 5) for _ in range(2)]
         entries = all_entries(tree)
         owner = rng.choice(entries)
-        lists = NNLists(owner, tree)
         others = [e for e in entries if e != owner]
-        for e in rng.sample(others, min(4, len(others))):
-            lists.update_with(e, SimParams(0.4, 1), base)
+        updates = rng.sample(others, min(4, len(others)))
         for _ in range(12):
             params = SimParams(rng.choice([0.0, 0.4, 1.0]), rng.randint(1, 4))
             q, st = rng.choice(queries), rng.choice(stats)
+            lists = _lists(tree, owner, q, params, st)
+            for e in updates:
+                lists.update_with(e)
             for gated in (True, False):
-                verdict = lists.walked_verdict(q, params, st, gated=gated)
-                assert is_hit_or_drop(lists, q, params, st, gated=gated) is verdict
+                verdict = lists.walked_verdict(gated=gated)
+                assert is_hit_or_drop(lists, gated=gated) is verdict
                 verdicts.add(verdict)
     assert verdicts == set(Verdict)
 
 
 def test_update_overlap_rule_point_inside_node():
     objs, tree, stats = _line_tree()
-    lists = NNLists(object_entry("P2"), tree)
+    lists = _lists(tree, object_entry("P2"))
     n2 = node_entry(2)  # contains P2
-    lists.update_with(n2, PARAMS, stats)
+    lists.update_with(n2)
     assert lists.get(n2).m == 3  # |N2| - 1
 
 
 def test_inherit_copies_and_recomputes_m():
     objs, tree, stats = _line_tree()
     n2, n3 = node_entry(2), node_entry(3)
-    parent = NNLists(n2, tree)
-    parent.add_self(PARAMS, stats)
-    parent.update_with(node_entry(1), PARAMS, stats)
+    parent = _lists(tree, n2)
+    parent.add_self()
+    parent.update_with(node_entry(1))
     child = NNLists.inherited(n3, parent)
     assert child.owner == n3
     # the parent's self tuple is an ancestor of the child: slot count stays |N2|-1
@@ -291,7 +309,9 @@ def test_inherit_copies_and_recomputes_m():
 def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_trees):
     # a child's list holds its parent's very tuples; that is exact because
     # no list holds a proper descendant of its owner, in every mode, so each
-    # inherited slot count equals a fresh one
+    # inherited slot count equals a fresh one.  The tuples change owner here,
+    # so the slot totals must be the child's: counted against its own query
+    # bounds
     inherit = NNLists.__dict__["inherited"].__func__
     shared = 0
 
@@ -299,6 +319,11 @@ def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_
         nonlocal shared
         lists = inherit(cls, child, parent_lists)
         tree = lists.tree
+        run = (lists.query, lists.params, lists.stats)
+        assert run == (parent_lists.query, parent_lists.params, parent_lists.stats)
+        assert (lists.pessimistic, lists.optimistic) == (min_sim_st(tree, child, *run),
+                                                         max_sim_st(tree, child, *run))
+        _assert_totals(lists)
         for t in lists.tuples():
             assert t is parent_lists.get(t.entry)
             assert t.m == lists._m_for(t.entry), (child.label, t.entry.label)
@@ -323,28 +348,9 @@ def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_
     assert shared > 1000
 
 
-def test_query_bounds_recount_only_for_another_query_alpha_or_stats(rng):
-    tree = build_tree(random_dataset(rng, 20, 5), 4)
-    stats = tree.norm_stats()
-    q = random_query(rng, 5)
-    lists = NNLists(tree.root_entry(), tree)
-    lists.add_self(PARAMS, stats)
-    watch, recounts = lists.watch, []
-    lists.watch = lambda *args: recounts.append(args) or watch(*args)
-    bounds = lists.query_bounds(q, PARAMS, stats)
-    assert bounds == (min_sim_st(tree, lists.owner, q, PARAMS, stats),
-                      max_sim_st(tree, lists.owner, q, PARAMS, stats))
-    assert lists.query_bounds(q, SimParams(PARAMS.alpha, 5), stats) == bounds  # k is free
-    assert len(recounts) == 1
-    lists.query_bounds(QueryObject(q.loc, q.vct), PARAMS, stats)  # an equal, other query
-    lists.query_bounds(q, SimParams(0.5, 2), stats)
-    lists.query_bounds(q, SimParams(0.5, 2), NormStats(*vars(stats).values()))
-    assert len(recounts) == 4
-
-
 def test_inherit_empty_parent():
     objs, tree, stats = _line_tree()
-    parent = NNLists(node_entry(2), tree)
+    parent = _lists(tree, node_entry(2))
     child = NNLists.inherited(node_entry(3), parent)
     assert len(child) == 0
 
@@ -352,10 +358,10 @@ def test_inherit_empty_parent():
 def test_strip_self_and_parent():
     objs, tree, stats = _line_tree()
     n3 = node_entry(3)
-    lists = NNLists(n3, tree)
-    lists.add_self(PARAMS, stats)
-    lists.update_with(node_entry(2), PARAMS, stats)  # would not happen live; forces the case
-    lists.update_with(node_entry(1), PARAMS, stats)
+    lists = _lists(tree, n3)
+    lists.add_self()
+    lists.update_with(node_entry(2))  # would not happen live; forces the case
+    lists.update_with(node_entry(1))
     lists.strip_self_and_parent()
     assert n3 not in lists and node_entry(2) not in lists
     assert node_entry(1) in lists
@@ -430,16 +436,14 @@ def test_walk_value_independent_of_insertion_order_on_ties():
         (node_entry(3), 2, 0.5, 0.7),
         (node_entry(4), 2, 0.3, 0.7),
     ]
-    forward = _manual_lists(tree, owner, rows)
-    backward = _manual_lists(tree, owner, rows[::-1])
-    assert forward.is_complete() and backward.is_complete()
     for k in range(1, 7):
         params = SimParams(alpha=1.0, k=k)
+        forward = _manual_lists(tree, owner, rows, q, params)
+        backward = _manual_lists(tree, owner, rows[::-1], q, params)
+        assert forward.is_complete() and backward.is_complete()
         assert forward.knn_lower(k) == backward.knn_lower(k)
         assert forward.knn_upper(k) == backward.knn_upper(k)
-        assert is_hit_or_drop(forward, q, params, stats, gated=False) is is_hit_or_drop(
-            backward, q, params, stats, gated=False
-        )
+        assert is_hit_or_drop(forward, gated=False) is is_hit_or_drop(backward, gated=False)
     assert [forward.knn_lower(k) for k in range(1, 7)] == [0.5, 0.5, 0.5, 0.3, 0.3, None]
     assert [forward.knn_upper(k) for k in range(1, 7)] == [0.7] * 5 + [NEG_INF]
 
@@ -458,11 +462,12 @@ def test_is_hit_or_drop_drop_and_tie():
     params = SimParams(alpha=1.0, k=1)
     sim_to_q = max_sim_st(tree, owner, q_far, params, stats)
     # lower bound above the query similarity: prune
-    lists = _manual_lists(tree, owner, [(object_entry("P1"), 1, sim_to_q + 0.1, 1.0)])
-    assert is_hit_or_drop(lists, q_far, params, stats) is Verdict.DROP
+    lists = _manual_lists(tree, owner, [(object_entry("P1"), 1, sim_to_q + 0.1, 1.0)],
+                          q_far, params)
+    assert is_hit_or_drop(lists) is Verdict.DROP
     # exact tie also prunes: database points win ties
-    tie = _manual_lists(tree, owner, [(object_entry("P1"), 1, sim_to_q, 1.0)])
-    assert is_hit_or_drop(tie, q_far, params, stats) is Verdict.DROP
+    tie = _manual_lists(tree, owner, [(object_entry("P1"), 1, sim_to_q, 1.0)], q_far, params)
+    assert is_hit_or_drop(tie) is Verdict.DROP
     # lower bound below, upper bound below: hit
     hit = _manual_lists(
         tree,
@@ -472,8 +477,10 @@ def test_is_hit_or_drop_drop_and_tie():
             (node_entry(3), 2, sim_to_q - 0.5, sim_to_q - 0.4),
             (node_entry(4), 2, sim_to_q - 0.6, sim_to_q - 0.5),
         ],
+        q_far,
+        params,
     )
-    assert is_hit_or_drop(hit, q_far, params, stats) is Verdict.HIT
+    assert is_hit_or_drop(hit) is Verdict.HIT
     # upper tie: strict inequality required for a hit
     tie_hit = _manual_lists(
         tree,
@@ -483,9 +490,11 @@ def test_is_hit_or_drop_drop_and_tie():
             (node_entry(3), 2, sim_to_q - 1.0, sim_to_q - 0.9),
             (node_entry(4), 2, sim_to_q - 1.1, sim_to_q - 1.0),
         ],
+        q_far,
+        params,
     )
     assert tie_hit.knn_upper(1) == sim_to_q
-    assert is_hit_or_drop(tie_hit, q_far, params, stats) is Verdict.UNDECIDED
+    assert is_hit_or_drop(tie_hit) is Verdict.UNDECIDED
 
 
 def test_is_hit_or_drop_incomplete_list_cannot_hit():
@@ -494,10 +503,10 @@ def test_is_hit_or_drop_incomplete_list_cannot_hit():
     q = QueryObject((5.0, 0.0), TermVector())
     params = SimParams(alpha=1.0, k=1)
     # only a low-upper tuple, but P1 and N4 are uncovered: no hit allowed
-    lists = _manual_lists(tree, owner, [(node_entry(3), 2, 0.0, 0.1)])
-    assert is_hit_or_drop(lists, q, params, stats) is Verdict.UNDECIDED
+    lists = _manual_lists(tree, owner, [(node_entry(3), 2, 0.0, 0.1)], q, params)
+    assert is_hit_or_drop(lists) is Verdict.UNDECIDED
     # the ungated variant (legacy behavior) accepts on the same evidence
-    assert is_hit_or_drop(lists, q, params, stats, gated=False) is Verdict.HIT
+    assert is_hit_or_drop(lists, gated=False) is Verdict.HIT
 
 
 def test_operation_sequences_preserve_invariants(rng):
@@ -508,8 +517,8 @@ def test_operation_sequences_preserve_invariants(rng):
         stats = tree.norm_stats()
         params = SimParams(alpha=rng.choice([0.0, 0.5, 1.0]), k=rng.randint(1, 3))
         root = tree.root_entry()
-        lists = NNLists(root, tree)
-        lists.add_self(params, stats)
+        lists = _lists(tree, root, params=params, stats=stats)
+        lists.add_self()
         lists.check_invariants()
         # walk down one branch, inheriting and updating with sibling entries
         current, current_lists = root, lists
@@ -519,10 +528,10 @@ def test_operation_sequences_preserve_invariants(rng):
             child_lists = NNLists.inherited(nxt, current_lists)
             child_lists.strip_self_and_parent()
             if nxt.is_node:
-                child_lists.add_self(params, stats)
+                child_lists.add_self()
             for sib in children:
                 if sib != nxt:
-                    child_lists.update_with(sib, params, stats)
+                    child_lists.update_with(sib)
             child_lists.check_invariants()
             assert child_lists.coverage() <= tree.size - 1
             current, current_lists = nxt, child_lists

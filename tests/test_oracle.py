@@ -239,9 +239,9 @@ def test_correct_mode_equals_bruteforce_off_the_grid(instance, fanout):
     tree = build_tree(objs, fanout)
     stats = tree.norm_stats()
     audit = EngineAudit()
-    got, _ = rstknn_query(tree, query, params, stats=stats, audit=audit)
+    got, _ = rstknn_query(tree, query, params, stats=stats, audit=audit)  # raises if incomplete
     assert got == rknn_bruteforce(objs, query, params, stats)
-    assert audit.completeness_failures == 0
+    assert audit.completeness_evaluations > 0
 
 
 @settings(max_examples=300, deadline=None)
