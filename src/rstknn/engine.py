@@ -16,8 +16,7 @@ differ in control flow:
   remaining tuple can change its verdict.  A runtime assertion verifies
   that every list is complete at test time, and audit runs check every
   verdict against the sorted walks; survivors of the main loop are settled
-  by the same exchange over single objects.  An entry's lists are freed
-  once it is decided or expanded.
+  by the same exchange over single objects.
 * ``FAULTY2011`` — a reproduction of the legacy priority-queue algorithm
   that never lets a node account for its own contents.  Intentionally
   unsound; kept as an executable regression of that failure mode.
@@ -28,6 +27,9 @@ differ in control flow:
 Both legacy modes take the test ungated: a hit needs only k covered slots,
 not a complete list.
 
+In every mode an entry's NN-list is freed once the entry is decided or
+expanded; only the candidates keep theirs, for the final verification.
+
 Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
 lists.  A snapshot copies the entries; their labels are made only when a
@@ -36,6 +38,7 @@ column is read.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -102,10 +105,13 @@ class TraceEvent:
 
 @dataclass
 class EngineAudit:
-    """Counters and optional bound samples collected from a correct-mode run."""
+    """The bounds behind every decision of an audited correct-mode run.
 
-    completeness_evaluations: int = 0
-    record_bounds: bool = False
+    Each decision appends ``(owner, knn_lower, knn_upper)``, the sorted
+    walks' k-th-neighbour bounds on the owner's list, after the walks have
+    been checked to reach the same verdict as the slot totals.
+    """
+
     bound_records: list[tuple[Entry, float | None, float | None]] = field(default_factory=list)
 
 
@@ -119,12 +125,10 @@ class EngineState:
     pel: list[Entry]
     lists: dict[Entry, NNLists]
     trace: list[TraceEvent]
-    step: int = 0
 
     def snapshot(self, action: str) -> None:
-        self.step += 1
-        self.trace.append(TraceEvent(self.step, action, tuple(self.u), tuple(self.col),
-                                     tuple(self.rol), tuple(self.pel)))
+        self.trace.append(TraceEvent(len(self.trace) + 1, action, tuple(self.u),
+                                     tuple(self.col), tuple(self.rol), tuple(self.pel)))
 
 
 # -- correct mode -----------------------------------------------------------
@@ -145,17 +149,15 @@ def _checked_verdict(lists: NNLists, audit: EngineAudit | None) -> Verdict:
     would-be HIT into UNDECIDED.
     """
     verdict = is_hit_or_drop(lists)
-    if audit is not None:
-        audit.completeness_evaluations += 1
     if verdict is not Verdict.HIT and not lists.is_complete():
         raise CompletenessViolation(
             f"incomplete NN-list for {lists.owner.label} at decision time"
         )
-    if audit is not None and audit.record_bounds:
+    if audit is not None:
+        if lists.walked_verdict() is not verdict:
+            raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
         k = lists.params.k
         audit.bound_records.append((lists.owner, lists.knn_lower(k), lists.knn_upper(k)))
-    if audit is not None and lists.walked_verdict() is not verdict:
-        raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
     return verdict
 
 
@@ -275,7 +277,7 @@ def final_verification(state: EngineState, tree: IurTree,
 
 def _ranked(queue: dict[Entry, float]) -> list[Entry]:
     """Queued entries by decreasing priority, ties broken by entry order."""
-    return sorted(queue, key=lambda e: (-queue[e], e.order_key))
+    return sorted(queue, key=lambda e: (-queue[e], e))
 
 
 def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
@@ -302,7 +304,6 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
             lists = NNLists.inherited(child, parent_lists)
             if locality:
                 lists.remove(parent)
-            state.lists[child] = lists
             verdict = is_hit_or_drop(lists, gated=False)
             if verdict is Verdict.UNDECIDED:
                 if locality and child.is_node:
@@ -313,7 +314,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                 if locality:
                     # the later variant scans neighbors most-similar first
                     pairs = {e: lists.bounds(e) for e in candidates}
-                    candidates.sort(key=lambda e: (-pairs[e][1], e.order_key))
+                    candidates.sort(key=lambda e: (-pairs[e][1], e))
                 for other in candidates:  # never the child, which is new to the run
                     bounds = lists.update_with(other, pairs.get(other))
                     verdict = is_hit_or_drop(lists, gated=False)
@@ -328,7 +329,11 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                             if other in state.col:
                                 state.col.remove(other)
                             _route(state, tree, other, other_verdict)
+                            del state.lists[other]
+            # as in the correct mode, a routed or expanded entry's list is never
+            # read again: only queued entries and candidates keep theirs
             if verdict is Verdict.UNDECIDED:
+                state.lists[child] = lists
                 if child.is_node:
                     queue[child] = max_sim_st(tree, child, query, params, stats)
                     action += f", Enqueue {child.label}"
@@ -336,6 +341,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                     state.col.append(child)
             else:
                 _route(state, tree, child, verdict)
+        del state.lists[parent]
         # keep the trace's U column consistent with the live queue
         state.u = deque(_ranked(queue))
         state.snapshot(action)
@@ -355,10 +361,10 @@ def _faulty_final_verification(state: EngineState, tree: IurTree) -> None:
     still covers fewer than k neighbors is accepted, mirroring the convention
     that an object short of k competitors has the query among its k nearest.
     """
-    working = list(state.pel)
+    working = [(-tree.depth(e), e) for e in state.pel]  # a heap, deepest first
+    heapq.heapify(working)
     while state.col and working:
-        working.sort(key=lambda e: (-tree.depth(e), e.order_key))
-        entry = working.pop(0)
+        neg_depth, entry = heapq.heappop(working)
         for candidate in list(state.col):
             lists = state.lists[candidate]
             lists.update_with(entry)
@@ -367,8 +373,8 @@ def _faulty_final_verification(state: EngineState, tree: IurTree) -> None:
                 state.col.remove(candidate)
                 _route(state, tree, candidate, verdict)
                 state.snapshot(f"Verify {candidate.label}")
-        if entry.is_node:
-            working.extend(tree.children(entry))
+        for child in tree.children(entry):
+            heapq.heappush(working, (neg_depth - 1, child))
     for candidate in list(state.col):
         lists = state.lists[candidate]
         for other in state.rol + [c.ident for c in state.col if c != candidate]:

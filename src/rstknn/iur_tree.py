@@ -92,7 +92,9 @@ class Entry(NamedTuple):
     """A traversal unit: either an index node or a single data object.
 
     A named tuple, so that hashing and equality (every NN-list and record
-    lookup) run in C.
+    lookup) run in C, and so that entries sort in one deterministic order
+    (used to break ties): nodes before objects, nodes by number, objects by
+    id.
     """
 
     kind: str  # "node" | "object"
@@ -109,13 +111,6 @@ class Entry(NamedTuple):
     @property
     def label(self) -> str:
         return f"N{self.ident}" if self.kind == "node" else str(self.ident)
-
-    @property
-    def order_key(self) -> tuple[str, str]:
-        """Deterministic total order used for tie-breaking."""
-        if self.kind == "node":
-            return ("n", f"{self.ident:012d}")
-        return ("o", str(self.ident))
 
 
 def node_entry(node_id: int) -> Entry:
@@ -155,17 +150,16 @@ Layout = list  # nested lists; a leaf is a list of object-id strings
 class EntryRecord(NamedTuple):
     """What the tree knows about one entry, the same for nodes and objects.
 
-    An object is a degenerate node: count 1, no children, a point MBR and
-    both vectors equal to its term vector.  Invariants (checked by the test
-    suite, relied on everywhere):
+    An object is a degenerate node: a span of width 1, no children, a point
+    MBR and both vectors equal to its term vector.  Invariants (checked by
+    the test suite, relied on everywhere):
       * ``mbr`` is tight over the subtree's object locations;
       * for every contained object o and term t:
         int_vct[t] <= o.vct[t] <= union_vct[t] (absent terms read as 0);
-      * ``count`` equals the number of objects in the subtree.
+      * the width of ``span`` equals the number of objects in the subtree.
     """
 
     span: tuple[int, int]         # preorder object interval [lo, hi)
-    count: int
     depth: int                    # the root has depth 0
     parent: Entry | None
     children: tuple[Entry, ...]   # in stored order; () for objects
@@ -186,7 +180,8 @@ class IurTree:
     object, built by :func:`tree_from_layout`, so that no accessor walks the
     tree or branches on entry kind.  Node ids and object positions follow
     preorder, so an entry's span, the interval of its objects' positions,
-    decides ancestry by containment.  The record's ``covering`` is the other
+    decides ancestry by containment, and its width is the entry's object
+    count.  The record's ``covering`` is the other
     entries whose span contains the entry's: its proper ancestors plus the
     descendants that share its span, the nodes of a single-child chain below
     it and the object of a single-object leaf.  The NN-lists drop exactly
@@ -226,7 +221,9 @@ class IurTree:
         return self._records[entry].parent
 
     def count(self, entry: Entry) -> int:
-        return self._records[entry].count
+        """The number of objects in the subtree, the width of its span."""
+        lo, hi = self._records[entry].span
+        return hi - lo
 
     def depth(self, entry: Entry) -> int:
         return self._records[entry].depth
@@ -390,7 +387,7 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
                 raise ValueError("layout must mention each object id exactly once")
             pos = len(order)
             records[child] = EntryRecord(
-                (pos, pos + 1), 1, len(below), entry, (), Mbr.from_point(obj.loc),
+                (pos, pos + 1), len(below), entry, (), Mbr.from_point(obj.loc),
                 obj.vct, obj.vct, below, frozenset((oid,)))
             children.append(child)
             order.append(oid)
@@ -400,17 +397,17 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
     for nid in reversed(range(len(nodes))):
         ancestors, children, lo = nodes[nid]
         below_records = [records[c] for c in children]
-        count = sum(r.count for r in below_records)
+        hi = below_records[-1].span[1]  # children hold consecutive spans
         chain: tuple[Entry, ...] = ()  # the descendants holding exactly this node's objects
         if len(children) == 1:  # the only child, then its chain: its covering past its ancestors
             only = below_records[0]
             chain = (children[0], *only.covering[only.depth:])
         records[node_entry(nid)] = EntryRecord(
-            (lo, lo + count), count, len(ancestors), ancestors[-1] if ancestors else None,
+            (lo, hi), len(ancestors), ancestors[-1] if ancestors else None,
             tuple(children), Mbr.union([r.mbr for r in below_records]),
             _intersect_vectors([r.int_vct for r in below_records]),
             _union_vectors([r.union_vct for r in below_records]),
-            ancestors + chain, frozenset(order[lo:lo + count]))
+            ancestors + chain, frozenset(order[lo:hi]))
     return IurTree(objects, records)
 
 

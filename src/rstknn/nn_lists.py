@@ -119,10 +119,9 @@ class NNLists:
     def _m_for(self, entry: Entry) -> int:
         """The entry's size, less one when it overlaps the owner (a point is
         not its own neighbor)."""
-        record = self.tree.record(entry)
-        lo, hi = record.span
+        lo, hi = self.tree.record(entry).span
         olo, ohi = self._span
-        return record.count - ((lo <= olo and ohi <= hi) or (olo <= lo and hi <= ohi))
+        return hi - lo - ((lo <= olo and ohi <= hi) or (olo <= lo and hi <= ohi))
 
     # -- mutations ----------------------------------------------------------
 
@@ -290,9 +289,6 @@ class NNLists:
 
     # -- bounds -------------------------------------------------------------
 
-    def coverage(self) -> int:
-        return sum(t.m for t in self._tuples.values())
-
     def is_complete(self) -> bool:
         """Every database object is accounted for.
 
@@ -363,7 +359,10 @@ class NNLists:
         """Assert the structural invariants; used by the test suite."""
         entries = list(self._tuples)
         n = len(self.tree.all_object_ids)
-        assert self.coverage() <= n - 1, "over-coverage: sum(m) exceeds N - 1"
+        assert (self.drop_mass, self.hit_mass, self.covered_slots) == self._recount(), (
+            "slot totals differ from a recount"
+        )
+        assert self.covered_slots <= n - 1, "over-coverage: sum(m) exceeds N - 1"
         depth = self.tree.depth(self.owner)
         for t in self._tuples.values():
             count = self.tree.count(t.entry)
@@ -375,9 +374,6 @@ class NNLists:
             if self.tree.overlaps(t.entry, self.owner):
                 assert t.m == count - 1, "overlapping entry must give up one slot"
             assert t.min_sim <= t.max_sim + 1e-12
-        assert (self.drop_mass, self.hit_mass, self.covered_slots) == self._recount(), (
-            "slot totals differ from a recount"
-        )
         for i, a in enumerate(entries):
             for b in entries[i + 1 :]:
                 assert not self.tree.overlaps(a, b), (

@@ -43,6 +43,7 @@ from .iur_tree import (
 )
 
 NEG_INF = float("-inf")
+_ULP_SLACK = 1e-12  # last-ulp float noise; genuine bound violations are far larger
 
 
 def kth_nn_sim(obj: STObject, dataset: Sequence[STObject], k: int,
@@ -130,15 +131,13 @@ class SandwichReport:
 
 
 def check_bound_sandwich(tree: IurTree, params: SimParams, stats: NormStats,
-                         query: QueryObject | None = None,
-                         atol: float = 1e-12) -> SandwichReport:
+                         query: QueryObject | None = None) -> SandwichReport:
     """Verify every group bound against exhaustive pair enumeration.
 
     For each pair of nodes (including a node with itself, and optionally each
     node against the query) the group bounds must sandwich the exact extremes
     of the pairwise similarities of the contained objects; likewise for the
-    text-only bounds.  ``atol`` absorbs last-ulp float noise only; genuine
-    violations are orders of magnitude larger.
+    text-only bounds, within ``_ULP_SLACK``.
     """
     report = SandwichReport()
     # in preorder, each node's objects are the slice of its span
@@ -165,19 +164,19 @@ def check_bound_sandwich(tree: IurTree, params: SimParams, stats: NormStats,
             tlo = min_text_sim(tree, e, f)
             thi = max_text_sim(tree, e, f)
             report.node_pairs += 1
-            if lo > sub.min() + atol:
+            if lo > sub.min() + _ULP_SLACK:
                 report.violations.append(
                     f"min_sim_st({e.label},{f.label})={lo} > true min {sub.min()}"
                 )
-            if hi < sub.max() - atol:
+            if hi < sub.max() - _ULP_SLACK:
                 report.violations.append(
                     f"max_sim_st({e.label},{f.label})={hi} < true max {sub.max()}"
                 )
-            if tlo > tsub.min() + atol:
+            if tlo > tsub.min() + _ULP_SLACK:
                 report.violations.append(
                     f"min_text_sim({e.label},{f.label})={tlo} > true min {tsub.min()}"
                 )
-            if thi < tsub.max() - atol:
+            if thi < tsub.max() - _ULP_SLACK:
                 report.violations.append(
                     f"max_text_sim({e.label},{f.label})={thi} < true max {tsub.max()}"
                 )
@@ -189,11 +188,11 @@ def check_bound_sandwich(tree: IurTree, params: SimParams, stats: NormStats,
             lo = min_sim_st(tree, e, query, params, stats)
             hi = max_sim_st(tree, e, query, params, stats)
             report.query_pairs += 1
-            if lo > vals.min() + atol:
+            if lo > vals.min() + _ULP_SLACK:
                 report.violations.append(
                     f"min_sim_st({e.label},Q)={lo} > true min {vals.min()}"
                 )
-            if hi < vals.max() - atol:
+            if hi < vals.max() - _ULP_SLACK:
                 report.violations.append(
                     f"max_sim_st({e.label},Q)={hi} < true max {vals.max()}"
                 )
@@ -235,13 +234,7 @@ class CounterexampleFixture:
     oracle_result: set[str]
 
 
-def counterexample_search(mode: Mode, seed: int, trials: int, *,
-                          n_range: tuple[int, int] = (4, 14),
-                          vocab: int = 6,
-                          k_choices: Sequence[int] = (1, 2, 3),
-                          alpha_choices: Sequence[float] = (0.0, 0.4, 0.7, 1.0),
-                          fanout_choices: Sequence[int] = (2, 4),
-                          ) -> CounterexampleFixture | None:
+def counterexample_search(mode: Mode, seed: int, trials: int) -> CounterexampleFixture | None:
     """Hunt for a small random instance where ``mode`` contradicts brute force.
 
     Integer coordinates and weights keep every comparison knife-edge free and
@@ -253,11 +246,11 @@ def counterexample_search(mode: Mode, seed: int, trials: int, *,
         raise ValueError(f"trials must be >= 1, got {trials}")
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        n = rng.randint(*n_range)
-        objects = random_dataset(rng, n, vocab)
-        query = random_query(rng, vocab)
-        params = SimParams(alpha=rng.choice(list(alpha_choices)), k=rng.choice(list(k_choices)))
-        fanout = rng.choice(list(fanout_choices))
+        n = rng.randint(4, 14)
+        objects = random_dataset(rng, n, 6)
+        query = random_query(rng, 6)
+        params = SimParams(alpha=rng.choice((0.0, 0.4, 0.7, 1.0)), k=rng.choice((1, 2, 3)))
+        fanout = rng.choice((2, 4))
         tree = build_tree(objects, fanout)
         stats = tree.norm_stats()
         got, _ = rstknn_query(tree, query, params, mode, stats=stats)

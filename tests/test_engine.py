@@ -13,6 +13,7 @@ from rstknn.engine import (
     EngineState,
     Mode,
     _run_correct,
+    _run_faulty,
     final_verification,
     format_trace_table,
     rstknn_query,
@@ -224,6 +225,25 @@ def test_correct_mode_keeps_only_candidate_lists():
     assert candidates > 0
 
 
+@pytest.mark.parametrize("locality", [False, True], ids=["faulty2011", "faulty2014"])
+def test_legacy_modes_keep_only_candidate_lists(locality):
+    # the legacy modes free lists as the correct mode does: only the
+    # candidates left for the final verification keep theirs
+    candidates = 0
+    for seed in range(60):
+        rng = random.Random(500 + seed)
+        objs = random_dataset(rng, rng.randint(1, 40), 5)
+        q = random_query(rng, 5)
+        params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=rng.randint(1, 4))
+        tree = build_tree(objs, rng.choice([2, 3, 4]))
+        state = _run_faulty(tree, q, params, tree.norm_stats(), locality=locality)
+        verified = {ev.action.removeprefix("Verify ") for ev in state.trace
+                    if ev.action.startswith("Verify")}
+        assert {e.label for e in state.lists} == verified
+        candidates += len(verified)
+    assert candidates > 0
+
+
 def _assert_tiles(lists):
     """The tuples' preorder spans tile [0, n) exactly once."""
     end = 0
@@ -284,11 +304,11 @@ def test_each_entry_enqueued_at_most_once():
 def test_audit_counts_and_bound_records():
     fx = two_cluster_fixture()
     tree = fx.build_tree()
-    audit = EngineAudit(record_bounds=True)
+    audit = EngineAudit()
     result, trace = rstknn_query(tree, fx.query, fx.params, audit=audit)
     assert result == EXPECTED_RESULT
     # one gate evaluation per dequeue plus one per verified candidate
-    assert audit.completeness_evaluations == len(trace)
+    assert len(audit.bound_records) == len(trace)
     assert audit.bound_records
     for owner, lower, upper in audit.bound_records:
         if lower is not None and upper is not None:
@@ -346,7 +366,7 @@ def test_knn_bound_sandwich_against_bruteforce():
                 reverse=True,
             )
             true_kth[o.id] = sims[params.k - 1] if len(sims) >= params.k else float("-inf")
-        audit = EngineAudit(record_bounds=True)
+        audit = EngineAudit()
         rstknn_query(tree, q, params, stats=stats, audit=audit)
         assert audit.bound_records
         for owner, lower, upper in audit.bound_records:

@@ -6,7 +6,8 @@ trace it writes, and the standard output of ``rstknn compare``, each run with
 the fixture's recorded query, k, alpha and fanout, and the standard output
 of ``scripts/demo_traces.py`` on the hand-laid-out two-cluster tree, and
 the digest ``scripts/trace_digest.py`` prints over a seeded sweep of random
-instances in all three modes.  A change that alters any decision, label or
+instances in all three modes (``trace_digest_300.stdout``, the digest over
+300 instances, is diffed by CI alone).  A change that alters any decision, label or
 column of the snapshot trace shows up here.  To re-record after an intended
 change, write each case's output to the file it is compared with.
 """

@@ -119,7 +119,7 @@ def _check_tree_invariants(tree, fanout=None):
     for e in tree.iter_node_entries():
         node = tree.record(e)
         count, lo, hi, inter, union = _scan_subtree(tree, e)
-        assert node.count == count
+        assert tree.count(e) == count
         assert node.mbr.lo == lo and node.mbr.hi == hi
         assert node.int_vct.as_dict() == inter
         assert node.union_vct.as_dict() == union
@@ -290,8 +290,7 @@ def test_entry_records_match_the_nodes(equal_span_trees):
                 assert tree.parent(c) == e and tree.depth(c) == tree.depth(e) + 1
                 stack.append((c, ancestors + (e,)))
             reached.extend(children)
-        assert sorted(reached, key=lambda e: e.order_key) == sorted(
-            all_entries(tree), key=lambda e: e.order_key)
+        assert sorted(reached) == sorted(all_entries(tree))
 
 
 def _layout_of(tree, entry):
@@ -300,6 +299,17 @@ def _layout_of(tree, entry):
     if children[0].is_object:
         return [c.ident for c in children]
     return [_layout_of(tree, c) for c in children]
+
+
+def test_entries_sort_nodes_by_number_then_objects_by_id():
+    # the order the engine breaks ties by; node N10 sorts after N9
+    tree = build_tree(random_dataset(random.Random(7), 64, 6), 2)
+    nodes = len(list(tree.iter_node_entries()))
+    assert nodes > 10
+    entries = all_entries(tree)
+    random.Random(0).shuffle(entries)
+    assert sorted(entries) == [*map(node_entry, range(nodes)),
+                               *map(object_entry, sorted(tree.objects))]
 
 
 def test_layout_round_trips_through_the_children(equal_span_layouts):

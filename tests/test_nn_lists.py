@@ -533,5 +533,5 @@ def test_operation_sequences_preserve_invariants(rng):
                 if sib != nxt:
                     child_lists.update_with(sib)
             child_lists.check_invariants()
-            assert child_lists.coverage() <= tree.size - 1
+            assert child_lists.covered_slots <= tree.size - 1
             current, current_lists = nxt, child_lists

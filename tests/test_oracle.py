@@ -241,7 +241,7 @@ def test_correct_mode_equals_bruteforce_off_the_grid(instance, fanout):
     audit = EngineAudit()
     got, _ = rstknn_query(tree, query, params, stats=stats, audit=audit)  # raises if incomplete
     assert got == rknn_bruteforce(objs, query, params, stats)
-    assert audit.completeness_evaluations > 0
+    assert len(audit.bound_records) > 0
 
 
 @settings(max_examples=300, deadline=None)
