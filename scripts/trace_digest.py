@@ -9,7 +9,14 @@ differ from `rknn_bruteforce`, and one SHA-256 over each run's sorted result
 ids and `trace_to_jsonl` output.  Two versions of the program that print the
 same digest decide alike on every run of the sweep, step for step.
 
+With ``--offgrid`` the instances leave the integer grid: Gaussian
+coordinates in which about 30% of the objects repeat an earlier object's
+location (half of those its term vector too), fractional term weights, and
+k drawn from {1, 2, 3, n, n + 1}.  Even instances are laid out by a random
+nesting with single-child chains and single-object leaves, odd ones by STR.
+
     PYTHONPATH=src python3 scripts/trace_digest.py --instances 200
+    PYTHONPATH=src python3 scripts/trace_digest.py --offgrid --instances 300
 """
 
 from __future__ import annotations
@@ -18,7 +25,18 @@ import argparse
 import hashlib
 import random
 
-from rstknn import Mode, SimParams, build_tree, rknn_bruteforce, rstknn_query, trace_to_jsonl
+from rstknn import (
+    Mode,
+    QueryObject,
+    SimParams,
+    STObject,
+    TermVector,
+    build_tree,
+    rknn_bruteforce,
+    rstknn_query,
+    trace_to_jsonl,
+    tree_from_layout,
+)
 from rstknn.datasets import random_dataset, random_query
 
 ALPHAS = (0.0, 0.4, 1.0)
@@ -26,19 +44,63 @@ FANOUTS = (2, 3, 4, 8)
 VOCAB = 6
 
 
-def digest(instances: int) -> tuple[int, int, str]:
+def grid_instance(i: int):
+    """(objects, query, tree, rng) of instance i on the integer grid."""
+    rng = random.Random(i)
+    objects = random_dataset(rng, rng.randint(1, 48), VOCAB)
+    query = random_query(rng, VOCAB)
+    return objects, query, build_tree(objects, FANOUTS[i % len(FANOUTS)]), rng
+
+
+def _terms(rng: random.Random) -> TermVector:
+    chosen = rng.sample(range(VOCAB), rng.randint(0, 4))
+    return TermVector({f"t{j}": rng.uniform(0.01, 5.0) for j in chosen})
+
+
+def _chain_layout(rng: random.Random, ids: list[str]) -> list:
+    """A random nesting of ``ids`` with single-child chain nodes and
+    single-object leaves."""
+    if len(ids) == 1 or (len(ids) <= 3 and rng.random() < 0.6):
+        layout: list = list(ids)
+    else:
+        cuts = sorted(rng.sample(range(1, len(ids)), min(len(ids) - 1, rng.randint(1, 3))))
+        edges = [0, *cuts, len(ids)]
+        layout = [_chain_layout(rng, ids[a:b]) for a, b in zip(edges, edges[1:])]
+    while rng.random() < 0.3:
+        layout = [layout]
+    return layout
+
+
+def offgrid_instance(i: int):
+    """(objects, query, tree, rng) of instance i off the grid."""
+    rng = random.Random(f"offgrid/{i}")
+    objects: list[STObject] = []
+    for j in range(rng.randint(1, 40)):
+        if objects and rng.random() < 0.3:
+            twin = rng.choice(objects)
+            loc, vct = twin.loc, twin.vct if rng.random() < 0.5 else _terms(rng)
+        else:
+            loc, vct = (rng.gauss(0.0, 10.0), rng.gauss(0.0, 10.0)), _terms(rng)
+        objects.append(STObject(f"P{j}", loc, vct))
+    query = QueryObject((rng.gauss(0.0, 10.0), rng.gauss(0.0, 10.0)), _terms(rng))
+    if i % 2 == 0:
+        tree = tree_from_layout(objects, _chain_layout(rng, [o.id for o in objects]))
+    else:
+        tree = build_tree(objects, FANOUTS[i // 2 % len(FANOUTS)])
+    return objects, query, tree, rng
+
+
+def digest(instances: int, offgrid: bool = False) -> tuple[int, int, str]:
     """(runs, correct-mode mismatches, hex SHA-256) over the sweep."""
     sha = hashlib.sha256()
     runs = mismatches = 0
     for i in range(instances):
-        rng = random.Random(i)
-        objects = random_dataset(rng, rng.randint(1, 48), VOCAB)
-        query = random_query(rng, VOCAB)
+        objects, query, tree, rng = (offgrid_instance if offgrid else grid_instance)(i)
         n = len(objects)
-        tree = build_tree(objects, FANOUTS[i % len(FANOUTS)])
+        ks = [1, 2, 3, n, n + 1] if offgrid else [1, 2, 4, n, n + 1]
         stats = tree.norm_stats()
         for alpha in ALPHAS:
-            params = SimParams(alpha, rng.choice([1, 2, 4, n, n + 1]))
+            params = SimParams(alpha, rng.choice(ks))
             for mode in Mode:
                 result, trace = rstknn_query(tree, query, params, mode, stats=stats)
                 if mode is Mode.CORRECT:
@@ -53,8 +115,10 @@ def digest(instances: int) -> tuple[int, int, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--instances", type=int, default=200)
+    parser.add_argument("--offgrid", action="store_true",
+                        help="Gaussian data with duplicate locations and chain layouts")
     args = parser.parse_args(argv)
-    runs, mismatches, hexdigest = digest(args.instances)
+    runs, mismatches, hexdigest = digest(args.instances, args.offgrid)
     print(f"instances {args.instances}  runs {runs}  mismatches {mismatches}")
     print(f"sha256 {hexdigest}")
     return 1 if mismatches else 0

@@ -198,11 +198,13 @@ _EPS = sys.float_info.epsilon
 class _PairTiles:
     """Row tiles of the pairwise distance and Extended Jaccard matrices.
 
-    Iterating yields ``(lo, dist, ej)`` for rows ``lo:lo + len(dist)`` against
-    all n objects, so memory is O(_TILE_ROWS * n) and never O(n^2).  Distances
-    come from ``np.hypot``; Extended Jaccard from a matmul over a dense term
-    matrix (sorted-term columns) and the exact per-vector ``norm_sq``, clamped
-    at 1, with two empty vectors scoring 0, as in the scalar functions.
+    :meth:`block` computes rows ``lo:hi`` against all n objects, in the order
+    of ``objects``.  Iterating yields ``(lo, dist, ej)`` for consecutive
+    blocks of ``_TILE_ROWS`` rows, so memory is O(_TILE_ROWS * n) and never
+    O(n^2).  Distances come from ``np.hypot``; Extended Jaccard from a matmul
+    over a dense term matrix (sorted-term columns) and the exact per-vector
+    ``norm_sq``, clamped at 1, with two empty vectors scoring 0, as in the
+    scalar functions.
 
     The tiles are not bit-identical to the scalar functions: ``np.hypot`` and
     ``math.hypot`` may differ in the last ulp, and a matmul sums in another
@@ -217,6 +219,7 @@ class _PairTiles:
     """
 
     def __init__(self, objects: Sequence[STObject]):
+        self.objects = objects
         self.n = len(objects)
         self.xy = np.array([o.loc for o in objects], dtype=float).reshape(self.n, 2)
         vocab = sorted({t for o in objects for t, _ in o.vct.items})
@@ -230,19 +233,22 @@ class _PairTiles:
         self.dist_err = 64 * (_EPS * self.diameter + math.ulp(0.0))
         self.ej_err = 64 * _EPS * (len(vocab) + 2)
 
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(dist, ej)`` of rows ``lo:hi`` against all n objects."""
         xy, terms, norm_sq = self.xy, self.terms, self.norm_sq
+        dist = np.hypot(xy[lo:hi, 0:1] - xy[None, :, 0], xy[lo:hi, 1:2] - xy[None, :, 1])
+        dot = terms[lo:hi] @ terms.T
+        den = norm_sq[lo:hi, None] + norm_sq[None, :] - dot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ej = np.minimum(1.0, dot / den)
+        # only two empty vectors have a zero denominator: the squared
+        # norm of a non-empty vector is a normal float
+        ej[den == 0.0] = 0.0
+        return dist, ej
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         for lo in range(0, self.n, _TILE_ROWS):
-            hi = min(self.n, lo + _TILE_ROWS)
-            dist = np.hypot(xy[lo:hi, 0:1] - xy[None, :, 0], xy[lo:hi, 1:2] - xy[None, :, 1])
-            dot = terms[lo:hi] @ terms.T
-            den = norm_sq[lo:hi, None] + norm_sq[None, :] - dot
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ej = np.minimum(1.0, dot / den)
-            # only two empty vectors have a zero denominator: the squared
-            # norm of a non-empty vector is a normal float
-            ej[den == 0.0] = 0.0
-            yield lo, dist, ej
+            yield lo, *self.block(lo, min(self.n, lo + _TILE_ROWS))
 
     def sim_err(self, params: SimParams, stats: NormStats) -> float:
         """Bound on how far ``combined_similarity`` of two tile elements may
@@ -264,27 +270,30 @@ class _PairTiles:
         return err
 
 
-def compute_norm_stats(dataset: Sequence[STObject]) -> NormStats:
+def compute_norm_stats(dataset: Sequence[STObject] | _PairTiles) -> NormStats:
     """Exact min/max distance and text similarity over all object pairs.
 
-    The extremes are first taken over the upper triangle of the vectorized
-    pair tiles of :class:`_PairTiles`.  An exact extreme lies within twice
-    the tiles' error bound of the vectorized one, so every pair that close
-    to it is settled with the scalar ``euclidean_dist`` or
-    ``extended_jaccard``, and the scalar values decide.  A vectorized
+    ``dataset`` is the objects or their :class:`_PairTiles` (an index keeps
+    its tiles for the object rows of its queries).  The extremes are first
+    taken over the upper triangle of the vectorized pair tiles.  An exact
+    extreme lies within twice the tiles' error bound of the vectorized one,
+    so every pair that close to it is settled with the scalar
+    ``euclidean_dist`` or ``extended_jaccard``, and the scalar values
+    decide.  A vectorized
     Extended Jaccard minimum of exactly 0 needs a zero dot product, which
     the scalar dot gives as well, so it is exact as it stands.
     """
-    n = len(dataset)
+    objects = dataset.objects if isinstance(dataset, _PairTiles) else dataset
+    n = len(objects)
     if n < 2:
         raise DatasetTooSmall(f"need >= 2 objects, got {n}")
-    tiles = _PairTiles(dataset)
+    tiles = dataset if isinstance(dataset, _PairTiles) else _PairTiles(objects)
 
     def dist_of(i: int, j: int) -> float:
-        return euclidean_dist(dataset[i].loc, dataset[j].loc)
+        return euclidean_dist(objects[i].loc, objects[j].loc)
 
     def ej_of(i: int, j: int) -> float:
-        return extended_jaccard(dataset[i].vct, dataset[j].vct)
+        return extended_jaccard(objects[i].vct, objects[j].vct)
 
     # phi_s, psi_s, phi_t, psi_t: (which tile, extreme, margin, scalar value)
     stats = ((0, np.min, 2 * tiles.dist_err, dist_of), (0, np.max, 2 * tiles.dist_err, dist_of),

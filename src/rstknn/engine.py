@@ -5,18 +5,23 @@ Three query modes share the bound machinery and one accept/prune test,
 differ in control flow:
 
 * ``CORRECT`` — FIFO queue over a frontier of tree entries (queued,
-  candidate and routed) that partitions the dataset.  Every NN-list is a
-  partition of the dataset too, so it is complete by construction.  Each
-  dequeued entry splits its inherited list toward itself and adds itself
-  when it is an index node (locality), then runs a demand-driven exchange:
-  its tuples that do not yet hold direct bounds for frontier entries are
-  visited by decreasing upper bound, and the frontier entries under each
-  are refined, each pair bound also refining the other entry's list.  The
-  exchange stops once the list's slot counts decide the entry, or once no
-  remaining tuple can change its verdict.  A runtime assertion verifies
+  candidate and routed) that partitions the dataset.  Every node's NN-list
+  is a partition of the dataset too, so it is complete by construction.  A
+  dequeued node splits its inherited list toward itself and adds itself
+  (locality), then runs a demand-driven exchange: its tuples that do not
+  yet hold direct bounds for frontier entries are visited by decreasing
+  upper bound, and the frontier entries under each are refined, each pair
+  bound also refining the other node's list.  The exchange stops once the
+  list's slot counts decide the node, or once no remaining tuple can change
+  its verdict.  A dequeued object makes no list: it decides on its row
+  (:class:`~rstknn.nn_lists.ObjectRow`), the list its exhaustive exchange
+  would converge to, read off one NumPy block of exact similarities and the
+  scalar bounds of the frontier nodes that can still count.  Refining only
+  tightens bounds, so a verdict reached early is the exhaustive one, which
+  depends only on the owner and the frontier.  A runtime assertion verifies
   that every list is complete at test time, and audit runs check every
-  verdict against the sorted walks; survivors of the main loop are settled
-  by the same exchange over single objects.
+  verdict against the sorted walks; candidates left after the main loop are
+  settled on their rows against all objects.
 * ``FAULTY2011`` — a reproduction of the legacy priority-queue algorithm
   that never lets a node account for its own contents.  Intentionally
   unsound; kept as an executable regression of that failure mode.
@@ -28,7 +33,9 @@ Both legacy modes take the test ungated: a hit needs only k covered slots,
 not a complete list.
 
 In every mode an entry's NN-list is freed once the entry is decided or
-expanded; only the candidates keep theirs, for the final verification.
+expanded.  In the legacy modes the candidates keep theirs, for the final
+cleanup pass; in the correct mode a leaf keeps its list until its objects'
+rows have read it, and no list outlives the run.
 
 Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
@@ -46,9 +53,11 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterator
 
+import numpy as np
+
 from .core import NormStats, QueryObject, SimParams
 from .iur_tree import Entry, IurTree, max_sim_st, object_entry
-from .nn_lists import NNLists, Verdict, is_hit_or_drop
+from .nn_lists import Frontier, NNLists, ObjectRow, ObjectRows, Verdict, is_hit_or_drop
 
 
 class Mode(str, Enum):
@@ -141,12 +150,13 @@ def _route(state: EngineState, tree: IurTree, entry: Entry, verdict: Verdict) ->
         state.pel.append(entry)
 
 
-def _checked_verdict(lists: NNLists, audit: EngineAudit | None) -> Verdict:
+def _checked_verdict(lists: NNLists | ObjectRow, audit: EngineAudit | None) -> Verdict:
     """The gated verdict, taken only on a complete list.
 
     A HIT has just passed the gate's completeness check; any other verdict
     checks here.  An incomplete list raises either way: its gate turns a
-    would-be HIT into UNDECIDED.
+    would-be HIT into UNDECIDED.  An audit walks the list, or an object
+    row's reference list, and checks that it agrees with the slot counts.
     """
     verdict = is_hit_or_drop(lists)
     if verdict is not Verdict.HIT and not lists.is_complete():
@@ -154,10 +164,11 @@ def _checked_verdict(lists: NNLists, audit: EngineAudit | None) -> Verdict:
             f"incomplete NN-list for {lists.owner.label} at decision time"
         )
     if audit is not None:
-        if lists.walked_verdict() is not verdict:
+        walked = lists if isinstance(lists, NNLists) else lists.reference()
+        if walked.walked_verdict() is not verdict or walked.is_complete() != lists.is_complete():
             raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
         k = lists.params.k
-        audit.bound_records.append((lists.owner, lists.knn_lower(k), lists.knn_upper(k)))
+        audit.bound_records.append((lists.owner, walked.knn_lower(k), walked.knn_upper(k)))
     return verdict
 
 
@@ -176,18 +187,18 @@ _MAX_SIM = attrgetter("max_sim")
 
 
 def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists]) -> None:
-    """Refine the owner's list toward the frontier where its verdict can change.
+    """Refine a node owner's list toward the frontier where its verdict can change.
 
     A tuple is settled when it holds direct bounds for a frontier entry,
     bounds this owner computed.  The unsettled tuples are visited by
     decreasing upper bound, and every frontier entry under one is refined;
     the same pair bounds refine that entry's list toward the owner, if
-    ``others`` holds one.  All the lists belong to one query run and keep
-    their slot totals current, so the exchange stops as soon as the owner's
-    totals decide it.  Tuples whose upper bound is below the owner's
-    pessimistic query similarity (``lists.pessimistic``) are never visited:
-    such a tuple counts toward neither mass, and its subsets' bounds cannot
-    make it.
+    ``others`` holds one (queued nodes do; objects have rows, not lists).
+    All the lists belong to one query run and keep their slot totals
+    current, so the exchange stops as soon as the owner's totals decide it.
+    Tuples whose upper bound is below the owner's pessimistic query
+    similarity (``lists.pessimistic``) are never visited: such a tuple
+    counts toward neither mass, and its subsets' bounds cannot make it.
     """
     owner, pessimistic = lists.owner, lists.pessimistic
     unsettled = sorted(
@@ -206,6 +217,19 @@ def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists]
                 other.refine(owner, bounds)
 
 
+def _leaf_frontier(tree: IurTree, frontier: set[Entry], leaf_lists: NNLists) -> Frontier:
+    """The frontier as the rows of the leaf's objects read it, each node
+    bounded by the tuple that covers it in the leaf's list."""
+    free = np.ones(tree.size, dtype=bool)
+    nodes = []
+    for e in frontier:
+        if e.is_node:
+            lo, hi = tree.record(e).span
+            free[lo:hi] = False
+            nodes.append((leaf_lists.holding(e).max_sim, e))
+    return Frontier.of(tree, free, nodes)
+
+
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
                  stats: NormStats, audit: EngineAudit | None) -> EngineState:
     state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
@@ -214,57 +238,70 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
     state.lists[root] = NNLists(root, tree, query, params, stats)
     state.lists[root].add_self()
     frontier = {root}  # queued, candidate and routed entries: a partition of the dataset
+    rows: ObjectRows | None = None  # of the leaf whose objects are being dequeued
 
     while state.u:
         entry = state.u.popleft()
         action = f"Dequeue {entry.label}"
-        lists = state.lists[entry]
-        lists.split(entry)
-        if entry.is_node and lists.get(entry).source != entry:  # type: ignore[union-attr]
-            lists.add_self()
-        _exchange(lists, frontier, state.lists)
+        lists: NNLists | ObjectRow
+        if entry.is_object:
+            leaf = tree.parent(entry)
+            if entry == tree.children(leaf)[0]:  # type: ignore[arg-type]
+                # a leaf's objects come off the queue together, with no node
+                # expanded in between: one frontier serves them all, and the
+                # leaf's list is not read again
+                lo, hi = tree.record(leaf).span  # type: ignore[arg-type]
+                view = _leaf_frontier(tree, frontier, state.lists.pop(leaf))  # type: ignore
+                rows = ObjectRows(tree, lo, hi, view, query, params, stats)
+            lists = rows.row(entry)  # type: ignore[union-attr]
+        else:
+            lists = state.lists[entry]
+            lists.split(entry)
+            if lists.get(entry).source != entry:  # type: ignore[union-attr]
+                lists.add_self()
+            _exchange(lists, frontier, state.lists)
         verdict = _checked_verdict(lists, audit)
-        # a decided or expanded entry's list is never read again: free it;
-        # candidates keep theirs for final_verification
         if verdict is not Verdict.UNDECIDED:
             _route(state, tree, entry, verdict)
-            del state.lists[entry]
         elif entry.is_node:
             frontier.remove(entry)
             for child in tree.children(entry):
-                state.lists[child] = NNLists.inherited(child, lists)
+                if child.is_node:
+                    state.lists[child] = NNLists.inherited(child, lists)  # type: ignore[arg-type]
                 state.u.append(child)
                 frontier.add(child)
                 action += f", Enqueue {child.label}"
-            del state.lists[entry]
         else:
             state.col.append(entry)
+        # a decided or expanded node's list is never read again, except a
+        # leaf's, which its objects' rows read once
+        if entry.is_node and (verdict is not Verdict.UNDECIDED
+                              or tree.children(entry)[0].is_node):
+            del state.lists[entry]
         state.snapshot(action)
 
-    final_verification(state, tree, audit=audit)
+    final_verification(state, tree, query, params, stats, audit=audit)
     return state
 
 
-def final_verification(state: EngineState, tree: IurTree,
+def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
+                       params: SimParams, stats: NormStats,
                        audit: EngineAudit | None = None) -> None:
     """Settle the candidates left after the main loop.
 
-    Each candidate runs the exchange again with single objects as the
-    frontier, also refining the lists of the candidates still unsettled.
-    Bounds between two objects, and between an object and the query, are
-    exact (lower equals upper), so once every tuple whose upper bound
-    reaches the candidate's query similarity is an object tuple, the two
-    slot counts coincide and the accept/prune test is decisive: the
-    candidate list empties in one pass.
+    Each candidate decides on its row against single objects as the
+    frontier.  Bounds between two objects, and between an object and the
+    query, are exact (lower equals upper), so the two slot counts coincide
+    and the accept/prune test is decisive: the candidate list empties in
+    one pass.
     """
     if not state.col:
         return
-    points = {object_entry(oid) for oid in tree.objects}
+    points = Frontier.of(tree, np.ones(tree.size, dtype=bool), [])
     for candidate in list(state.col):
-        lists = state.lists[candidate]
-        others = {c: state.lists[c] for c in state.col if c != candidate}
-        _exchange(lists, points, others)
-        verdict = _checked_verdict(lists, audit)
+        pos = tree.record(candidate).span[0]
+        row = ObjectRows(tree, pos, pos + 1, points, query, params, stats).row(candidate)
+        verdict = _checked_verdict(row, audit)
         if verdict is Verdict.UNDECIDED:  # pragma: no cover - impossible with exact point bounds
             raise RuntimeError(f"verification left {candidate.label} undecided")
         state.col.remove(candidate)

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .core import (
     NormStats,
     Point,
+    _PairTiles,
     QueryObject,
     STObject,
     SimParams,
@@ -181,7 +182,9 @@ class IurTree:
     tree or branches on entry kind.  Node ids and object positions follow
     preorder, so an entry's span, the interval of its objects' positions,
     decides ancestry by containment, and its width is the entry's object
-    count.  The record's ``covering`` is the other
+    count; ``objects`` holds the objects in that preorder, and so do the
+    pair tiles (:meth:`tiles`) that the normalization statistics and the
+    object owners' rows share.  The record's ``covering`` is the other
     entries whose span contains the entry's: its proper ancestors plus the
     descendants that share its span, the nodes of a single-child chain below
     it and the object of a single-object leaf.  The NN-lists drop exactly
@@ -190,9 +193,10 @@ class IurTree:
     """
 
     def __init__(self, objects: Sequence[STObject], records: dict[Entry, EntryRecord]):
-        self.objects: dict[str, STObject] = {o.id: o for o in objects}
+        self.objects: dict[str, STObject] = {o.id: o for o in objects}  # in preorder
         self.all_object_ids: frozenset[str] = frozenset(self.objects)
         self._stats: NormStats | None = None
+        self._tiles: _PairTiles | None = None
         self._records = records
 
     # -- basic accessors ---------------------------------------------------
@@ -273,6 +277,13 @@ class IurTree:
         """Node entries in id order, which is preorder."""
         return map(node_entry, range(len(self._records) - self.size))
 
+    def tiles(self) -> _PairTiles:
+        """The pair kernel over the objects in preorder, built once: row p
+        is the object at preorder position p."""
+        if self._tiles is None:
+            self._tiles = _PairTiles(list(self.objects.values()))
+        return self._tiles
+
     def norm_stats(self) -> NormStats:
         """Dataset normalization stats, computed once and cached.
 
@@ -284,7 +295,7 @@ class IurTree:
             if self.size < 2:
                 self._stats = NormStats(0.0, 0.0, 0.0, 0.0)
             else:
-                self._stats = compute_norm_stats(self.objects_sorted())
+                self._stats = compute_norm_stats(self.tiles())
         return self._stats
 
 
@@ -408,7 +419,7 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
             _intersect_vectors([r.int_vct for r in below_records]),
             _union_vectors([r.union_vct for r in below_records]),
             ancestors + chain, frozenset(order[lo:hi]))
-    return IurTree(objects, records)
+    return IurTree([by_id[oid] for oid in order], records)
 
 
 def build_tree(objects: Sequence[STObject], fanout: int = 4) -> IurTree:

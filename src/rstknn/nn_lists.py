@@ -33,6 +33,20 @@ splitting it, so the popped tuple's other points lose coverage.  The tree
 precomputes that set per entry (:meth:`IurTree.covering`), so the removal
 pops at most depth plus chain-length keys.  The legacy modes update that way.
 
+In the correct mode only index nodes own lists.  An object owner decides
+on its row (:class:`ObjectRow`): the list its exhaustive exchange would
+leave, direct bounds against every entry of the frontier (the queued,
+candidate and routed entries, which partition the dataset).  Its bounds
+against frontier objects come from one NumPy block of the pair kernel,
+within an error margin of ``sim_st`` that the scalar code settles; its
+bounds against a frontier node are scalar :func:`pair_sim_bounds`, needed
+only when the tuple covering the node in the owner's leaf's list reaches
+the owner's query similarity, since refinement only tightens bounds.  The
+row keeps no tuples: it counts the same two masses as ranges, settling
+unknown elements until the ranges decide.  Its completeness is the
+frontier covering all n objects; :meth:`ObjectRow.reference` builds the
+list itself, which audit runs walk.
+
 A list belongs to one query run: it is built with the query, the
 parameters and the statistics, which its refinements and its accept/prune
 test then use, and it computes its owner's pessimistic and optimistic query
@@ -54,10 +68,12 @@ the tests compare the totals with.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import NormStats, QueryObject, SimParams
-from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, pair_sim_bounds
+import numpy as np
+
+from .core import NormStats, QueryObject, SimParams, combined_similarity, sim_st
+from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, object_entry, pair_sim_bounds
 
 NEG_INF = float("-inf")
 
@@ -200,15 +216,25 @@ class NNLists:
         self._put(NNTuple(other, self._m_for(other), lo, hi, self.owner))
         return bounds
 
+    def _cover(self, entry: Entry) -> Entry:
+        """The held entry, other than ``entry``, that covers ``entry``."""
+        held = next((e for e in self.tree.covering(entry) if e in self._tuples), None)
+        if held is None:
+            raise ValueError(f"no tuple in {self.owner.label}'s list covers {entry.label}")
+        return held
+
+    def holding(self, entry: Entry) -> NNTuple:
+        """The held tuple for ``entry`` or, failing one, for the entry covering it."""
+        t = self._tuples.get(entry)
+        return self._tuples[self._cover(entry)] if t is None else t
+
     def _split_toward(self, entry: Entry) -> NNTuple:
         """Pop the held tuple T whose entry covers ``entry`` and add T's
         off-path descendants along the path from T down to ``entry``, all
         with T's bounds, which hold for any subset of T's points.  Returns T;
         ``entry`` itself is left without a tuple."""
         tree = self.tree
-        held = next((e for e in tree.covering(entry) if e in self._tuples), None)
-        if held is None:
-            raise ValueError(f"no tuple in {self.owner.label}'s list covers {entry.label}")
+        held = self._cover(entry)
         t = self._pop(held)
         if tree.depth(held) < tree.depth(entry):  # else an equal-span descendant
             lo, hi = t.min_sim, t.max_sim  # type: ignore[union-attr]
@@ -261,6 +287,17 @@ class NNLists:
         lists = cls(child, p.tree, p.query, p.params, p.stats)
         lists._tuples = p._tuples.copy()
         lists.drop_mass, lists.hit_mass, lists.covered_slots = lists._recount()
+        return lists
+
+    @classmethod
+    def direct(cls, owner: Entry, entries: Iterable[Entry], tree: IurTree, query: QueryObject,
+               params: SimParams, stats: NormStats) -> "NNLists":
+        """A list of direct bounds between the owner and each of ``entries``,
+        which must not overlap one another."""
+        lists = cls(owner, tree, query, params, stats)
+        for e in entries:
+            lo, hi = lists.bounds(e)
+            lists._put(NNTuple(e, lists._m_for(e), lo, hi, owner))
         return lists
 
     def strip_self_and_parent(self) -> None:
@@ -381,7 +418,143 @@ class NNLists:
                 )
 
 
-def is_hit_or_drop(lists: NNLists, *, gated: bool = True) -> Verdict:
+class Frontier(NamedTuple):
+    """The frontier as the object rows read it.
+
+    ``free`` is True at the preorder positions of the frontier's objects;
+    every other position lies under one of ``nodes``, the frontier's nodes,
+    each with an upper bound that no direct bound between it and the rows'
+    owners exceeds (the bound held for it in the list of the owners' leaf),
+    by decreasing bound.  ``covered`` counts the objects of both, n when the
+    entries partition the dataset.
+    """
+
+    free: np.ndarray
+    nodes: list[tuple[float, Entry]]
+    covered: int
+
+    @classmethod
+    def of(cls, tree: IurTree, free: np.ndarray, nodes: Sequence[tuple[float, Entry]]
+           ) -> "Frontier":
+        ordered = sorted(nodes, key=lambda pair: (-pair[0], pair[1]))
+        covered = int(np.count_nonzero(free)) + sum(tree.count(e) for _, e in ordered)
+        return cls(free, ordered, covered)
+
+
+class ObjectRows:
+    """Exact rows of consecutive preorder objects against one frontier.
+
+    Rows ``lo:hi`` of the pair kernel (:meth:`IurTree.tiles`) give each
+    owner's similarity to every object, within ``err`` of its ``sim_st``;
+    an owner is not its own neighbour, so its own element is -inf.
+    :meth:`row` views one owner's row as its NN-list.
+    """
+
+    def __init__(self, tree: IurTree, lo: int, hi: int, frontier: Frontier,
+                 query: QueryObject, params: SimParams, stats: NormStats):
+        self.tree, self.lo, self.frontier = tree, lo, frontier
+        self.query, self.params, self.stats = query, params, stats
+        tiles = tree.tiles()
+        dist, ej = tiles.block(lo, hi)
+        self.sims = np.empty_like(dist)
+        # a scalar when both scores are constant
+        self.sims[...] = combined_similarity(dist, ej, params, stats)
+        own = np.arange(hi - lo)
+        self.sims[own, own + lo] = NEG_INF
+        self.err = tiles.sim_err(params, stats)
+
+    def row(self, owner: Entry) -> "ObjectRow":
+        return ObjectRow(self, owner)
+
+
+def _settled(drop: tuple[int, int], hit: tuple[int, int], k: int) -> Verdict | None:
+    """:meth:`NNLists.counted_verdict` on masses known to lie in the closed
+    ranges ``drop`` and ``hit``, or None while the ranges leave it open."""
+    if drop[0] >= k:
+        return Verdict.DROP
+    if drop[1] < k:
+        if hit[1] < k:
+            return Verdict.HIT
+        if hit[0] >= k:
+            return Verdict.UNDECIDED
+    return None
+
+
+class ObjectRow:
+    """An object owner's NN-list as its exhaustive exchange would leave it.
+
+    That list holds direct bounds against every frontier entry, so it is
+    complete whenever the frontier partitions the dataset.  Against a
+    frontier object both bounds are the exact ``sim_st``, which the owner's
+    row holds within ``err``: an element further than that from the owner's
+    exact query similarity s is on its side of s, and one within it is
+    settled by scalar ``sim_st``.  Against a frontier node they are the
+    scalar :func:`pair_sim_bounds`, evaluated only when the node's bound in
+    the :class:`Frontier` reaches s, since a bound below s counts toward
+    neither mass.  Both masses are ranges while elements are unsettled, and
+    :meth:`counted_verdict` settles them, nodes by decreasing bound first,
+    only until the ranges decide.  :meth:`reference` builds the list itself,
+    for audit runs.
+    """
+
+    def __init__(self, rows: ObjectRows, owner: Entry):
+        self.owner, self.tree, self.params = owner, rows.tree, rows.params
+        self._rows = rows
+        self._pos = rows.tree.record(owner).span[0]
+        # exact: both query bounds of an object are its sim_st to the query
+        self.query_sim = min_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
+        self._verdict: Verdict | None = None
+
+    def is_complete(self) -> bool:
+        """The frontier covers every object."""
+        return self._rows.frontier.covered == self.tree.size
+
+    def counted_verdict(self) -> Verdict:
+        """:meth:`NNLists.counted_verdict` on the row, settled once."""
+        if self._verdict is None:
+            self._verdict = self._decide()
+        return self._verdict
+
+    def _decide(self) -> Verdict:
+        rows, tree, owner = self._rows, self.tree, self.owner
+        params, stats, k, s = rows.params, rows.stats, self.params.k, self.query_sim
+        free, err = rows.frontier.free, rows.err
+        diff = rows.sims[self._pos - rows.lo] - s
+        objects = int(np.count_nonzero(free & (diff > err)))  # known to reach s
+        near = np.flatnonzero(free & ~(np.abs(diff) > err)).tolist()  # nan-safe: unknown
+        nodes = []
+        for bound, e in rows.frontier.nodes:
+            if bound < s:
+                break
+            nodes.append(e)
+        drop = hit = 0  # slots of the bounded nodes that count
+        rest = sum(map(tree.count, nodes))  # slots of the nodes not yet bounded
+        nodes.reverse()  # pop by decreasing bound
+        points = tree.tiles().objects
+        while (verdict := _settled((objects + drop, objects + len(near) + drop + rest),
+                                   (objects + hit, objects + len(near) + hit + rest),
+                                   k)) is None:
+            if nodes:
+                e = nodes.pop()
+                lo, hi = pair_sim_bounds(tree, owner, e, params, stats)
+                m = tree.count(e)
+                rest -= m
+                drop += m * (lo >= s)
+                hit += m * (hi >= s)
+            else:
+                objects += sim_st(points[self._pos], points[near.pop()], params, stats) >= s
+        return verdict
+
+    def reference(self) -> NNLists:
+        """The list of direct scalar bounds against every frontier entry."""
+        rows, points = self._rows, self.tree.tiles().objects
+        entries = [object_entry(points[p].id)
+                   for p in np.flatnonzero(rows.frontier.free).tolist() if p != self._pos]
+        entries += [e for _, e in rows.frontier.nodes]
+        return NNLists.direct(self.owner, entries, self.tree, rows.query, rows.params, rows.stats)
+
+
+def is_hit_or_drop(lists: NNLists | ObjectRow, *, gated: bool = True) -> Verdict:
     """Sufficient accept/prune test for the list's owner against its query.
 
     Drop when at least k slots have a lower bound at or above the optimistic

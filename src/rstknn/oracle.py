@@ -39,7 +39,6 @@ from .iur_tree import (
     max_text_sim,
     min_sim_st,
     min_text_sim,
-    object_entry,
 )
 
 NEG_INF = float("-inf")
@@ -140,8 +139,7 @@ def check_bound_sandwich(tree: IurTree, params: SimParams, stats: NormStats,
     text-only bounds, within ``_ULP_SLACK``.
     """
     report = SandwichReport()
-    # in preorder, each node's objects are the slice of its span
-    objs = sorted(tree.objects.values(), key=lambda o: tree.record(object_entry(o.id)).span)
+    objs = list(tree.objects.values())  # in preorder: each node's objects are the slice of its span
     n = len(objs)
     sim = np.empty((n, n))
     ej = np.empty((n, n))

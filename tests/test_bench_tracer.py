@@ -53,3 +53,16 @@ def test_traced_demo_counts_every_layer(tracer_cls, mode):
     # the wrappers are removed again
     assert (engine.is_hit_or_drop, NNLists.__dict__["update_with"]) == originals
     assert rstknn_query(tree, fx.query, fx.params, mode, stats=stats)[0] == result
+
+
+def test_traced_correct_mode_counts_object_decisions(tracer_cls):
+    # object owners decide on rows, not on NN-lists; a verdict that bypassed
+    # engine.is_hit_or_drop would leave the object decision counters at zero
+    fx = two_cluster_fixture()
+    tree = fx.build_tree()
+    stats = tree.norm_stats()
+    tracer = tracer_cls()
+    with tracer.installed():
+        tracer.query("correct", lambda: rstknn_query(tree, fx.query, fx.params, stats=stats))
+    decided = sum(tracer.values[f"engine.decisions.{v}.object.correct"] for v in ("hit", "drop"))
+    assert decided > 0

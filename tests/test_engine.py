@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rstknn.core import QueryObject, STObject, SimParams, TermVector, sim_st
@@ -20,8 +22,9 @@ from rstknn.engine import (
     trace_to_jsonl,
 )
 from rstknn.iur_tree import build_tree, node_entry, object_entry, tree_from_layout
-from rstknn.nn_lists import NNLists, Verdict
-from rstknn.oracle import rknn_bruteforce
+from rstknn import nn_lists
+from rstknn.nn_lists import Frontier, NNLists, ObjectRow, ObjectRows, Verdict
+from rstknn.oracle import kth_nn_sim, rknn_bruteforce
 
 
 def _collinear():
@@ -158,7 +161,7 @@ def test_final_verification_empty_col_is_noop():
     tree = fx.build_tree()
     state = EngineState(u=__import__("collections").deque(), col=[], rol=["P0"],
                         pel=[], lists={}, trace=[])
-    final_verification(state, tree)
+    final_verification(state, tree, fx.query, fx.params, tree.norm_stats())
     assert state.rol == ["P0"] and not state.trace
 
 
@@ -207,9 +210,11 @@ def test_fifo_order_indifference():
         assert forward == backward
 
 
-def test_correct_mode_keeps_only_candidate_lists():
-    # routed and expanded entries free their NN-lists in the main loop; only
-    # the candidates settled by final_verification keep theirs
+def test_correct_mode_frees_every_list():
+    # routed and expanded nodes free their NN-lists in the main loop, a leaf
+    # frees its list once its objects' rows have read it, and objects never
+    # get one, not even the candidates that final_verification settles: no
+    # list outlives the run
     candidates = 0
     for seed in range(30):
         rng = random.Random(500 + seed)
@@ -218,10 +223,8 @@ def test_correct_mode_keeps_only_candidate_lists():
         params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=rng.randint(1, 4))
         tree = build_tree(objs, rng.choice([2, 3, 4]))
         state = _run_correct(tree, q, params, tree.norm_stats(), None)
-        verified = {ev.action.removeprefix("Verify ") for ev in state.trace
-                    if ev.action.startswith("Verify")}
-        assert {e.label for e in state.lists} == verified
-        candidates += len(verified)
+        assert state.lists == {}
+        candidates += sum(ev.action.startswith("Verify") for ev in state.trace)
     assert candidates > 0
 
 
@@ -315,6 +318,24 @@ def test_audit_counts_and_bound_records():
             assert lower <= upper or upper == float("-inf")
 
 
+def test_audit_catches_a_row_that_disagrees_with_its_reference_list(monkeypatch):
+    # an audited run walks each object row's reference list; a row whose
+    # counts accept where the walks would not is caught there
+    decide = ObjectRow._decide
+
+    def flipped(row):
+        verdict = decide(row)
+        return Verdict.HIT if verdict is Verdict.DROP else verdict
+
+    monkeypatch.setattr(ObjectRow, "_decide", flipped)
+    fx = two_cluster_fixture()
+    tree = fx.build_tree()
+    wrong, _ = rstknn_query(tree, fx.query, fx.params)
+    assert wrong != EXPECTED_RESULT
+    with pytest.raises(AssertionError, match="slot counts and walks disagree on P"):
+        rstknn_query(tree, fx.query, fx.params, audit=EngineAudit())
+
+
 @pytest.mark.parametrize("n,alpha,k,target,would_be", [
     (8, 0.0, 1, "P0", Verdict.DROP),
     (8, 0.4, 3, "P5", Verdict.HIT),
@@ -322,14 +343,17 @@ def test_audit_counts_and_bound_records():
 ])
 def test_completeness_assertion_fires_on_an_incomplete_list(monkeypatch, n, alpha, k,
                                                             target, would_be):
-    # the target inherits its list without one tuple that does not overlap
-    # it; whatever its slot counts would decide, the decision raises (a
-    # would-be hit through the gate, any other verdict through the check)
+    # a node target inherits its list without one tuple that does not
+    # overlap it; an object target's row reads a frontier without one of
+    # its other objects.  Whatever the slot counts would decide, the
+    # decision raises (a would-be hit through the gate, any other verdict
+    # through the check)
     rng = random.Random(0)
     objs = random_dataset(rng, n, 4)
     q = random_query(rng, 4)
     tree = build_tree(objs, 2)
     inherited = NNLists.inherited
+    row = ObjectRows.row
     incomplete = []
 
     def inherited_less_one(cls, child, parent_lists):
@@ -340,12 +364,75 @@ def test_completeness_assertion_fires_on_an_incomplete_list(monkeypatch, n, alph
             incomplete.append(lists)
         return lists
 
+    def row_less_one(rows, owner):
+        if owner.label != target:
+            return row(rows, owner)
+        own = tree.record(owner).span[0]
+        free = rows.frontier.free.copy()
+        free[next(p for p in np.flatnonzero(free) if p != own)] = False
+        less = copy.copy(rows)
+        less.frontier = Frontier.of(tree, free, rows.frontier.nodes)
+        incomplete.append(row(less, owner))
+        return incomplete[-1]
+
     monkeypatch.setattr(NNLists, "inherited", classmethod(inherited_less_one))
+    monkeypatch.setattr(ObjectRows, "row", row_less_one)
     audit = EngineAudit()
     with pytest.raises(CompletenessViolation, match=f"for {target} "):
         rstknn_query(tree, q, SimParams(alpha=alpha, k=k), audit=audit)
     [lists] = incomplete
     assert lists.counted_verdict() is would_be
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+def test_exact_ties_with_the_query_drop_and_recheck_lazily(monkeypatch, alpha):
+    # objects share a few locations and a few term vectors, and the query
+    # copies one of each, so many similarities equal an owner's query
+    # similarity exactly.  A tie drops (the database point wins it), the
+    # answer equals brute force, and the audit walks agree with every row.
+    # Every element near the threshold here is an exact tie, which counts,
+    # so a row that re-checks only while its verdict is open re-checks at
+    # most k of them
+    scalar = nn_lists.sim_st
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return scalar(*args)
+
+    decide = ObjectRow._decide
+    per_row = []
+
+    def recorded(row):
+        before = len(calls)
+        verdict = decide(row)
+        per_row.append((len(calls) - before, row.params.k))
+        return verdict
+
+    monkeypatch.setattr(nn_lists, "sim_st", counted)
+    monkeypatch.setattr(ObjectRow, "_decide", recorded)
+    ties = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        locs = [(rng.gauss(0, 10), rng.gauss(0, 10)) for _ in range(rng.randint(2, 4))]
+        vcts = [TermVector({f"t{j}": rng.uniform(0.01, 5.0)
+                            for j in rng.sample(range(5), rng.randint(1, 3))})
+                for _ in range(rng.randint(2, 4))]
+        objs = [STObject(f"P{i}", rng.choice(locs), rng.choice(vcts))
+                for i in range(rng.randint(8, 40))]
+        q = QueryObject(rng.choice(locs), rng.choice(vcts))
+        tree = build_tree(objs, rng.choice([2, 4, 8]))
+        stats = tree.norm_stats()
+        for k in (1, 2, 3):
+            params = SimParams(alpha, k)
+            got, _ = rstknn_query(tree, q, params, stats=stats, audit=EngineAudit())
+            assert got == rknn_bruteforce(objs, q, params, stats)
+            for o in objs:
+                if sim_st(o, q, params, stats) == kth_nn_sim(o, objs, k, params, stats):
+                    ties += 1
+                    assert o.id not in got
+    assert ties > 100
+    assert calls and all(rechecks <= k for rechecks, k in per_row)
 
 
 def test_knn_bound_sandwich_against_bruteforce():

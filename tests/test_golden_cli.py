@@ -5,9 +5,10 @@ output of ``rstknn query --trace --out`` in every mode with the JSON-lines
 trace it writes, and the standard output of ``rstknn compare``, each run with
 the fixture's recorded query, k, alpha and fanout, and the standard output
 of ``scripts/demo_traces.py`` on the hand-laid-out two-cluster tree, and
-the digest ``scripts/trace_digest.py`` prints over a seeded sweep of random
-instances in all three modes (``trace_digest_300.stdout``, the digest over
-300 instances, is diffed by CI alone).  A change that alters any decision, label or
+the digests ``scripts/trace_digest.py`` prints over seeded sweeps of random
+instances in all three modes, on the integer grid and off it (``--offgrid``;
+``trace_digest_300.stdout`` and ``trace_digest_offgrid_300.stdout``, the
+digests over 300 instances, are diffed by CI alone).  A change that alters any decision, label or
 column of the snapshot trace shows up here.  To re-record after an intended
 change, write each case's output to the file it is compared with.
 """
@@ -86,3 +87,12 @@ def test_trace_digest_matches_golden():
         code = script["main"](["--instances", "60"])
     assert code == 0
     assert out.getvalue().encode() == (GOLDEN / "trace_digest.stdout").read_bytes()
+
+
+def test_offgrid_trace_digest_matches_golden():
+    script = runpy.run_path(str(ROOT / "scripts" / "trace_digest.py"))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = script["main"](["--offgrid", "--instances", "40"])
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / "trace_digest_offgrid.stdout").read_bytes()

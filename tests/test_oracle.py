@@ -323,6 +323,31 @@ def test_answers_stay_exact_when_tiles_err_within_their_bound(instance, seed):
     assert got_stats == stats
 
 
+@settings(max_examples=150, deadline=None)
+@given(real_instances(), st.sampled_from([2, 3, 4, 8]), st.integers(0, 2**32 - 1))
+def test_correct_mode_stays_exact_when_its_rows_err_within_their_bound(instance, fanout, seed):
+    # the object owners' rows come from the same block kernel: every element
+    # errs by up to half the declared bound, and elements near a threshold
+    # still go to the scalar code
+    objs, query, params = instance
+    stats = pair_table_stats(objs)
+    want = scalar_rknn(objs, query, params, stats)
+    tree = build_tree(objs, fanout)
+    noise = np.random.default_rng(seed)
+    real_block = core_mod._PairTiles.block
+
+    def perturbed(tiles, lo, hi):
+        dist, ej = real_block(tiles, lo, hi)
+        dist = dist + noise.uniform(-0.5, 0.5, dist.shape) * tiles.dist_err
+        bumped = np.maximum(ej + noise.uniform(-0.5, 0.5, ej.shape) * tiles.ej_err, 5e-324)
+        return dist, np.where(ej > 0, bumped, ej)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core_mod._PairTiles, "block", perturbed)
+        got, _ = rstknn_query(tree, query, params, stats=stats, audit=EngineAudit())
+    assert got == want
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_rows_with_non_finite_tile_values_go_to_the_scalar_code(monkeypatch, bad):
     real_iter = core_mod._PairTiles.__iter__
