@@ -139,6 +139,15 @@ class QueryObject:
         _check_finite_loc(self.loc)
 
 
+def check_spread(objects: Sequence[STObject]) -> None:
+    """Reject a dataset whose bounding box has a diagonal beyond float range:
+    its pairwise distances, and the spatial normalization by them, overflow."""
+    xs, ys = zip(*(o.loc for o in objects))
+    if not math.isfinite(math.hypot(max(xs) - min(xs), max(ys) - min(ys))):
+        raise ValueError("the bounding box of the object locations has a diagonal "
+                         "beyond float range")
+
+
 @dataclass(frozen=True)
 class NormStats:
     """Dataset-level normalization constants.
@@ -219,6 +228,7 @@ class _PairTiles:
     """
 
     def __init__(self, objects: Sequence[STObject]):
+        check_spread(objects)
         self.objects = objects
         self.n = len(objects)
         self.xy = np.array([o.loc for o in objects], dtype=float).reshape(self.n, 2)
@@ -249,6 +259,17 @@ class _PairTiles:
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         for lo in range(0, self.n, _TILE_ROWS):
             yield lo, *self.block(lo, min(self.n, lo + _TILE_ROWS))
+
+    def sims(self, lo: int, hi: int, params: SimParams, stats: NormStats) -> np.ndarray:
+        """``combined_similarity`` of rows ``lo:hi`` against all n objects,
+        within :meth:`sim_err` of ``sim_st``; an object is not its own
+        neighbour, so each row's own element is -inf."""
+        dist, ej = self.block(lo, hi)
+        sims = np.empty_like(dist)
+        sims[...] = combined_similarity(dist, ej, params, stats)  # a scalar when both scores are constant
+        own = np.arange(hi - lo)
+        sims[own, own + lo] = -math.inf
+        return sims
 
     def sim_err(self, params: SimParams, stats: NormStats) -> float:
         """Bound on how far ``combined_similarity`` of two tile elements may
@@ -353,8 +374,17 @@ def combined_similarity(dist: float, ej: float, params: SimParams, stats: NormSt
     query that is closer (or textually more similar) than any database pair
     legitimately scores outside the unit interval, and clamping would
     destroy strict comparisons against database-pair similarities.
+
+    Only the scores with a nonzero weight are evaluated, as in
+    :meth:`_PairTiles.sim_err`: a query too far away for its distance to be
+    a float has a spatial score of -inf, which must not turn the purely
+    textual similarity at alpha = 0 into NaN.
     """
     a = params.alpha
+    if a == 0.0:
+        return textual_score(ej, stats)
+    if a == 1.0:
+        return spatial_score(dist, stats)
     return a * spatial_score(dist, stats) + (1.0 - a) * textual_score(ej, stats)
 
 

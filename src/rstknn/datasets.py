@@ -13,7 +13,7 @@ import random
 from pathlib import Path
 from typing import Sequence
 
-from .core import QueryObject, STObject, TermVector, is_finite
+from .core import QueryObject, STObject, TermVector, check_spread, is_finite
 
 
 class ParseError(ValueError):
@@ -104,6 +104,10 @@ def read_dataset(path: str | Path) -> list[STObject]:
         )
     if not objects:
         raise ParseError(path, 0, "dataset is empty")
+    try:
+        check_spread(objects)
+    except ValueError as exc:
+        raise ParseError(path, 0, str(exc)) from exc
     return objects
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     NormStats,
@@ -157,7 +156,8 @@ class EntryRecord(NamedTuple):
       * ``mbr`` is tight over the subtree's object locations;
       * for every contained object o and term t:
         int_vct[t] <= o.vct[t] <= union_vct[t] (absent terms read as 0);
-      * the width of ``span`` equals the number of objects in the subtree.
+      * the ids at the preorder positions of ``span`` are the subtree's
+        objects: the tree's one record of which objects an entry holds.
     """
 
     span: tuple[int, int]         # preorder object interval [lo, hi)
@@ -168,10 +168,6 @@ class EntryRecord(NamedTuple):
     int_vct: TermVector
     union_vct: TermVector
     covering: tuple[Entry, ...]
-    subtree_ids: frozenset[str]
-
-
-_SUBTREE_IDS = attrgetter("subtree_ids")
 
 
 class IurTree:
@@ -181,10 +177,11 @@ class IurTree:
     object, built by :func:`tree_from_layout`, so that no accessor walks the
     tree or branches on entry kind.  Node ids and object positions follow
     preorder, so an entry's span, the interval of its objects' positions,
-    decides ancestry by containment, and its width is the entry's object
-    count; ``objects`` holds the objects in that preorder, and so do the
-    pair tiles (:meth:`tiles`) that the normalization statistics and the
-    object owners' rows share.  The record's ``covering`` is the other
+    decides ancestry by containment, its width is the entry's object count
+    and its slice of the preorder ids is the entry's objects; ``objects``
+    holds the objects in that preorder, and so do the pair tiles
+    (:meth:`tiles`) that the normalization statistics and the object
+    owners' rows share.  The record's ``covering`` is the other
     entries whose span contains the entry's: its proper ancestors plus the
     descendants that share its span, the nodes of a single-child chain below
     it and the object of a single-object leaf.  The NN-lists drop exactly
@@ -194,7 +191,7 @@ class IurTree:
 
     def __init__(self, objects: Sequence[STObject], records: dict[Entry, EntryRecord]):
         self.objects: dict[str, STObject] = {o.id: o for o in objects}  # in preorder
-        self.all_object_ids: frozenset[str] = frozenset(self.objects)
+        self._ids = list(self.objects)  # the object ids in preorder
         self._stats: NormStats | None = None
         self._tiles: _PairTiles | None = None
         self._records = records
@@ -210,9 +207,6 @@ class IurTree:
 
     def object(self, object_id: str) -> STObject:
         return self.objects[object_id]
-
-    def objects_sorted(self) -> list[STObject]:
-        return [self.objects[i] for i in sorted(self.objects)]
 
     def record(self, entry: Entry) -> EntryRecord:
         return self._records[entry]
@@ -235,17 +229,11 @@ class IurTree:
     def mbr(self, entry: Entry) -> Mbr:
         return self._records[entry].mbr
 
-    def subtree_ids(self, entry: Entry) -> frozenset[str]:
-        return self._records[entry].subtree_ids
-
-    def subtree_id_sets(self, entries: Iterable[Entry]) -> Iterator[frozenset[str]]:
-        """The ``subtree_ids`` of each entry, looked up without a Python call
-        per entry."""
-        return map(_SUBTREE_IDS, map(self._records.__getitem__, entries))
-
     def subtree_objects(self, entry: Entry) -> list[str]:
-        """All object ids under the entry, in id order."""
-        return sorted(self.subtree_ids(entry))
+        """All object ids under the entry, in id order: the preorder slice
+        of its span."""
+        lo, hi = self._records[entry].span
+        return sorted(self._ids[lo:hi])
 
     def is_ancestor_or_equal(self, a: Entry, b: Entry) -> bool:
         """True when a's subtree contains b's (a == b or a an ancestor of b).
@@ -399,7 +387,7 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
             pos = len(order)
             records[child] = EntryRecord(
                 (pos, pos + 1), len(below), entry, (), Mbr.from_point(obj.loc),
-                obj.vct, obj.vct, below, frozenset((oid,)))
+                obj.vct, obj.vct, below)
             children.append(child)
             order.append(oid)
     if len(order) != len(by_id):
@@ -418,7 +406,7 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
             tuple(children), Mbr.union([r.mbr for r in below_records]),
             _intersect_vectors([r.int_vct for r in below_records]),
             _union_vectors([r.union_vct for r in below_records]),
-            ancestors + chain, frozenset(order[lo:hi]))
+            ancestors + chain)
     return IurTree([by_id[oid] for oid in order], records)
 
 

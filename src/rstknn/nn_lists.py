@@ -61,8 +61,9 @@ counts them afresh.  A walk's k-th slot reaches a threshold exactly when at
 least k slots reach it, so drop mass >= k is the lower walk's prune and hit
 mass < k the upper walk's accept.  An accept also needs a complete list, the
 condition the legacy algorithms failed to maintain; their ungated test needs
-only k covered slots.  The walks stay as the reference that audit runs and
-the tests compare the totals with.
+only k covered slots; completeness is a tiling of [0, N) by the held spans.
+The walks stay as the reference that audit runs and the tests compare the
+totals with.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import NormStats, QueryObject, SimParams, combined_similarity, sim_st
+from .core import NormStats, QueryObject, SimParams, sim_st
 from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, object_entry, pair_sim_bounds
 
 NEG_INF = float("-inf")
@@ -327,17 +328,22 @@ class NNLists:
     # -- bounds -------------------------------------------------------------
 
     def is_complete(self) -> bool:
-        """Every database object is accounted for.
+        """Every database object is accounted for, exactly once: the held
+        tuples' sorted preorder spans tile [0, N).
 
         A node owner must cover even its own points (normally through its
         self-tuple or an ancestor).  A point owner is its own 0th nearest
-        neighbor, so only the other N-1 objects need covering.
+        neighbor, so its own position is the one gap allowed.  Overlapping
+        spans are incomplete: such a list counts a point twice.
         """
-        tree = self.tree
-        missing = tree.all_object_ids.difference(*tree.subtree_id_sets(self._tuples))
-        if not missing:
-            return True
-        return self.owner.is_object and missing == {self.owner.ident}
+        record = self.tree.record
+        own = self._span[0] if self.owner.is_object else -1
+        at = 0  # the first position not yet accounted for
+        for lo, hi in sorted(record(e).span for e in self._tuples):
+            if lo != at and not (at == own and lo == own + 1):
+                return False
+            at = hi
+        return at == self.tree.size or at == own == self.tree.size - 1
 
     def _walk(self, k: int, upper: bool) -> float | None:
         """Walk the tuples in decreasing bound order, accumulating slots.
@@ -395,7 +401,7 @@ class NNLists:
     def check_invariants(self) -> None:
         """Assert the structural invariants; used by the test suite."""
         entries = list(self._tuples)
-        n = len(self.tree.all_object_ids)
+        n = self.tree.size
         assert (self.drop_mass, self.hit_mass, self.covered_slots) == self._recount(), (
             "slot totals differ from a recount"
         )
@@ -455,12 +461,7 @@ class ObjectRows:
         self.tree, self.lo, self.frontier = tree, lo, frontier
         self.query, self.params, self.stats = query, params, stats
         tiles = tree.tiles()
-        dist, ej = tiles.block(lo, hi)
-        self.sims = np.empty_like(dist)
-        # a scalar when both scores are constant
-        self.sims[...] = combined_similarity(dist, ej, params, stats)
-        own = np.arange(hi - lo)
-        self.sims[own, own + lo] = NEG_INF
+        self.sims = tiles.sims(lo, hi, params, stats)
         self.err = tiles.sim_err(params, stats)
 
     def row(self, owner: Entry) -> "ObjectRow":

@@ -24,6 +24,7 @@ from .core import (
     SimParams,
     TermVector,
     _PairTiles,
+    _TILE_ROWS,
     combined_similarity,
     euclidean_dist,
     extended_jaccard,
@@ -77,14 +78,12 @@ def _kth_sims(dataset: Sequence[STObject], params: SimParams, stats: NormStats
     n, k = tiles.n, params.k
     kth = np.empty(n)
     unsure = np.empty(n, dtype=bool)
-    for lo, dist, ej in tiles:
-        sim = np.empty_like(dist)
-        sim[...] = combined_similarity(dist, ej, params, stats)  # a scalar when both scores are constant
-        rows = np.arange(len(dist))
-        sim[rows, rows + lo] = NEG_INF
+    for lo in range(0, n, _TILE_ROWS):
+        hi = min(n, lo + _TILE_ROWS)
+        sim = tiles.sims(lo, hi, params, stats)
         # the k-th largest of each row is its (n - k)-th smallest, self included
-        kth[lo:lo + len(dist)] = np.partition(sim, n - k, axis=1)[:, n - k]
-        unsure[lo:lo + len(dist)] = np.isfinite(sim).sum(axis=1) < n - 1
+        kth[lo:hi] = np.partition(sim, n - k, axis=1)[:, n - k]
+        unsure[lo:hi] = np.isfinite(sim).sum(axis=1) < n - 1
     return kth, unsure, tiles.sim_err(params, stats)
 
 

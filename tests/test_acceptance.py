@@ -195,7 +195,7 @@ def test_criterion_6_knn_bound_sandwiches():
         audit = EngineAudit()
         rstknn_query(tree, query, params, stats=stats, audit=audit)
         for owner, lower, upper in audit.bound_records:
-            for oid in tree.subtree_ids(owner):
+            for oid in tree.subtree_objects(owner):
                 if lower is not None:
                     checked += 1
                     if not true_kth[oid] >= lower:  # exact, no tolerance

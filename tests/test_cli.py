@@ -252,6 +252,34 @@ def test_query_parse_error_exit_code(tmp_path):
     assert "bad.jsonl:1" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_compare_far_query_at_alpha_zero(tmp_path):
+    # the query distance overflows to inf, so the spatial score is -inf;
+    # at alpha 0 it carries no weight and must not make the similarity NaN
+    dataset = tmp_path / "far.jsonl"
+    dataset.write_text(
+        '{"id":"a","x":-1e308,"y":0,"terms":{"t":1}}\n'
+        '{"id":"b","x":-1e308,"y":5,"terms":{"t":2}}\n'
+        '{"id":"c","x":-1e308,"y":9,"terms":{"u":1}}\n')
+    code, out, _ = run_cli(["compare", str(dataset), "--qx", "1e308", "--qy", "0",
+                            "--qterms", "t=1", "--k", "1", "--alpha", "0"])
+    assert code == EXIT_OK
+    assert out.splitlines()[:2] == ["oracle: a", "correct: match"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_rejects_a_spread_beyond_float_range(tmp_path):
+    dataset = tmp_path / "big.jsonl"
+    dataset.write_text(
+        '{"id":"a","x":1e308,"y":0,"terms":{"t":1}}\n'
+        '{"id":"b","x":-1e308,"y":0,"terms":{"t":2}}\n'
+        '{"id":"c","x":0,"y":0,"terms":{"u":1}}\n')
+    code, out, err = run_cli(["compare", str(dataset), "--qx", "0", "--qy", "0",
+                              "--qterms", "t=1", "--k", "1", "--alpha", "0.5"])
+    assert code == EXIT_PARSE and not out
+    assert "big.jsonl" in err and "beyond float range" in err
+
+
 def test_query_trace_output(tmp_path):
     dataset = _write_collinear(tmp_path)
     trace_path = tmp_path / "trace.jsonl"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from rstknn.core import (
     STObject,
     SimParams,
     TermVector,
+    check_spread,
     combined_similarity,
     compute_norm_stats,
     euclidean_dist,
@@ -204,6 +207,30 @@ def test_combined_similarity_monotonicity(d1, d2, e1, e2, alpha):
     # decreasing in distance, increasing in text similarity
     assert combined_similarity(lo_d, e1, params, stats) >= combined_similarity(hi_d, e1, params, stats)
     assert combined_similarity(d1, hi_e, params, stats) >= combined_similarity(d1, lo_e, params, stats)
+
+
+def test_combined_similarity_ignores_a_score_of_weight_zero():
+    # a distance beyond float range scores -inf; 0 * -inf would be NaN
+    stats = NormStats(2.0, 90.0, 0.1, 0.9)
+    assert combined_similarity(math.inf, 0.5, SimParams(alpha=0.0, k=1), stats) == 0.5
+    assert combined_similarity(math.inf, 0.5, SimParams(alpha=0.4, k=1), stats) == -math.inf
+    assert combined_similarity(10.0, 0.5, SimParams(alpha=1.0, k=1), stats) == 1 - 8 / 88
+    q = QueryObject((1e308, 0.0), TermVector({"t": 1.0}))
+    o = STObject("a", (-1e308, 0.0), TermVector({"t": 1.0}))
+    assert sim_st(o, q, SimParams(alpha=0.0, k=1), stats) == 1.125
+
+
+@pytest.mark.filterwarnings("error")
+def test_spread_beyond_float_range_is_rejected_before_any_tile():
+    objs = [STObject("a", (1e308, 0.0), TermVector({"t": 1.0})),
+            STObject("b", (-1e308, 0.0), TermVector({"t": 2.0})),
+            STObject("c", (0.0, 0.0), TermVector({"u": 1.0}))]
+    with pytest.raises(ValueError, match="beyond float range"):
+        check_spread(objs)
+    with pytest.raises(ValueError, match="beyond float range"):
+        compute_norm_stats(objs)
+    check_spread(objs[1:])  # a diagonal of 1e308 is a float
+    check_spread(objs[:1])
 
 
 def test_sim_st_symmetric_bit_for_bit(rng):

@@ -175,7 +175,7 @@ def test_trace_partition_invariant():
         tree = build_tree(objs, rng.choice([2, 4]))
         label_to_ids = {}
         for e in tree.iter_node_entries():
-            label_to_ids[e.label] = list(tree.subtree_ids(e))
+            label_to_ids[e.label] = tree.subtree_objects(e)
         for o in objs:
             label_to_ids[o.id] = [o.id]
         _, trace = rstknn_query(tree, q, params)
@@ -284,7 +284,7 @@ def test_correct_mode_lists_stay_partitions(monkeypatch, equal_span_trees):
     trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
              for fanout in (2, 3, 4, 8) for _ in range(6)]
     for tree in trees + equal_span_trees:
-        objs = tree.objects_sorted()
+        objs = list(tree.objects.values())
         stats = tree.norm_stats()
         for _ in range(3):
             q = random_query(rng, 5)
@@ -457,7 +457,7 @@ def test_knn_bound_sandwich_against_bruteforce():
         rstknn_query(tree, q, params, stats=stats, audit=audit)
         assert audit.bound_records
         for owner, lower, upper in audit.bound_records:
-            for oid in tree.subtree_ids(owner):
+            for oid in tree.subtree_objects(owner):
                 if lower is not None:
                     assert true_kth[oid] >= lower
                 if upper is not None:

@@ -125,7 +125,8 @@ def _check_tree_invariants(tree, fanout=None):
         assert node.union_vct.as_dict() == union
         if fanout is not None:
             assert len(node.children) <= fanout
-        for oid in tree.subtree_ids(e):
+        assert tree.subtree_objects(e) == _objects_under(tree, e)
+        for oid in tree.subtree_objects(e):
             o = tree.object(oid)
             for t in set(o.vct.terms()) | set(node.union_vct.terms()):
                 assert node.int_vct.weight(t) <= o.vct.weight(t) <= node.union_vct.weight(t)
@@ -158,7 +159,7 @@ def test_str_build_invariants(seed, fanout):
     objs = random_dataset(rng, 64, 6)
     tree = build_tree(objs, fanout)
     _check_tree_invariants(tree, fanout)
-    assert tree.subtree_ids(tree.root_entry()) == tree.all_object_ids
+    assert tree.subtree_objects(tree.root_entry()) == sorted(o.id for o in objs)
 
 
 def test_layout_builder_reproduces_unbalanced_shape():
@@ -268,22 +269,23 @@ def test_entry_records_match_the_nodes(equal_span_trees):
         while stack:
             e, ancestors = stack.pop()
             children = tree.children(e)
-            assert tree.count(e) == len(tree.subtree_ids(e))
+            assert tree.count(e) == len(tree.subtree_objects(e))
             equal_below = {d for d in _descendants(tree, e) if tree.count(d) == tree.count(e)}
             assert set(tree.covering(e)) == set(ancestors) | equal_below
             count, lo, hi, inter, union = _scan_subtree(tree, e)
             assert tree.count(e) == count
-            assert tree.subtree_ids(e) == set(_objects_under(tree, e))
+            assert tree.subtree_objects(e) == _objects_under(tree, e)
             assert _view(tree, e) == (Mbr(lo, hi), TermVector(inter), TermVector(union))
             if e.is_node:
                 assert children and (all(c.is_node for c in children)
                                      or all(c.is_object for c in children))
                 assert sum(tree.count(c) for c in children) == tree.count(e)
-                assert frozenset().union(*map(tree.subtree_ids, children)) == tree.subtree_ids(e)
+                assert sorted(itertools.chain.from_iterable(
+                    map(tree.subtree_objects, children))) == tree.subtree_objects(e)
             else:
                 obj = tree.object(e.ident)
                 assert children == ()
-                assert tree.subtree_ids(e) == {e.ident}
+                assert tree.subtree_objects(e) == [e.ident]
                 assert tree.mbr(e) == Mbr.from_point(obj.loc)
                 assert _view(tree, e) == (Mbr.from_point(obj.loc), obj.vct, obj.vct)
             for c in children:
@@ -484,8 +486,8 @@ def test_sim_bounds_sandwich_random_node_pairs():
             hi = max_sim_st(tree, e, f, params, stats)
             pair_sims = [
                 sim_st(by_id[i], by_id[j], params, stats)
-                for i in tree.subtree_ids(e)
-                for j in tree.subtree_ids(f)
+                for i in tree.subtree_objects(e)
+                for j in tree.subtree_objects(f)
             ]
             assert lo <= min(pair_sims) + 1e-12
             assert hi >= max(pair_sims) - 1e-12

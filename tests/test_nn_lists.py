@@ -1,7 +1,9 @@
 import random
 
 import pytest
-from conftest import all_entries
+from conftest import _chain_layout, all_entries
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rstknn.core import NormStats, QueryObject, STObject, SimParams, TermVector
 from rstknn.datasets import random_dataset, random_query
@@ -507,6 +509,93 @@ def test_is_hit_or_drop_incomplete_list_cannot_hit():
     assert is_hit_or_drop(lists) is Verdict.UNDECIDED
     # the ungated variant (legacy behavior) accepts on the same evidence
     assert is_hit_or_drop(lists, gated=False) is Verdict.HIT
+
+
+def _complete_by_sets(lists):
+    """:meth:`NNLists.is_complete` by its definition: no object is held twice,
+    and the set difference of all objects and the held ones is empty, or
+    only an object owner itself."""
+    tree = lists.tree
+    held = [oid for t in lists.tuples() for oid in tree.subtree_objects(t.entry)]
+    if len(held) != len(set(held)):
+        return False
+    missing = set(tree.objects).difference(held)
+    return not missing or (lists.owner.is_object and missing == {lists.owner.ident})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_complete_is_the_set_difference_definition(data):
+    # lists of node and object owners on STR and chain layouts (entries that
+    # share a span), changed by random inherit/update_with/refine/split/remove
+    # steps, some of which the engine would never take
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    objects = random_dataset(rng, data.draw(st.integers(1, 16)), 4)
+    if data.draw(st.booleans()):
+        tree = build_tree(objects, data.draw(st.sampled_from([2, 3, 4, 8])))
+    else:
+        tree = tree_from_layout(objects, _chain_layout(rng, [o.id for o in objects]))
+    entries = all_entries(tree)
+    lists = _lists(tree, tree.root_entry(), params=SimParams(0.4, 2))
+    if data.draw(st.booleans()):
+        lists.add_self()
+    assert lists.is_complete() is _complete_by_sets(lists)
+    for _ in range(data.draw(st.integers(0, 24))):
+        step = data.draw(st.sampled_from(["inherit", "update_with", "refine", "split", "remove"]))
+        if step == "inherit":
+            children = tree.children(lists.owner)
+            if not children:
+                continue
+            lists = NNLists.inherited(data.draw(st.sampled_from(children)), lists)
+            assert lists.is_complete() is _complete_by_sets(lists)
+            step, target = "split", lists.owner
+        else:
+            target = data.draw(st.sampled_from(entries))
+        try:
+            getattr(lists, step)(target)
+        except ValueError:  # an update with the owner, or a split that nothing covers
+            continue
+        assert lists.is_complete() is _complete_by_sets(lists)
+
+
+def test_is_complete_on_a_single_object():
+    tree = build_tree([STObject("only", (0.0, 0.0), TermVector())])
+    root = _lists(tree, tree.root_entry())
+    assert not root.is_complete()  # a node owner covers its own point
+    root.add_self()
+    assert root.is_complete()
+    assert _lists(tree, object_entry("only")).is_complete()  # missing only itself
+
+
+@pytest.mark.parametrize("owner,rows,complete", [
+    # object owners at the first and the last preorder position, missing only themselves
+    ("P0", [("P1", 1), ("N2", 4)], True),
+    ("P5", [("N1", 2), ("N3", 2), ("P4", 1)], True),
+    ("P5", [("N1", 2), ("N3", 2)], False),  # P4 is missing too
+    ("P0", [("N1", 1), ("N2", 4)], True),   # its own position covered
+    # a node owner missing one of its own objects
+    ("N3", [("N1", 2), ("P2", 0), ("N4", 2)], False),
+    ("N3", [("N1", 2), ("N3", 1), ("N4", 2)], True),
+    # overlapping tuples count a point twice
+    ("P0", [("P1", 1), ("N2", 4), ("N3", 2)], False),
+    ("N3", [("N0", 5), ("N3", 1)], False),
+])
+def test_is_complete_pinned_cases(owner, rows, complete):
+    objs, tree, stats = _line_tree()
+    by_label = {e.label: e for e in all_entries(tree)}
+    lists = _manual_lists(tree, by_label[owner], [(by_label[e], m, 0.0, 1.0) for e, m in rows])
+    assert lists.is_complete() is complete is _complete_by_sets(lists)
+
+
+def test_is_complete_rejects_two_tuples_of_one_span():
+    # a single-object leaf shares its object's span
+    objs = [STObject(f"P{i}", (float(i), 0.0), TermVector()) for i in range(3)]
+    tree = tree_from_layout(objs, [["P0"], ["P1", "P2"]])
+    n1, n2, p0 = node_entry(1), node_entry(2), object_entry("P0")
+    owner = object_entry("P1")
+    assert _manual_lists(tree, owner, [(n1, 1, 0.0, 1.0), (n2, 1, 0.0, 1.0)]).is_complete()
+    both = _manual_lists(tree, owner, [(n1, 1, 0.0, 1.0), (p0, 1, 0.0, 1.0), (n2, 1, 0.0, 1.0)])
+    assert not both.is_complete()
 
 
 def test_operation_sequences_preserve_invariants(rng):

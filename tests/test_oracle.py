@@ -295,18 +295,19 @@ def test_pair_scores_are_symmetric_bit_for_bit(instance):
 
 def _perturbed_tiles(monkeypatch, seed):
     """Make every tile element err by up to half its declared bound, the
-    worst the margins must absorb besides NumPy's own last-ulp errors."""
+    worst the margins must absorb besides NumPy's own last-ulp errors.  Every
+    tile comes from ``block``: the statistics' tiles and the oracle's rows."""
     noise = np.random.default_rng(seed)
-    real_iter = core_mod._PairTiles.__iter__
+    real_block = core_mod._PairTiles.block
 
-    def perturbed(tiles):
-        for lo, dist, ej in real_iter(tiles):
-            dist = dist + noise.uniform(-0.5, 0.5, dist.shape) * tiles.dist_err
-            # a zero Extended Jaccard stays zero: it comes from a zero dot product
-            bumped = np.maximum(ej + noise.uniform(-0.5, 0.5, ej.shape) * tiles.ej_err, 5e-324)
-            yield lo, dist, np.where(ej > 0, bumped, ej)
+    def perturbed(tiles, lo, hi):
+        dist, ej = real_block(tiles, lo, hi)
+        dist = dist + noise.uniform(-0.5, 0.5, dist.shape) * tiles.dist_err
+        # a zero Extended Jaccard stays zero: it comes from a zero dot product
+        bumped = np.maximum(ej + noise.uniform(-0.5, 0.5, ej.shape) * tiles.ej_err, 5e-324)
+        return dist, np.where(ej > 0, bumped, ej)
 
-    monkeypatch.setattr(core_mod._PairTiles, "__iter__", perturbed)
+    monkeypatch.setattr(core_mod._PairTiles, "block", perturbed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,15 +351,15 @@ def test_correct_mode_stays_exact_when_its_rows_err_within_their_bound(instance,
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_rows_with_non_finite_tile_values_go_to_the_scalar_code(monkeypatch, bad):
-    real_iter = core_mod._PairTiles.__iter__
+    real_block = core_mod._PairTiles.block
 
-    def spoiled(tiles):
-        for lo, dist, ej in real_iter(tiles):
-            rows = np.arange(len(ej))
-            ej[rows, (rows + lo + 1) % tiles.n] = bad  # the element after each row's diagonal
-            yield lo, dist, ej
+    def spoiled(tiles, lo, hi):
+        dist, ej = real_block(tiles, lo, hi)
+        rows = np.arange(hi - lo)
+        ej[rows, (rows + lo + 1) % tiles.n] = bad  # the element after each row's diagonal
+        return dist, ej
 
-    monkeypatch.setattr(core_mod._PairTiles, "__iter__", spoiled)
+    monkeypatch.setattr(core_mod._PairTiles, "block", spoiled)
     rng = random.Random(11)
     for _ in range(20):
         objs = random_dataset(rng, 12, 5)
