@@ -215,16 +215,16 @@ class _PairTiles:
     ``norm_sq``, clamped at 1, with two empty vectors scoring 0, as in the
     scalar functions.
 
-    The tiles are not bit-identical to the scalar functions: ``np.hypot`` and
-    ``math.hypot`` may differ in the last ulp, and a matmul sums in another
+    The tiles are not bit-identical to the scalar functions: :meth:`dist`
+    and ``math.hypot`` differ in the last ulps, and a matmul sums in another
     order than the sorted-term dot.  ``dist_err`` and ``ej_err`` bound the
     disagreement of any one element with its scalar value, with a factor of
-    at least eight to spare: both hypots are within one ulp of the distance,
-    which is at most the diagonal D of the objects' bounding box; a sum of m
-    nonnegative products in any order is within m * eps of the exact one,
-    and the Extended Jaccard denominator is at least the dot product, so the
-    ratio errs by at most (4m + 10) * eps.  Callers settle every decision
-    within these margins with the scalar code.
+    at least eight to spare: ``math.hypot`` is within an ulp of a distance
+    at most the objects' diagonal D, :meth:`dist` within 3 * eps * D; a sum
+    of m nonnegative products in any order is within m * eps of the exact
+    one, and the Extended Jaccard denominator is at least the dot product,
+    so the ratio errs by at most (4m + 10) * eps.  Callers settle every
+    decision within these margins with the scalar code.
     """
 
     def __init__(self, objects: Sequence[STObject]):
@@ -233,20 +233,33 @@ class _PairTiles:
         self.n = len(objects)
         self.xy = np.array([o.loc for o in objects], dtype=float).reshape(self.n, 2)
         vocab = sorted({t for o in objects for t, _ in o.vct.items})
-        column = {t: j for j, t in enumerate(vocab)}
-        self.terms = np.zeros((self.n, len(vocab)))
-        for i, o in enumerate(objects):
-            for t, w in o.vct.items:
-                self.terms[i, column[t]] = w
+        self.column = {t: j for j, t in enumerate(vocab)}  # a term's column in ``terms``
+        self.terms = self.dense([o.vct for o in objects])
         self.norm_sq = np.array([o.vct.norm_sq for o in objects])
         self.diameter = float(np.hypot(*np.ptp(self.xy, axis=0)))
+        # squares of coordinate differences neither overflow nor lose eps * D
+        self._squares = self.diameter == 0.0 or 2.0 ** -400 <= self.diameter <= 2.0 ** 400
         self.dist_err = 64 * (_EPS * self.diameter + math.ulp(0.0))
         self.ej_err = 64 * _EPS * (len(vocab) + 2)
+
+    def dense(self, vectors: Sequence[TermVector]) -> np.ndarray:
+        """The vectors as rows over the objects' vocabulary, which holds all
+        their terms."""
+        out = np.zeros((len(vectors), len(self.column)))
+        for row, v in zip(out, vectors):
+            for t, w in v.items:
+                row[self.column[t]] = w
+        return out
+
+    def dist(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """The hypot of differences of object coordinates: sqrt(dx^2 + dy^2),
+        several times faster than ``np.hypot``, which serves extreme D."""
+        return np.sqrt(dx * dx + dy * dy) if self._squares else np.hypot(dx, dy)
 
     def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """``(dist, ej)`` of rows ``lo:hi`` against all n objects."""
         xy, terms, norm_sq = self.xy, self.terms, self.norm_sq
-        dist = np.hypot(xy[lo:hi, 0:1] - xy[None, :, 0], xy[lo:hi, 1:2] - xy[None, :, 1])
+        dist = self.dist(xy[lo:hi, 0:1] - xy[None, :, 0], xy[lo:hi, 1:2] - xy[None, :, 1])
         dot = terms[lo:hi] @ terms.T
         den = norm_sq[lo:hi, None] + norm_sq[None, :] - dot
         with np.errstate(divide="ignore", invalid="ignore"):

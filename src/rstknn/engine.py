@@ -5,23 +5,16 @@ Three query modes share the bound machinery and one accept/prune test,
 differ in control flow:
 
 * ``CORRECT`` — FIFO queue over a frontier of tree entries (queued,
-  candidate and routed) that partitions the dataset.  Every node's NN-list
-  is a partition of the dataset too, so it is complete by construction.  A
-  dequeued node splits its inherited list toward itself and adds itself
-  (locality), then runs a demand-driven exchange: its tuples that do not
-  yet hold direct bounds for frontier entries are visited by decreasing
-  upper bound, and the frontier entries under each are refined, each pair
-  bound also refining the other node's list.  The exchange stops once the
-  list's slot counts decide the node, or once no remaining tuple can change
-  its verdict.  A dequeued object makes no list: it decides on its row
-  (:class:`~rstknn.nn_lists.ObjectRow`), the list its exhaustive exchange
-  would converge to, read off one NumPy block of exact similarities and the
-  scalar bounds of the frontier nodes that can still count.  Refining only
-  tightens bounds, so a verdict reached early is the exhaustive one, which
-  depends only on the owner and the frontier.  A runtime assertion verifies
-  that every list is complete at test time, and audit runs check every
-  verdict against the sorted walks; candidates left after the main loop are
-  settled on their rows against all objects.
+  candidate and routed) that partitions the dataset, kept as a mask over
+  the tree's entries.  A dequeued entry keeps no NN-list: it decides on its
+  row (:mod:`rstknn.nn_lists`), direct bounds against every other frontier
+  entry, so its verdict depends only on the owner and the frontier.  Node
+  rows come a tile of nodes at a time, and an expanded leaf's row bounds
+  the frontier nodes for its objects' rows.  A runtime assertion verifies
+  at every decision that the frontier covers all n objects, and audit runs
+  check every verdict against the sorted walks of the row's reference
+  list; candidates left after the main loop are settled on their rows
+  against all objects.
 * ``FAULTY2011`` — a reproduction of the legacy priority-queue algorithm
   that never lets a node account for its own contents.  Intentionally
   unsound; kept as an executable regression of that failure mode.
@@ -32,10 +25,8 @@ differ in control flow:
 Both legacy modes take the test ungated: a hit needs only k covered slots,
 not a complete list.
 
-In every mode an entry's NN-list is freed once the entry is decided or
-expanded.  In the legacy modes the candidates keep theirs, for the final
-cleanup pass; in the correct mode a leaf keeps its list until its objects'
-rows have read it, and no list outlives the run.
+In the legacy modes an entry's NN-list is freed once the entry is decided
+or expanded; the candidates keep theirs, for the final cleanup pass.
 
 Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
@@ -50,14 +41,12 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
-from typing import Iterator
 
 import numpy as np
 
 from .core import NormStats, QueryObject, SimParams
-from .iur_tree import Entry, IurTree, max_sim_st, object_entry
-from .nn_lists import Frontier, NNLists, ObjectRow, ObjectRows, Verdict, is_hit_or_drop
+from .iur_tree import Entry, IurTree, QueryView, max_sim_st, object_entry
+from .nn_lists import NNLists, NodeRow, NodeRows, ObjectRow, ObjectRows, Verdict, is_hit_or_drop
 
 
 class Mode(str, Enum):
@@ -150,13 +139,13 @@ def _route(state: EngineState, tree: IurTree, entry: Entry, verdict: Verdict) ->
         state.pel.append(entry)
 
 
-def _checked_verdict(lists: NNLists | ObjectRow, audit: EngineAudit | None) -> Verdict:
+def _checked_verdict(lists: NodeRow | ObjectRow, audit: EngineAudit | None) -> Verdict:
     """The gated verdict, taken only on a complete list.
 
     A HIT has just passed the gate's completeness check; any other verdict
     checks here.  An incomplete list raises either way: its gate turns a
-    would-be HIT into UNDECIDED.  An audit walks the list, or an object
-    row's reference list, and checks that it agrees with the slot counts.
+    would-be HIT into UNDECIDED.  An audit walks the row's reference list
+    and checks that it agrees with the slot counts.
     """
     verdict = is_hit_or_drop(lists)
     if verdict is not Verdict.HIT and not lists.is_complete():
@@ -164,7 +153,7 @@ def _checked_verdict(lists: NNLists | ObjectRow, audit: EngineAudit | None) -> V
             f"incomplete NN-list for {lists.owner.label} at decision time"
         )
     if audit is not None:
-        walked = lists if isinstance(lists, NNLists) else lists.reference()
+        walked = lists.reference()
         if walked.walked_verdict() is not verdict or walked.is_complete() != lists.is_complete():
             raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
         k = lists.params.k
@@ -172,112 +161,50 @@ def _checked_verdict(lists: NNLists | ObjectRow, audit: EngineAudit | None) -> V
     return verdict
 
 
-def _frontier_under(tree: IurTree, entry: Entry, frontier: set[Entry]) -> Iterator[Entry]:
-    """The frontier entries in ``entry``'s subtree, in preorder."""
-    stack = [entry]
-    while stack:
-        e = stack.pop()
-        if e in frontier:
-            yield e
-        else:
-            stack.extend(reversed(tree.children(e)))
-
-
-_MAX_SIM = attrgetter("max_sim")
-
-
-def _exchange(lists: NNLists, frontier: set[Entry], others: dict[Entry, NNLists]) -> None:
-    """Refine a node owner's list toward the frontier where its verdict can change.
-
-    A tuple is settled when it holds direct bounds for a frontier entry,
-    bounds this owner computed.  The unsettled tuples are visited by
-    decreasing upper bound, and every frontier entry under one is refined;
-    the same pair bounds refine that entry's list toward the owner, if
-    ``others`` holds one (queued nodes do; objects have rows, not lists).
-    All the lists belong to one query run and keep their slot totals
-    current, so the exchange stops as soon as the owner's totals decide it.
-    Tuples whose upper bound is below the owner's pessimistic query
-    similarity (``lists.pessimistic``) are never visited: such a tuple
-    counts toward neither mass, and its subsets' bounds cannot make it.
-    """
-    owner, pessimistic = lists.owner, lists.pessimistic
-    unsettled = sorted(
-        (t for t in lists.tuples()
-         if t.max_sim >= pessimistic and t.entry != owner
-         and not (t.source == owner and t.entry in frontier)),
-        key=_MAX_SIM, reverse=True,  # stable: ties keep list order
-    )
-    for t in unsettled:
-        for b in _frontier_under(lists.tree, t.entry, frontier):
-            if lists.counted_verdict() is not Verdict.UNDECIDED:
-                return
-            bounds = lists.refine(b)
-            other = others.get(b)
-            if other is not None:
-                other.refine(owner, bounds)
-
-
-def _leaf_frontier(tree: IurTree, frontier: set[Entry], leaf_lists: NNLists) -> Frontier:
-    """The frontier as the rows of the leaf's objects read it, each node
-    bounded by the tuple that covers it in the leaf's list."""
-    free = np.ones(tree.size, dtype=bool)
-    nodes = []
-    for e in frontier:
-        if e.is_node:
-            lo, hi = tree.record(e).span
-            free[lo:hi] = False
-            nodes.append((leaf_lists.holding(e).max_sim, e))
-    return Frontier.of(tree, free, nodes)
-
-
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
                  stats: NormStats, audit: EngineAudit | None) -> EngineState:
     state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
+    node_rows = NodeRows(tree, query, params, stats)
+    index = node_rows.arrays.index
     root = tree.root_entry()
     state.u.append(root)
-    state.lists[root] = NNLists(root, tree, query, params, stats)
-    state.lists[root].add_self()
-    frontier = {root}  # queued, candidate and routed entries: a partition of the dataset
+    # queued, candidate and routed entries: a partition of the dataset
+    frontier = np.zeros(len(index), dtype=bool)
+    frontier[index[root]] = True
+    leaf_bounds: dict[Entry, np.ndarray] = {}  # of expanded leaves, for their objects' rows
     rows: ObjectRows | None = None  # of the leaf whose objects are being dequeued
 
     while state.u:
         entry = state.u.popleft()
         action = f"Dequeue {entry.label}"
-        lists: NNLists | ObjectRow
+        lists: NodeRow | ObjectRow
         if entry.is_object:
             leaf = tree.parent(entry)
             if entry == tree.children(leaf)[0]:  # type: ignore[arg-type]
                 # a leaf's objects come off the queue together, with no node
-                # expanded in between: one frontier serves them all, and the
-                # leaf's list is not read again
+                # expanded in between: one frontier serves them all
                 lo, hi = tree.record(leaf).span  # type: ignore[arg-type]
-                view = _leaf_frontier(tree, frontier, state.lists.pop(leaf))  # type: ignore
-                rows = ObjectRows(tree, lo, hi, view, query, params, stats)
+                bounds = leaf_bounds.pop(leaf)  # type: ignore[arg-type]
+                rows = ObjectRows(node_rows, lo, hi, frontier.copy(), bounds)
             lists = rows.row(entry)  # type: ignore[union-attr]
         else:
-            lists = state.lists[entry]
-            lists.split(entry)
-            if lists.get(entry).source != entry:  # type: ignore[union-attr]
-                lists.add_self()
-            _exchange(lists, frontier, state.lists)
+            lists = node_rows.row(entry, frontier)
         verdict = _checked_verdict(lists, audit)
         if verdict is not Verdict.UNDECIDED:
             _route(state, tree, entry, verdict)
+            if entry.is_node:
+                node_rows.decided(entry)
         elif entry.is_node:
-            frontier.remove(entry)
-            for child in tree.children(entry):
-                if child.is_node:
-                    state.lists[child] = NNLists.inherited(child, lists)  # type: ignore[arg-type]
+            frontier[index[entry]] = False
+            children = tree.children(entry)
+            for child in children:
                 state.u.append(child)
-                frontier.add(child)
+                frontier[index[child]] = True
                 action += f", Enqueue {child.label}"
+            if children[0].is_object:
+                leaf_bounds[entry] = lists.node_bounds()  # type: ignore[union-attr]
         else:
             state.col.append(entry)
-        # a decided or expanded node's list is never read again, except a
-        # leaf's, which its objects' rows read once
-        if entry.is_node and (verdict is not Verdict.UNDECIDED
-                              or tree.children(entry)[0].is_node):
-            del state.lists[entry]
         state.snapshot(action)
 
     final_verification(state, tree, query, params, stats, audit=audit)
@@ -297,10 +224,12 @@ def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
     """
     if not state.col:
         return
-    points = Frontier.of(tree, np.ones(tree.size, dtype=bool), [])
+    run = NodeRows(tree, query, params, stats)
+    nodes = run.arrays.nodes
+    points = np.arange(nodes + tree.size) >= nodes  # the frontier of all objects, no node
     for candidate in list(state.col):
         pos = tree.record(candidate).span[0]
-        row = ObjectRows(tree, pos, pos + 1, points, query, params, stats).row(candidate)
+        row = ObjectRows(run, pos, pos + 1, points, np.zeros(nodes)).row(candidate)
         verdict = _checked_verdict(row, audit)
         if verdict is Verdict.UNDECIDED:  # pragma: no cover - impossible with exact point bounds
             raise RuntimeError(f"verification left {candidate.label} undecided")
@@ -439,6 +368,7 @@ def rstknn_query(tree: IurTree, query: QueryObject, params: SimParams,
     """
     if stats is None:
         stats = tree.norm_stats()
+    query = QueryView(query.loc, query.vct)
     if mode is Mode.CORRECT:
         state = _run_correct(tree, query, params, stats, audit)
     elif mode is Mode.FAULTY2011:

@@ -15,9 +15,12 @@ share one tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import (
     NormStats,
@@ -194,6 +197,7 @@ class IurTree:
         self._ids = list(self.objects)  # the object ids in preorder
         self._stats: NormStats | None = None
         self._tiles: _PairTiles | None = None
+        self._arrays: EntryArrays | None = None
         self._records = records
 
     # -- basic accessors ---------------------------------------------------
@@ -271,6 +275,12 @@ class IurTree:
         if self._tiles is None:
             self._tiles = _PairTiles(list(self.objects.values()))
         return self._tiles
+
+    def entry_arrays(self) -> "EntryArrays":
+        """Every entry's bounding data as arrays, built once."""
+        if self._arrays is None:
+            self._arrays = EntryArrays(self)
+        return self._arrays
 
     def norm_stats(self) -> NormStats:
         """Dataset normalization stats, computed once and cached.
@@ -420,6 +430,14 @@ def build_tree(objects: Sequence[STObject], fanout: int = 4) -> IurTree:
 # -- group-level similarity bounds ------------------------------------------
 
 
+class QueryView(QueryObject):
+    """A query that keeps its point MBR, built once for all the bounds of a run."""
+
+    @functools.cached_property
+    def mbr(self) -> Mbr:
+        return Mbr.from_point(self.loc)
+
+
 def _view(tree: IurTree, x: Entry | STObject | QueryObject) -> tuple[Mbr, TermVector, TermVector]:
     """(mbr, intersection vector, union vector) of a tree entry or bare object.
 
@@ -429,7 +447,7 @@ def _view(tree: IurTree, x: Entry | STObject | QueryObject) -> tuple[Mbr, TermVe
     if isinstance(x, Entry):
         record = tree._records[x]
         return record.mbr, record.int_vct, record.union_vct
-    return Mbr.from_point(x.loc), x.vct, x.vct
+    return x.mbr if isinstance(x, QueryView) else Mbr.from_point(x.loc), x.vct, x.vct
 
 
 def _min_text(ia: TermVector, ua: TermVector, ib: TermVector, ub: TermVector) -> float:
@@ -514,3 +532,98 @@ def pair_sim_bounds(tree: IurTree, a: Entry | STObject | QueryObject,
     lower = combined_similarity(max_dist(ma, mb), _min_text(ia, ua, ib, ub), params, stats)
     upper = combined_similarity(min_dist(ma, mb), _max_text(ia, ua, ib, ub), params, stats)
     return lower, upper
+
+
+class EntryArrays:
+    """Every entry's bounding data as arrays, to bound owners against all
+    entries at once (:meth:`bounds`).  Index i is node i for i < ``nodes``,
+    then the object at preorder position i - ``nodes`` (``entries`` and
+    ``index`` translate).  Per entry: the MBR corners, the intersection and
+    union vectors as dense rows (the objects' are the pair tiles' own) with
+    each vector's exact ``norm_sq``, and the object ``count``.  ``bfs``
+    lists the nodes as a FIFO traversal dequeues them, ``rank`` is each
+    node's place there, and ``first`` its first preorder position.
+    """
+
+    def __init__(self, tree: IurTree):
+        tiles = tree.tiles()
+        nodes = list(tree.iter_node_entries())
+        records = [tree.record(e) for e in nodes]
+        self.nodes = len(nodes)
+        self.entries = nodes + [o for r in records if r.children[0].is_object for o in r.children]
+        self.index = {e: i for i, e in enumerate(self.entries)}
+        self.tiles = tiles
+        # the corners' x and y coordinates, one row each
+        self.lo = np.concatenate([np.array([r.mbr.lo for r in records]), tiles.xy]).T.copy()
+        self.hi = np.concatenate([np.array([r.mbr.hi for r in records]), tiles.xy]).T.copy()
+        self.inter = np.concatenate([tiles.dense([r.int_vct for r in records]), tiles.terms])
+        self.union = np.concatenate([tiles.dense([r.union_vct for r in records]), tiles.terms])
+        self.inter_sq = np.concatenate([[r.int_vct.norm_sq for r in records], tiles.norm_sq])
+        self.union_sq = np.concatenate([[r.union_vct.norm_sq for r in records], tiles.norm_sq])
+        self.empty = self.union_sq == 0.0  # only an empty vector has a zero squared norm
+        spans = np.array([r.span for r in records])
+        self.first = spans[:, 0]
+        self.count = np.concatenate([spans[:, 1] - self.first, np.ones(tiles.n, dtype=int)])
+        # a FIFO traversal meets the nodes by depth, each level in preorder
+        self.bfs = np.array(sorted(range(self.nodes), key=lambda i: records[i].depth))
+        self.rank = np.argsort(self.bfs)
+
+    def bounds(self, owners: np.ndarray, params: SimParams, stats: NormStats
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) of :func:`pair_sim_bounds` between each owner (a row)
+        and every entry (a column), each within the pair tiles' ``sim_err`` of
+        the scalar value.  Two empty unions score 0 in both codes.
+
+        The rows repeat the scalar arithmetic operation for operation, so
+        they differ from it only where :class:`~rstknn.core._PairTiles` does:
+
+        * Distances.  Box corners are object coordinates, so both codes round
+          the same corner differences (or their exact negations); only the
+          hypot differs, as :meth:`_PairTiles.dist` and ``math.hypot`` do,
+          for a distance at most the objects' diagonal: ``dist_err``.
+        * Dots.  I_a.I_b and U_a.U_b sum m <= V nonnegative products in
+          another order: each code is within m * eps (relative) of the exact
+          sum, plus m * ulp(0) for products that underflow, and both give 0
+          together.  The squared norms are the vectors' own ``norm_sq``,
+          added in the scalar order, so a denominator differs only through
+          its dot.
+        * The lower text bound I_a.I_b / (|U_a|^2 + |U_b|^2 - I_a.I_b).  Its
+          denominator is at least the numerator and at least half the
+          smallest normal float min (a non-empty vector's squared norm is
+          normal), so, as for the Extended Jaccard, the clipped ratio errs by
+          at most (4m + 10) * eps, within ``ej_err``.
+        * The upper text bound U_a.U_b / (|I_a|^2 + |I_b|^2 - U_a.U_b), or 1
+          where that denominator is <= 0.  Let S = |I_a|^2 + |I_b|^2 and d the
+          dot.  Where d = 0 both codes compute the denominator S.  Elsewhere
+          the two denominators differ by less than B = ``ej_err`` * (S + d +
+          min), as eps * min = ulp(0).  Outside that band both codes take the
+          same branch: ratios of at least 1 both clip to 1, and a ratio below
+          1 has a denominator above d, so above S / 2 >= min / 2, and the
+          argument for the lower bound applies.  Inside it, S = 0 makes both
+          denominators -d < 0, and S >= min gives B < 3.1 * ``ej_err`` * d,
+          so both denominators are below 7 * ``ej_err`` * d and, as
+          ``ej_err`` < 1/7, both ratios clip to 1.
+        * ``combined_similarity`` runs the same operations in both codes, so
+          ``sim_err`` bounds the result, as it does for the pair tiles.
+        """
+        far = near = min_text = max_text = None  # only the scores with a nonzero weight count
+        if params.alpha > 0.0:
+            u = self.hi[:, owners, None] - self.lo[:, None]  # a.hi - b.lo, per axis
+            v = self.hi[:, None] - self.lo[:, owners, None]  # b.hi - a.lo
+            far = self.tiles.dist(*np.maximum(u, v))
+            # -max(a.lo - b.hi, b.lo - a.hi, 0), which has the same square
+            near = self.tiles.dist(*np.minimum(np.minimum(u, v), 0.0))
+        if params.alpha < 1.0:
+            ii = self.inter[owners] @ self.inter.T
+            uu = self.union[owners] @ self.union.T
+            with np.errstate(divide="ignore", invalid="ignore"):  # ratios are >= 0 where kept
+                min_text = np.minimum(ii / (self.union_sq[owners, None] + self.union_sq - ii), 1.0)
+                den = self.inter_sq[owners, None] + self.inter_sq - uu
+                max_text = np.minimum(np.where(den > 0.0, uu / den, 1.0), 1.0)
+            if self.empty[owners].any():
+                both = self.empty[owners, None] & self.empty
+                min_text[both] = max_text[both] = 0.0
+        lower = combined_similarity(far, min_text, params, stats)  # type: ignore[arg-type]
+        upper = combined_similarity(near, max_text, params, stats)  # type: ignore[arg-type]
+        shape = (len(owners), len(self.count))
+        return np.broadcast_to(lower, shape), np.broadcast_to(upper, shape)

@@ -1,69 +1,50 @@
-"""Per-entry neighbor-contribution lists and the accept/prune test.
+"""Per-entry neighbor-contribution lists, the correct mode's rows, and the
+accept/prune test.
 
 An entry's NN-list records, for a set of pairwise non-overlapping tree
 entries, how many neighbor slots each one accounts for (``m``) together with
 lower/upper similarity bounds.  Walking the tuples in decreasing bound order
 and accumulating ``m`` yields under/over-estimates of the similarity to the
-k-th nearest neighbor of any point inside the owner.  The walk sorts the
-tuples when it is asked for; ties in bound cannot change its value.
+k-th nearest neighbor of any point inside the owner; ties in bound cannot
+change the walk's value.  Counting a point twice inflates the lower walk and
+can trigger a false prune; leaving a point out deflates the upper walk and
+can trigger a false accept.  A list belongs to one query run, whose query,
+parameters and statistics it is built with, and it computes its owner's
+pessimistic and optimistic query similarity once.
 
-Counting a point twice inflates the lower cumulative walk and can trigger a
-false prune; leaving a point out deflates the upper walk and can trigger a
-false accept.  The correct mode therefore keeps every list a partition of
-the dataset: at every moment the tuples' preorder spans tile [0, N) exactly
-once.  A list starts as the root's self-tuple or as its parent's, and
-changes only by refinement toward an entry B (:meth:`NNLists.refine`): the
-held tuple T that covers B is split into T's off-path descendants along the
-path from T down to B, each keeping T's bounds (sound, since each is a
-subset of T), and B gets its directly computed bounds.
+The legacy modes keep lists.  A child's list starts as its parent's dict,
+sharing the immutable tuples, and :meth:`NNLists.update_with` pops every
+tuple covering the added entry (by lookup in :meth:`IurTree.covering`), so
+the popped tuple's other points lose coverage: the lists lose completeness.
 
-Tuples are immutable and shared: a child's list starts as a copy of its
-parent's dict, holding the very same tuples.  That is exact because no list
-ever holds a proper descendant of its owner (every refinement targets the
-owner itself or an entry disjoint from it, and a split adds only pieces off
-the path to its target): every held entry then overlaps both the parent and
-the child or neither, so its slot count is the same for both.  Because a
-tuple is shared, it does not say whether its bounds were computed for this
-list's owner: it records the owner that computed them (``source``), and a
-tuple is *direct* for a list exactly when that owner is the list's.
+The correct mode keeps none.  Its owners decide on rows (:class:`NodeRow`,
+:class:`ObjectRow`): the list of direct bounds against every other entry of
+the frontier (the queued, candidate and routed entries, which partition the
+dataset), plus a node's self-tuple.  Refining a list only tightens its
+bounds, so this is the list any refinement converges to, and its verdict
+the exhaustive one.  The paper's two conditions are visible in a row:
+completeness is the frontier's coverage of all n objects, and locality is
+the node owner's own element, its self-tuple with count - 1 slots.  A row
+keeps no tuples.  Its elements come from NumPy, each within the margin
+``sim_err`` of the scalar value: a node's from :meth:`EntryArrays.bounds`,
+one call for a tile of nodes against every entry (its docstring proves the
+margin), an object's from the pair kernel (:meth:`IurTree.tiles`) against
+every object.  An element further than the margin from its threshold is on
+its side of it; the row counts the list's masses as ranges and settles the
+rest in scalar code, only until the ranges decide.  Its :meth:`reference`
+builds the list itself, which audit runs walk.
 
-:meth:`NNLists.update_with` on its own pops every tuple that covers B (its
-proper ancestors and the equal-span chain entries below it) instead of
-splitting it, so the popped tuple's other points lose coverage.  The tree
-precomputes that set per entry (:meth:`IurTree.covering`), so the removal
-pops at most depth plus chain-length keys.  The legacy modes update that way.
-
-In the correct mode only index nodes own lists.  An object owner decides
-on its row (:class:`ObjectRow`): the list its exhaustive exchange would
-leave, direct bounds against every entry of the frontier (the queued,
-candidate and routed entries, which partition the dataset).  Its bounds
-against frontier objects come from one NumPy block of the pair kernel,
-within an error margin of ``sim_st`` that the scalar code settles; its
-bounds against a frontier node are scalar :func:`pair_sim_bounds`, needed
-only when the tuple covering the node in the owner's leaf's list reaches
-the owner's query similarity, since refinement only tightens bounds.  The
-row keeps no tuples: it counts the same two masses as ranges, settling
-unknown elements until the ranges decide.  Its completeness is the
-frontier covering all n objects; :meth:`ObjectRow.reference` builds the
-list itself, which audit runs walk.
-
-A list belongs to one query run: it is built with the query, the
-parameters and the statistics, which its refinements and its accept/prune
-test then use, and it computes its owner's pessimistic and optimistic query
-similarity once, at construction.  An inherited list takes its parent's run.
-
-The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  The list
-keeps three slot totals through every change, from its construction on: the
-drop mass (m summed over tuples whose lower bound reaches the optimistic
-owner-query similarity), the hit mass (upper bounds against the pessimistic
-one) and the covered slots.  Only inheritance, where the tuples change owner,
-counts them afresh.  A walk's k-th slot reaches a threshold exactly when at
-least k slots reach it, so drop mass >= k is the lower walk's prune and hit
-mass < k the upper walk's accept.  An accept also needs a complete list, the
-condition the legacy algorithms failed to maintain; their ungated test needs
-only k covered slots; completeness is a tiling of [0, N) by the held spans.
-The walks stay as the reference that audit runs and the tests compare the
-totals with.
+The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  A list keeps
+three slot totals from its construction on: the drop mass (m summed over
+tuples whose lower bound reaches the optimistic owner-query similarity), the
+hit mass (upper bounds against the pessimistic one) and the covered slots;
+only inheritance, where the tuples change owner, counts them afresh.  A
+walk's k-th slot reaches a threshold exactly when at least k slots reach it,
+so drop mass >= k is the lower walk's prune and hit mass < k the upper
+walk's accept.  An accept also needs a complete list, the condition the
+legacy algorithms failed to maintain; their ungated test needs only k
+covered slots.  A list is complete when the held spans tile [0, N).  The
+walks stay as the reference that audit runs and the tests compare with.
 """
 
 from __future__ import annotations
@@ -73,8 +54,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import NormStats, QueryObject, SimParams, sim_st
-from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, object_entry, pair_sim_bounds
+from .core import _TILE_ROWS, NormStats, QueryObject, SimParams, sim_st
+from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, pair_sim_bounds
 
 NEG_INF = float("-inf")
 
@@ -96,7 +77,6 @@ class NNTuple(NamedTuple):
     m: int
     min_sim: float
     max_sim: float
-    source: Entry | None = None  # the owner that computed the bounds; None if split off
 
 
 class NNLists:
@@ -153,7 +133,7 @@ class NNLists:
     def _recount(self) -> tuple[int, int, int]:
         """(drop mass, hit mass, covered slots) counted afresh."""
         drop = hit = covered = 0
-        for _, m, min_sim, max_sim, _ in self._tuples.values():
+        for _, m, min_sim, max_sim in self._tuples.values():
             covered += m
             if min_sim >= self.optimistic:
                 drop += m
@@ -188,7 +168,7 @@ class NNLists:
         if not self.owner.is_node:
             raise NotInternalNode(f"cannot add_self on object entry {self.owner.label}")
         lo, hi = self.bounds(self.owner)
-        self._put(NNTuple(self.owner, self.tree.count(self.owner) - 1, lo, hi, self.owner))
+        self._put(NNTuple(self.owner, self.tree.count(self.owner) - 1, lo, hi))
 
     def update_with(self, other: Entry,
                     bounds: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -214,63 +194,8 @@ class NNLists:
         if bounds is None:
             bounds = self.bounds(other)
         lo, hi = bounds
-        self._put(NNTuple(other, self._m_for(other), lo, hi, self.owner))
+        self._put(NNTuple(other, self._m_for(other), lo, hi))
         return bounds
-
-    def _cover(self, entry: Entry) -> Entry:
-        """The held entry, other than ``entry``, that covers ``entry``."""
-        held = next((e for e in self.tree.covering(entry) if e in self._tuples), None)
-        if held is None:
-            raise ValueError(f"no tuple in {self.owner.label}'s list covers {entry.label}")
-        return held
-
-    def holding(self, entry: Entry) -> NNTuple:
-        """The held tuple for ``entry`` or, failing one, for the entry covering it."""
-        t = self._tuples.get(entry)
-        return self._tuples[self._cover(entry)] if t is None else t
-
-    def _split_toward(self, entry: Entry) -> NNTuple:
-        """Pop the held tuple T whose entry covers ``entry`` and add T's
-        off-path descendants along the path from T down to ``entry``, all
-        with T's bounds, which hold for any subset of T's points.  Returns T;
-        ``entry`` itself is left without a tuple."""
-        tree = self.tree
-        held = self._cover(entry)
-        t = self._pop(held)
-        if tree.depth(held) < tree.depth(entry):  # else an equal-span descendant
-            lo, hi = t.min_sim, t.max_sim  # type: ignore[union-attr]
-            node = entry
-            while node != held:
-                parent = tree.parent(node)
-                for c in tree.children(parent):  # type: ignore[arg-type]
-                    if c != node:
-                        self._put(NNTuple(c, self._m_for(c), lo, hi))
-                node = parent  # type: ignore[assignment]
-        return t  # type: ignore[return-value]
-
-    def split(self, entry: Entry) -> None:
-        """Give ``entry`` a tuple of its own without changing what is covered.
-
-        The held tuple T that covers ``entry`` is replaced by T's off-path
-        pieces (:meth:`_split_toward`) and by ``entry`` with T's bounds.
-        Nothing changes when ``entry`` already has a tuple.
-        """
-        if entry not in self._tuples:
-            t = self._split_toward(entry)
-            self._put(NNTuple(entry, self._m_for(entry), t.min_sim, t.max_sim))
-
-    def refine(self, entry: Entry,
-               bounds: tuple[float, float] | None = None) -> tuple[float, float]:
-        """Split toward ``entry``, then store its direct bounds.
-
-        The split stops short of giving ``entry`` the covering tuple's
-        bounds; no held tuple covers ``entry`` after it, so
-        :meth:`update_with` pops nothing and the list stays a partition.
-        ``bounds`` and the return value are as for :meth:`update_with`.
-        """
-        if entry not in self._tuples:
-            self._split_toward(entry)
-        return self.update_with(entry, bounds)
 
     @classmethod
     def inherited(cls, child: Entry, parent_lists: "NNLists") -> "NNLists":
@@ -298,7 +223,7 @@ class NNLists:
         lists = cls(owner, tree, query, params, stats)
         for e in entries:
             lo, hi = lists.bounds(e)
-            lists._put(NNTuple(e, lists._m_for(e), lo, hi, owner))
+            lists._put(NNTuple(e, lists._m_for(e), lo, hi))
         return lists
 
     def strip_self_and_parent(self) -> None:
@@ -424,51 +349,7 @@ class NNLists:
                 )
 
 
-class Frontier(NamedTuple):
-    """The frontier as the object rows read it.
-
-    ``free`` is True at the preorder positions of the frontier's objects;
-    every other position lies under one of ``nodes``, the frontier's nodes,
-    each with an upper bound that no direct bound between it and the rows'
-    owners exceeds (the bound held for it in the list of the owners' leaf),
-    by decreasing bound.  ``covered`` counts the objects of both, n when the
-    entries partition the dataset.
-    """
-
-    free: np.ndarray
-    nodes: list[tuple[float, Entry]]
-    covered: int
-
-    @classmethod
-    def of(cls, tree: IurTree, free: np.ndarray, nodes: Sequence[tuple[float, Entry]]
-           ) -> "Frontier":
-        ordered = sorted(nodes, key=lambda pair: (-pair[0], pair[1]))
-        covered = int(np.count_nonzero(free)) + sum(tree.count(e) for _, e in ordered)
-        return cls(free, ordered, covered)
-
-
-class ObjectRows:
-    """Exact rows of consecutive preorder objects against one frontier.
-
-    Rows ``lo:hi`` of the pair kernel (:meth:`IurTree.tiles`) give each
-    owner's similarity to every object, within ``err`` of its ``sim_st``;
-    an owner is not its own neighbour, so its own element is -inf.
-    :meth:`row` views one owner's row as its NN-list.
-    """
-
-    def __init__(self, tree: IurTree, lo: int, hi: int, frontier: Frontier,
-                 query: QueryObject, params: SimParams, stats: NormStats):
-        self.tree, self.lo, self.frontier = tree, lo, frontier
-        self.query, self.params, self.stats = query, params, stats
-        tiles = tree.tiles()
-        self.sims = tiles.sims(lo, hi, params, stats)
-        self.err = tiles.sim_err(params, stats)
-
-    def row(self, owner: Entry) -> "ObjectRow":
-        return ObjectRow(self, owner)
-
-
-def _settled(drop: tuple[int, int], hit: tuple[int, int], k: int) -> Verdict | None:
+def _settled(drop: Sequence[int], hit: Sequence[int], k: int) -> Verdict | None:
     """:meth:`NNLists.counted_verdict` on masses known to lie in the closed
     ranges ``drop`` and ``hit``, or None while the ranges leave it open."""
     if drop[0] >= k:
@@ -481,34 +362,18 @@ def _settled(drop: tuple[int, int], hit: tuple[int, int], k: int) -> Verdict | N
     return None
 
 
-class ObjectRow:
-    """An object owner's NN-list as its exhaustive exchange would leave it.
+class _Row:
+    """An owner's list of direct bounds against every other entry of the
+    mask ``frontier`` (:class:`EntryArrays` order), and a node's self-tuple."""
 
-    That list holds direct bounds against every frontier entry, so it is
-    complete whenever the frontier partitions the dataset.  Against a
-    frontier object both bounds are the exact ``sim_st``, which the owner's
-    row holds within ``err``: an element further than that from the owner's
-    exact query similarity s is on its side of s, and one within it is
-    settled by scalar ``sim_st``.  Against a frontier node they are the
-    scalar :func:`pair_sim_bounds`, evaluated only when the node's bound in
-    the :class:`Frontier` reaches s, since a bound below s counts toward
-    neither mass.  Both masses are ranges while elements are unsettled, and
-    :meth:`counted_verdict` settles them, nodes by decreasing bound first,
-    only until the ranges decide.  :meth:`reference` builds the list itself,
-    for audit runs.
-    """
-
-    def __init__(self, rows: ObjectRows, owner: Entry):
-        self.owner, self.tree, self.params = owner, rows.tree, rows.params
-        self._rows = rows
-        self._pos = rows.tree.record(owner).span[0]
-        # exact: both query bounds of an object are its sim_st to the query
-        self.query_sim = min_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
+    def __init__(self, run: "NodeRows", owner: Entry, frontier: np.ndarray):
+        self.owner, self.frontier, self._run = owner, frontier, run
+        self.tree, self.params = run.tree, run.params
         self._verdict: Verdict | None = None
 
     def is_complete(self) -> bool:
         """The frontier covers every object."""
-        return self._rows.frontier.covered == self.tree.size
+        return int(self._run.arrays.count @ self.frontier) == self.tree.size
 
     def counted_verdict(self) -> Verdict:
         """:meth:`NNLists.counted_verdict` on the row, settled once."""
@@ -516,46 +381,158 @@ class ObjectRow:
             self._verdict = self._decide()
         return self._verdict
 
+    def reference(self) -> NNLists:
+        """The list itself, of direct scalar bounds, which audit runs walk."""
+        run, entries = self._run, self._run.arrays.entries
+        others = [entries[j] for j in np.flatnonzero(self.frontier).tolist()
+                  if entries[j] != self.owner]
+        lists = NNLists.direct(self.owner, others, self.tree, run.query, run.params, run.stats)
+        if self.owner.is_node:
+            lists.add_self()
+        return lists
+
+
+class ObjectRows:
+    """Exact rows of consecutive preorder objects against one frontier.
+
+    Rows ``lo:hi`` of the pair kernel (:meth:`IurTree.tiles`) give each
+    owner's similarity to every object, within ``err`` of its ``sim_st``;
+    an owner is not its own neighbour, so its own element is -inf.
+    ``node_bounds`` holds, per node, an upper bound on its direct bounds
+    with every owner (:meth:`NodeRow.node_bounds` of the owners' leaf).
+    """
+
+    def __init__(self, run: "NodeRows", lo: int, hi: int, frontier: np.ndarray,
+                 node_bounds: np.ndarray):
+        self.run, self.lo, self.frontier, self.node_bounds = run, lo, frontier, node_bounds
+        self.sims = run.tree.tiles().sims(lo, hi, run.params, run.stats)
+
+    def row(self, owner: Entry) -> "ObjectRow":
+        return ObjectRow(self, owner)
+
+
+class ObjectRow(_Row):
+    """An object owner's row.  Its bounds against a frontier object are the
+    exact ``sim_st``, which the kernel's row holds within ``err``; against a
+    frontier node they are the scalar :func:`pair_sim_bounds`, evaluated
+    only when the node's bound from the leaf's row reaches the owner's query
+    similarity s, since a bound below s counts toward neither mass."""
+
+    def __init__(self, rows: ObjectRows, owner: Entry):
+        super().__init__(rows.run, owner, rows.frontier)
+        self._rows, self._pos = rows, self.tree.record(owner).span[0]
+        # exact: both query bounds of an object are its sim_st to the query
+        self.query_sim = sim_st(self.tree.tiles().objects[self._pos], rows.run.query,
+                                self.params, rows.run.stats)
+
     def _decide(self) -> Verdict:
-        rows, tree, owner = self._rows, self.tree, self.owner
-        params, stats, k, s = rows.params, rows.stats, self.params.k, self.query_sim
-        free, err = rows.frontier.free, rows.err
+        rows, run, tree, owner = self._rows, self._run, self.tree, self.owner
+        params, stats, k, s = run.params, run.stats, self.params.k, self.query_sim
+        err, n_nodes = run.err, run.arrays.nodes
+        free = self.frontier[n_nodes:]
         diff = rows.sims[self._pos - rows.lo] - s
-        objects = int(np.count_nonzero(free & (diff > err)))  # known to reach s
-        near = np.flatnonzero(free & ~(np.abs(diff) > err)).tolist()  # nan-safe: unknown
-        nodes = []
-        for bound, e in rows.frontier.nodes:
-            if bound < s:
-                break
-            nodes.append(e)
-        drop = hit = 0  # slots of the bounded nodes that count
-        rest = sum(map(tree.count, nodes))  # slots of the nodes not yet bounded
-        nodes.reverse()  # pop by decreasing bound
+        known = int(np.count_nonzero(free & (diff > err)))  # objects known to reach s
+        near = free & ~(np.abs(diff) > err)  # objects not known either way (nan-safe)
+        nodes = self.frontier[:n_nodes] & ~(rows.node_bounds < s)  # may reach s (nan-safe)
+        unknown = int(np.count_nonzero(near)) + int(run.arrays.count[:n_nodes] @ nodes)
+        masses = [[known, known + unknown], [known, known + unknown]]  # (drop, hit) ranges
+        if (verdict := _settled(*masses, k)) is not None:
+            return verdict
+        near_objects = np.flatnonzero(near).tolist()
+        near_nodes = [run.arrays.entries[j] for j in np.flatnonzero(nodes).tolist()]
         points = tree.tiles().objects
-        while (verdict := _settled((objects + drop, objects + len(near) + drop + rest),
-                                   (objects + hit, objects + len(near) + hit + rest),
-                                   k)) is None:
-            if nodes:
-                e = nodes.pop()
-                lo, hi = pair_sim_bounds(tree, owner, e, params, stats)
-                m = tree.count(e)
-                rest -= m
-                drop += m * (lo >= s)
-                hit += m * (hi >= s)
+        while (verdict := _settled(*masses, k)) is None:
+            if near_nodes:  # first: one bound settles all of a node's slots
+                e = near_nodes.pop()
+                m, bounds = tree.count(e), pair_sim_bounds(tree, owner, e, params, stats)
             else:
-                objects += sim_st(points[self._pos], points[near.pop()], params, stats) >= s
+                m = 1
+                bounds = (sim_st(points[self._pos], points[near_objects.pop()], params, stats),) * 2
+            for mass, bound in zip(masses, bounds):
+                if bound >= s:
+                    mass[0] += m
+                else:
+                    mass[1] -= m
         return verdict
 
-    def reference(self) -> NNLists:
-        """The list of direct scalar bounds against every frontier entry."""
-        rows, points = self._rows, self.tree.tiles().objects
-        entries = [object_entry(points[p].id)
-                   for p in np.flatnonzero(rows.frontier.free).tolist() if p != self._pos]
-        entries += [e for _, e in rows.frontier.nodes]
-        return NNLists.direct(self.owner, entries, self.tree, rows.query, rows.params, rows.stats)
+
+class NodeRows:
+    """One query run, and the rows of its node owners a tile at a time: the
+    next ``_TILE_ROWS`` nodes in the order a FIFO traversal dequeues them,
+    skipping those under a decided node (:meth:`decided`).  One NumPy call
+    per tile, and O(_TILE_ROWS * (N + n)) memory.
+    """
+
+    def __init__(self, tree: IurTree, query: QueryObject, params: SimParams, stats: NormStats):
+        self.tree, self.query, self.params, self.stats = tree, query, params, stats
+        self.arrays = tree.entry_arrays()
+        self.err = tree.tiles().sim_err(params, stats)
+        self._routed = np.zeros(tree.size, dtype=bool)  # the positions under decided nodes
+        self._slot: dict[int, int] = {}  # node id -> its row in the tile
+        self.lower = self.upper = np.empty((0, 0))
+
+    def decided(self, node: Entry) -> None:
+        """Give no row to the nodes under ``node``."""
+        lo, hi = self.tree.record(node).span
+        self._routed[lo:hi] = True
+
+    def row(self, owner: Entry, frontier: np.ndarray) -> "NodeRow":
+        """``owner``'s row against ``frontier``, a mask over the entries."""
+        if owner.ident not in self._slot:
+            a = self.arrays
+            order = a.bfs[a.rank[owner.ident]:]
+            owners = order[~self._routed[a.first[order]]][:_TILE_ROWS]
+            self.lower, self.upper = a.bounds(owners, self.params, self.stats)
+            self._slot = {j: r for r, j in enumerate(owners.tolist())}
+        return NodeRow(self, owner, frontier)
 
 
-def is_hit_or_drop(lists: NNLists | ObjectRow, *, gated: bool = True) -> Verdict:
+class NodeRow(_Row):
+    """A node owner's row of :meth:`EntryArrays.bounds`, compared with the
+    owner's optimistic query similarity (lower bounds) and its pessimistic
+    one (upper bounds).  The owner's own element is its self-tuple.
+    """
+
+    def __init__(self, rows: NodeRows, owner: Entry, frontier: np.ndarray):
+        super().__init__(rows, owner, frontier)
+        slot = rows._slot[owner.ident]  # type: ignore[index]
+        self.lower, self.upper = rows.lower[slot], rows.upper[slot]
+        self.pessimistic = min_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
+        self.optimistic = max_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
+
+    def _decide(self) -> Verdict:
+        rows, owner, k, err = self._run, self.owner, self.params.k, self._run.err
+        m = np.where(self.frontier, rows.arrays.count, 0)
+        m[owner.ident] -= 1  # the self-tuple: a point is not its own neighbour
+        thresholds = (self.optimistic, self.pessimistic)
+        diffs = (self.lower - thresholds[0], self.upper - thresholds[1])
+        # (drop, hit): the slots known to count, and those that may (nan-safe)
+        masses = [[int(m @ (diff > err)), int(m @ ~(diff < -err))] for diff in diffs]
+        if (verdict := _settled(*masses, k)) is not None:
+            return verdict
+        unsure = [~(np.abs(diff) > err) for diff in diffs]
+        unknown = np.flatnonzero((m > 0) & (unsure[0] | unsure[1])).tolist()
+        while (verdict := _settled(*masses, k)) is None:
+            j = unknown.pop()
+            bounds = pair_sim_bounds(self.tree, owner, rows.arrays.entries[j], self.params,
+                                     rows.stats)
+            for mass, open_, bound, threshold in zip(masses, unsure, bounds, thresholds):
+                if not open_[j]:
+                    continue
+                if bound >= threshold:
+                    mass[0] += int(m[j])
+                else:
+                    mass[1] -= int(m[j])
+        return verdict
+
+    def node_bounds(self) -> np.ndarray:
+        """Per node, an upper bound that no scalar upper bound between one of
+        the owner's points and the node exceeds: the row's plus ``err`` (the
+        scalar bound of a subset is no larger)."""
+        return self.upper[:self._run.arrays.nodes] + self._run.err
+
+
+def is_hit_or_drop(lists: NNLists | _Row, *, gated: bool = True) -> Verdict:
     """Sufficient accept/prune test for the list's owner against its query.
 
     Drop when at least k slots have a lower bound at or above the optimistic

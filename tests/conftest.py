@@ -3,11 +3,32 @@
 from __future__ import annotations
 
 import random
+import runpy
+import warnings
+from pathlib import Path
 
 import pytest
 
 from rstknn.datasets import random_dataset
 from rstknn.iur_tree import _str_layout, object_entry, tree_from_layout
+
+# When a property fails, hypothesis's pytest plugin imports libcst to write
+# the failing example as a patch, and libcst's import raises a
+# DeprecationWarning that ``-W error`` (the CI command) turns into an
+# INTERNALERROR, losing the report.  Importing it here first, with that one
+# warning ignored, leaves the plugin a module that is already loaded.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:  # the plugin then writes no patch, and warns nothing
+        pass
+
+# the off-grid digest's instances and its random chain-layout generator,
+# which draws exactly as the digest's goldens were made
+_digest = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"))
+_chain_layout, offgrid_instance = _digest["_chain_layout"], _digest["offgrid_instance"]
 
 
 @pytest.fixture
@@ -18,20 +39,6 @@ def rng():
 def all_entries(tree) -> list:
     """Every entry of ``tree``: the nodes in id order, then the objects by id."""
     return [*tree.iter_node_entries(), *(object_entry(i) for i in sorted(tree.objects))]
-
-
-def _chain_layout(rng: random.Random, ids: list[str]) -> list:
-    """A random nesting of ``ids`` with single-child chain nodes and
-    single-object leaves."""
-    if len(ids) == 1 or (len(ids) <= 3 and rng.random() < 0.6):
-        layout: list = list(ids)
-    else:
-        cuts = sorted(rng.sample(range(1, len(ids)), min(len(ids) - 1, rng.randint(1, 3))))
-        bounds = [0, *cuts, len(ids)]
-        layout = [_chain_layout(rng, ids[a:b]) for a, b in zip(bounds, bounds[1:])]
-    while rng.random() < 0.3:
-        layout = [layout]  # a single-child node above it
-    return layout
 
 
 def wrapped(layout: list, depth: int) -> list:

@@ -20,12 +20,11 @@ from rstknn.nn_lists import NNLists
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-COUNTERS = (
-    "iur_tree.pair_bounds.calls",
-    "iur_tree.query_bounds.calls",
-    "nn_lists.update_with.calls",
-    "engine.tests",
-)
+BOUNDS_AND_TESTS = ("iur_tree.pair_bounds.calls", "iur_tree.query_bounds.calls", "engine.tests")
+# the correct mode keeps no NN-lists: its owners decide on rows
+COUNTERS = {Mode.CORRECT: BOUNDS_AND_TESTS,
+            Mode.FAULTY2011: (*BOUNDS_AND_TESTS, "nn_lists.update_with.calls"),
+            Mode.FAULTY2014: (*BOUNDS_AND_TESTS, "nn_lists.update_with.calls")}
 
 
 @pytest.fixture
@@ -48,8 +47,10 @@ def test_traced_demo_counts_every_layer(tracer_cls, mode):
             mode.value, lambda: rstknn_query(tree, fx.query, fx.params, mode, stats=stats)
         )
     assert trace
-    for name in COUNTERS:
+    for name in COUNTERS[mode]:
         assert tracer.values[f"{name}.{mode.value}"] > 0, name
+    if mode is Mode.CORRECT:
+        assert tracer.values["nn_lists.lists_created.correct"] == 0
     # the wrappers are removed again
     assert (engine.is_hit_or_drop, NNLists.__dict__["update_with"]) == originals
     assert rstknn_query(tree, fx.query, fx.params, mode, stats=stats)[0] == result

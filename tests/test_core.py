@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from rstknn.core import (
     STObject,
     SimParams,
     TermVector,
+    _PairTiles,
     check_spread,
     combined_similarity,
     compute_norm_stats,
@@ -231,6 +233,27 @@ def test_spread_beyond_float_range_is_rejected_before_any_tile():
         compute_norm_stats(objs)
     check_spread(objs[1:])  # a diagonal of 1e308 is a float
     check_spread(objs[:1])
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-3, 1.0, 1e6, 1e160])
+def test_tile_elements_lie_within_their_error_bounds(scale):
+    # every element of the kernel against the scalar functions, at spreads
+    # that take the square-root distance (1e-3 to 1e6) and np.hypot (the
+    # extremes), with pairs closer than the square root can resolve
+    rng = random.Random(3)
+    objs = [STObject("origin", (0.0, 0.0), TermVector({"t0": 1.0})),
+            STObject("close", (scale * 1e-170, 0.0), TermVector({"t0": 1.0, "t1": 1e-3}))]
+    for i in range(40):
+        weights = {f"t{j}": rng.uniform(0.01, 5.0) for j in rng.sample(range(6), rng.randint(0, 4))}
+        objs.append(STObject(f"P{i}", (rng.gauss(0, scale), rng.gauss(0, scale)),
+                             TermVector(weights)))
+    tiles = _PairTiles(objs)
+    assert tiles._squares is (1e-3 <= scale <= 1e6)
+    dist, ej = tiles.block(0, len(objs))
+    for i, a in enumerate(objs):
+        for j, b in enumerate(objs):
+            assert abs(dist[i, j] - euclidean_dist(a.loc, b.loc)) <= tiles.dist_err
+            assert abs(ej[i, j] - extended_jaccard(a.vct, b.vct)) <= tiles.ej_err
 
 
 def test_sim_st_symmetric_bit_for_bit(rng):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import offgrid_instance
 
 from rstknn.core import QueryObject, STObject, SimParams, TermVector, sim_st
 from rstknn.datasets import random_dataset, random_query
@@ -22,8 +23,8 @@ from rstknn.engine import (
     trace_to_jsonl,
 )
 from rstknn.iur_tree import build_tree, node_entry, object_entry, tree_from_layout
-from rstknn import nn_lists
-from rstknn.nn_lists import Frontier, NNLists, ObjectRow, ObjectRows, Verdict
+from rstknn import iur_tree, nn_lists
+from rstknn.nn_lists import NodeRow, NodeRows, ObjectRow, ObjectRows, Verdict
 from rstknn.oracle import kth_nn_sim, rknn_bruteforce
 
 
@@ -257,29 +258,20 @@ def _assert_tiles(lists):
 
 
 def test_correct_mode_lists_stay_partitions(monkeypatch, equal_span_trees):
-    # every change to a correct-mode list goes through one of these methods,
-    # so checking the changed list after each call checks every live list
-    # after every refinement
+    # every node decision of an audited run walks its row's reference list:
+    # direct bounds against every other frontier entry, and the self-tuple.
+    # Its spans tile [0, n): the frontier partitions the dataset and the
+    # owner accounts for its own points
     checks = []
+    reference = NodeRow.reference
 
-    def checked(method):
-        def wrapper(self, *args, **kwargs):
-            out = method(self, *args, **kwargs)
-            _assert_tiles(self)
-            checks.append(method.__name__)
-            return out
-        return wrapper
-
-    for name in ("split", "update_with", "refine", "add_self"):
-        monkeypatch.setattr(NNLists, name, checked(getattr(NNLists, name)))
-    inherit = NNLists.__dict__["inherited"].__func__
-
-    def inherited(cls, child, parent_lists):
-        lists = inherit(cls, child, parent_lists)
+    def checked(row):
+        lists = reference(row)
         _assert_tiles(lists)
+        checks.append(row.owner)
         return lists
 
-    monkeypatch.setattr(NNLists, "inherited", classmethod(inherited))
+    monkeypatch.setattr(NodeRow, "reference", checked)
     rng = random.Random(4242)
     trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
              for fanout in (2, 3, 4, 8) for _ in range(6)]
@@ -292,7 +284,76 @@ def test_correct_mode_lists_stay_partitions(monkeypatch, equal_span_trees):
                                k=rng.choice([1, 2, 4, len(objs), len(objs) + 1]))
             got, _ = rstknn_query(tree, q, params, stats=stats, audit=EngineAudit())
             assert got == rknn_bruteforce(objs, q, params, stats)
-    assert checks.count("refine") > 1000
+    assert len(checks) > 600
+
+
+def test_audited_offgrid_sweep_records_one_bound_per_decision():
+    # the off-grid digest's first 100 instances (Gaussian data, duplicate
+    # locations, chain layouts), audited: every decision, of a node row, an
+    # object row or a verification, walks its reference list and records
+    # its bounds, in trace order, and the answer is brute force's
+    decisions = 0
+    for i in range(100):
+        objects, query, tree, rng = offgrid_instance(i)
+        n, stats = len(objects), tree.norm_stats()
+        for alpha in (0.0, 0.4, 1.0):
+            params = SimParams(alpha, rng.choice([1, 2, 3, n, n + 1]))
+            audit = EngineAudit()
+            got, trace = rstknn_query(tree, query, params, stats=stats, audit=audit)
+            assert got == rknn_bruteforce(objects, query, params, stats)
+            owners = [ev.action.split(",")[0].split(" ")[1] for ev in trace]
+            assert [owner.label for owner, _, _ in audit.bound_records] == owners
+            decisions += len(owners)
+    assert decisions > 3000
+
+
+def test_node_rows_decide_alike_in_tiles_of_any_size(monkeypatch, equal_span_trees):
+    # a tree of at most _TILE_ROWS nodes bounds all its node owners in one
+    # call; tiles of two rows take many calls, skip the nodes under decided
+    # ones, and decide every query step for step as one tile does
+    rng = random.Random(77)
+    trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
+             for fanout in (2, 3, 4) for _ in range(4)] + equal_span_trees
+    runs = []
+    for tree in trees:
+        for _ in range(2):
+            q = random_query(rng, 5)
+            params = SimParams(rng.choice([0.0, 0.4, 1.0]), rng.choice([1, 2, 4, tree.size]))
+            runs.append((tree, q, params))
+    calls, decided = [], []
+    bounds, decide = iur_tree.EntryArrays.bounds, NodeRows.decided
+
+    def counted(arrays, owners, params, stats):
+        first, count = arrays.first, arrays.count
+        under = [d for d in decided for j in owners.tolist()
+                 if first[d] <= first[j] < first[d] + count[d]]
+        calls.append((len(owners), under))
+        return bounds(arrays, owners, params, stats)
+
+    def recorded(rows, node):
+        decided.append(node.ident)
+        decide(rows, node)
+
+    monkeypatch.setattr(iur_tree.EntryArrays, "bounds", counted)
+    monkeypatch.setattr(NodeRows, "decided", recorded)
+    one_tile = []
+    for tree, q, params in runs:
+        before, decided[:] = len(calls), []
+        got, trace = rstknn_query(tree, q, params)
+        assert len(calls) - before == 1
+        one_tile.append((got, trace_to_jsonl(trace)))
+    calls.clear()
+    monkeypatch.setattr(nn_lists, "_TILE_ROWS", 2)
+    skipped = 0
+    for (tree, q, params), want in zip(runs, one_tile):
+        decided[:] = []
+        got, trace = rstknn_query(tree, q, params, audit=EngineAudit())
+        assert (got, trace_to_jsonl(trace)) == want
+        skipped += tree.entry_arrays().nodes - sum(
+            ev.action.startswith("Dequeue N") for ev in trace)
+    assert max(size for size, _ in calls) == 2 and len(calls) > 2 * len(runs)
+    assert all(not under for _, under in calls)  # no row for a node under a decided one
+    assert skipped > 0
 
 
 def test_each_entry_enqueued_at_most_once():
@@ -343,7 +404,7 @@ def test_audit_catches_a_row_that_disagrees_with_its_reference_list(monkeypatch)
 ])
 def test_completeness_assertion_fires_on_an_incomplete_list(monkeypatch, n, alpha, k,
                                                             target, would_be):
-    # a node target inherits its list without one tuple that does not
+    # a node target's row reads a frontier without one entry that does not
     # overlap it; an object target's row reads a frontier without one of
     # its other objects.  Whatever the slot counts would decide, the
     # decision raises (a would-be hit through the gate, any other verdict
@@ -352,30 +413,32 @@ def test_completeness_assertion_fires_on_an_incomplete_list(monkeypatch, n, alph
     objs = random_dataset(rng, n, 4)
     q = random_query(rng, 4)
     tree = build_tree(objs, 2)
-    inherited = NNLists.inherited
+    node_row = NodeRows.row
     row = ObjectRows.row
     incomplete = []
 
-    def inherited_less_one(cls, child, parent_lists):
-        lists = inherited(child, parent_lists)
-        if child.label == target:
-            lists.remove(next(t.entry for t in lists.tuples()
-                              if not tree.overlaps(t.entry, child)))
-            incomplete.append(lists)
-        return lists
+    def node_row_less_one(rows, owner, frontier):
+        if owner.label != target:
+            return node_row(rows, owner, frontier)
+        entries = rows.arrays.entries
+        less = frontier.copy()
+        less[next(j for j in np.flatnonzero(frontier)
+                  if not tree.overlaps(entries[j], owner))] = False
+        incomplete.append(node_row(rows, owner, less))
+        return incomplete[-1]
 
     def row_less_one(rows, owner):
         if owner.label != target:
             return row(rows, owner)
-        own = tree.record(owner).span[0]
-        free = rows.frontier.free.copy()
-        free[next(p for p in np.flatnonzero(free) if p != own)] = False
         less = copy.copy(rows)
-        less.frontier = Frontier.of(tree, free, rows.frontier.nodes)
+        less.frontier = rows.frontier.copy()
+        entries = rows.run.arrays.entries
+        less.frontier[next(j for j in np.flatnonzero(rows.frontier)
+                           if entries[j].is_object and entries[j] != owner)] = False
         incomplete.append(row(less, owner))
         return incomplete[-1]
 
-    monkeypatch.setattr(NNLists, "inherited", classmethod(inherited_less_one))
+    monkeypatch.setattr(NodeRows, "row", node_row_less_one)
     monkeypatch.setattr(ObjectRows, "row", row_less_one)
     audit = EngineAudit()
     with pytest.raises(CompletenessViolation, match=f"for {target} "):
@@ -433,6 +496,55 @@ def test_exact_ties_with_the_query_drop_and_recheck_lazily(monkeypatch, alpha):
                     assert o.id not in got
     assert ties > 100
     assert calls and all(rechecks <= k for rechecks, k in per_row)
+
+
+def test_node_rows_settle_elements_within_the_margin_in_scalar_code(monkeypatch):
+    # objects share a few grid locations and term vectors, and each query
+    # copies one of them, so many node bounds equal their owner's query
+    # bounds exactly.  Rows pushed half the margin to either side of their
+    # values still decide as the audit's walks do, and answer exactly
+    rng = random.Random(5)
+    runs = []
+    for _ in range(40):
+        locs = [(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(3)]
+        vcts = [TermVector({f"t{j}": float(rng.randint(1, 3))
+                            for j in rng.sample(range(4), rng.randint(1, 2))}) for _ in range(3)]
+        objs = [STObject(f"P{i}", rng.choice(locs), rng.choice(vcts))
+                for i in range(rng.randint(6, 30))]
+        source = rng.choice(objs)
+        tree = build_tree(objs, rng.choice([2, 3]))
+        runs.append((objs, QueryObject(source.loc, source.vct), tree))
+    ties = 0
+    decide = NodeRow._decide
+
+    def counting(row):
+        nonlocal ties
+        tied = (row.lower == row.optimistic) | (row.upper == row.pessimistic)
+        ties += int(np.count_nonzero(row.frontier & tied))
+        return decide(row)
+
+    monkeypatch.setattr(NodeRow, "_decide", counting)
+    for objs, q, tree in runs:
+        for alpha in (0.0, 0.4, 1.0):
+            rstknn_query(tree, q, SimParams(alpha, 2))
+    assert ties > 100
+    monkeypatch.setattr(NodeRow, "_decide", decide)
+    bounds = iur_tree.EntryArrays.bounds
+    noise = np.random.default_rng(5)
+
+    def pushed(arrays, owners, params, stats):
+        margin = arrays.tiles.sim_err(params, stats)
+        return tuple(row + noise.choice([-0.5, 0.5], row.shape) * margin
+                     for row in bounds(arrays, owners, params, stats))
+
+    monkeypatch.setattr(iur_tree.EntryArrays, "bounds", pushed)
+    for objs, q, tree in runs:
+        stats = tree.norm_stats()
+        for alpha in (0.0, 0.4, 1.0):
+            for k in (1, 2, 3):
+                params = SimParams(alpha, k)
+                got, _ = rstknn_query(tree, q, params, stats=stats, audit=EngineAudit())
+                assert got == rknn_bruteforce(objs, q, params, stats)
 
 
 def test_knn_bound_sandwich_against_bruteforce():

@@ -5,8 +5,9 @@ import random
 import sys
 import weakref
 
+import numpy as np
 import pytest
-from conftest import all_entries
+from conftest import all_entries, offgrid_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -494,3 +495,61 @@ def test_sim_bounds_sandwich_random_node_pairs():
             checked += 1
             if checked >= 200:
                 return
+
+
+# -- the entry arrays' vectorized bounds against the scalar ones -----------------
+
+
+def _near_zero_denominator_tree():
+    """Nodes whose upper text bound's denominator, |I_a|^2 + |I_b|^2 - U_a.U_b,
+    is negative, zero or a few ulps above zero against other entries, and an
+    empty term vector."""
+    base = {"t1": 0.1, "t2": 0.2, "t3": 0.3, "t4": 0.7}
+    objs = [STObject("E", (5.0, 5.0), TermVector())]
+    for i, w in enumerate([1e-9, 1e-8, 3e-8, 1e-7]):
+        objs.append(STObject(f"A{i}", (float(i), 0.0), TermVector({**base, "s": w})))
+        objs.append(STObject(f"B{i}", (float(i), 1.0), TermVector({"s": w})))
+        objs.append(STObject(f"C{i}", (float(i), 2.0), TermVector(base)))
+    layout = [[f"A{i}", f"B{i}"] for i in range(4)] + [[f"C{i}" for i in range(4)] + ["E"]]
+    return tree_from_layout(objs, layout)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+def test_entry_array_bounds_lie_within_the_margin(alpha, equal_span_trees):
+    # every element of every node's row, against the scalar pair_sim_bounds;
+    # and a leaf's upper bounds plus the margin bound each of its objects'
+    # scalar upper bounds against every node, as the object rows assume
+    rng = random.Random(99)
+    trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
+             for fanout in (2, 3, 4, 8) for _ in range(3)]
+    trees += [offgrid_instance(i)[2] for i in range(24)]  # duplicates, chain layouts
+    trees += [*equal_span_trees, _near_zero_denominator_tree()]
+    params = SimParams(alpha, 1)
+    negative = zero = near_zero = 0
+    for tree in trees:
+        stats = tree.norm_stats()
+        arrays = tree.entry_arrays()
+        entries = arrays.entries
+        margin = tree.tiles().sim_err(params, stats)
+        lower, upper = arrays.bounds(np.arange(arrays.nodes), params, stats)
+        for i in range(arrays.nodes):
+            a = tree.record(entries[i])
+            for j, e in enumerate(entries):
+                low, high = pair_sim_bounds(tree, entries[i], e, params, stats)
+                # NaN only marks a dot of underflowed products, which these
+                # weights never make; it fails the comparison
+                assert abs(lower[i, j] - low) <= margin, (entries[i], e)
+                assert abs(upper[i, j] - high) <= margin, (entries[i], e)
+                b = tree.record(e)
+                dot = a.union_vct.dot(b.union_vct)
+                den = a.int_vct.norm_sq + b.int_vct.norm_sq - dot
+                if dot > 0:
+                    negative += den < 0
+                    zero += den == 0
+                    near_zero += 0 < den <= arrays.tiles.ej_err * (den + 2 * dot)
+            for o in a.children:
+                if o.is_object:
+                    for j in range(arrays.nodes):
+                        high = pair_sim_bounds(tree, o, entries[j], params, stats)[1]
+                        assert high <= upper[i, j] + margin
+    assert min(negative, zero, near_zero) > 0

@@ -154,67 +154,57 @@ def _manual_lists(tree, owner, rows, query=ORIGIN, params=PARAMS):
     return lists
 
 
-def test_split_replaces_the_covering_tuple_by_the_path_pieces():
-    objs, tree, stats = _line_tree()
-    n1 = node_entry(1)
-    lists = _manual_lists(tree, n1, [(node_entry(0), 5, 0.1, 0.9)])
-    lists.split(object_entry("P2"))  # path N0 > N2 > N3 > P2
-    pieces = {t.entry.label: (t.m, t.min_sim, t.max_sim, t.source == n1) for t in lists.tuples()}
-    assert pieces == {
-        "N1": (1, 0.1, 0.9, False),  # overlaps the owner: one slot fewer
-        "N4": (2, 0.1, 0.9, False),
-        "P3": (1, 0.1, 0.9, False),
-        "P2": (1, 0.1, 0.9, False),
-    }
-    lists.split(object_entry("P2"))  # already has its own tuple
-    assert len(lists) == 4
-    bounds = lists.refine(object_entry("P3"))
-    assert bounds == pair_sim_bounds(tree, n1, object_entry("P3"), PARAMS, stats)
-    assert lists.get(object_entry("P3")).source == n1 and len(lists) == 4
-    with pytest.raises(ValueError, match="covers"):
-        lists.split(node_entry(2))  # finer tuples tile it; no single one covers it
-
-
 def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
-    # the masses kept through splits, refinements and plain pops equal a
-    # recount, and on a partition they give the walks' verdict; one list per
-    # k, all built by the same steps
+    # lists of direct bounds against a partition of the dataset, as the
+    # correct mode's rows hold them (the owner is one of the partition's
+    # entries, and a node owner holds its self-tuple), then refined by
+    # expanding a held node into its children through update_with.  The
+    # masses equal a recount, the list stays complete, and the totals give
+    # the walks' verdict; one list per k, all built by the same steps
     agreements = {v: 0 for v in Verdict}
+
+    def check(family):
+        for lists in family:
+            _assert_totals(lists)
+            assert lists.is_complete()
+            verdict = lists.walked_verdict()
+            assert lists.counted_verdict() is verdict
+            assert is_hit_or_drop(lists) is verdict
+            agreements[verdict] += 1
+
+    def expand(entries):
+        node = rng.choice([e for e in entries if e.is_node])
+        entries.remove(node)
+        entries.extend(tree.children(node))
+        return tree.children(node)
+
     trees = [build_tree(random_dataset(rng, rng.randint(2, 30), 5), f) for f in (2, 3, 4, 8)]
     for tree in trees + equal_span_trees:
         stats = tree.norm_stats()
-        entries = all_entries(tree)
         for _ in range(4):
             alpha = rng.choice([0.0, 0.4, 1.0])
             q = random_query(rng, 5)
-            # inherit down to a random owner, as the traversal does
-            owner = rng.choice(entries)
-            path = [owner]
-            while tree.parent(path[-1]) is not None:
-                path.append(tree.parent(path[-1]))
+            partition = [tree.root_entry()]
+            for _ in range(rng.randint(0, tree.size)):
+                if any(e.is_node for e in partition):
+                    expand(partition)
+            owner = rng.choice(partition)
+            others = [e for e in partition if e != owner]
             family = []
             for k in range(1, tree.size + 2):
-                lists = _lists(tree, path[-1], q, SimParams(alpha, k), stats)
-                lists.add_self()
-                for child in reversed(path[:-1]):
-                    lists = NNLists.inherited(child, lists)
-                    lists.split(child)
-                    if child.is_node:
-                        lists.add_self()
+                lists = NNLists.direct(owner, others, tree, q, SimParams(alpha, k), stats)
+                if owner.is_node:
+                    lists.add_self()
                 family.append(lists)
+            check(family)
             for _ in range(20):
-                options = [e for e in entries if not tree.overlaps(e, owner) and (
-                    e in family[0] or any(c in family[0] for c in tree.covering(e)))]
-                if not options:
+                if not any(e.is_node for e in others):
                     break
-                b = rng.choice(options)
+                children = expand(others)
                 for lists in family:
-                    lists.refine(b)
-                    _assert_totals(lists)
-                    verdict = lists.walked_verdict()
-                    assert lists.counted_verdict() is verdict
-                    assert is_hit_or_drop(lists) is verdict
-                    agreements[verdict] += 1
+                    for c in children:
+                        lists.update_with(c)
+                check(family)
             if len(family[0]) > 1:  # a plain pop keeps the counts too
                 entry = family[0].tuples()[-1].entry
                 for lists in family:
@@ -307,13 +297,13 @@ def test_inherit_copies_and_recomputes_m():
     assert node_entry(1) in parent
 
 
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("mode", [Mode.FAULTY2011, Mode.FAULTY2014])
 def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_trees):
     # a child's list holds its parent's very tuples; that is exact because
-    # no list holds a proper descendant of its owner, in every mode, so each
-    # inherited slot count equals a fresh one.  The tuples change owner here,
-    # so the slot totals must be the child's: counted against its own query
-    # bounds
+    # no list holds a proper descendant of its owner, in both legacy modes,
+    # so each inherited slot count equals a fresh one.  The tuples change
+    # owner here, so the slot totals must be the child's: counted against
+    # its own query bounds
     inherit = NNLists.__dict__["inherited"].__func__
     shared = 0
 
@@ -329,12 +319,9 @@ def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_
         for t in lists.tuples():
             assert t is parent_lists.get(t.entry)
             assert t.m == lists._m_for(t.entry), (child.label, t.entry.label)
-            assert t.source != child  # nothing inherited is direct for the child
             assert not (tree.depth(t.entry) > tree.depth(child)
                         and tree.is_ancestor_or_equal(child, t.entry))
             shared += 1
-        if mode is Mode.CORRECT:
-            lists.check_invariants()
         return lists
 
     monkeypatch.setattr(NNLists, "inherited", classmethod(inherited))
@@ -527,8 +514,9 @@ def _complete_by_sets(lists):
 @given(st.data())
 def test_is_complete_is_the_set_difference_definition(data):
     # lists of node and object owners on STR and chain layouts (entries that
-    # share a span), changed by random inherit/update_with/refine/split/remove
-    # steps, some of which the engine would never take
+    # share a span), changed by random inherit/update_with/add_self/remove
+    # steps and expansions of a held node into its children, some of which
+    # the engine would never take
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     objects = random_dataset(rng, data.draw(st.integers(1, 16)), 4)
     if data.draw(st.booleans()):
@@ -541,20 +529,24 @@ def test_is_complete_is_the_set_difference_definition(data):
         lists.add_self()
     assert lists.is_complete() is _complete_by_sets(lists)
     for _ in range(data.draw(st.integers(0, 24))):
-        step = data.draw(st.sampled_from(["inherit", "update_with", "refine", "split", "remove"]))
-        if step == "inherit":
-            children = tree.children(lists.owner)
-            if not children:
-                continue
-            lists = NNLists.inherited(data.draw(st.sampled_from(children)), lists)
-            assert lists.is_complete() is _complete_by_sets(lists)
-            step, target = "split", lists.owner
-        else:
-            target = data.draw(st.sampled_from(entries))
+        step = data.draw(st.sampled_from(["inherit", "update_with", "add_self", "remove",
+                                          "expand"]))
         try:
-            getattr(lists, step)(target)
-        except ValueError:  # an update with the owner, or a split that nothing covers
-            continue
+            if step == "inherit":
+                children = tree.children(lists.owner)
+                if children:
+                    lists = NNLists.inherited(data.draw(st.sampled_from(children)), lists)
+            elif step == "add_self":
+                lists.add_self()
+            elif step == "expand":
+                held = [t.entry for t in lists.tuples() if t.entry.is_node]
+                if held:
+                    for child in tree.children(data.draw(st.sampled_from(held))):
+                        lists.update_with(child)
+            else:
+                getattr(lists, step)(data.draw(st.sampled_from(entries)))
+        except ValueError:  # an update with the owner, or add_self on an object
+            pass
         assert lists.is_complete() is _complete_by_sets(lists)
 
 

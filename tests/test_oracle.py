@@ -349,6 +349,35 @@ def test_correct_mode_stays_exact_when_its_rows_err_within_their_bound(instance,
     assert got == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(real_instances(), st.sampled_from([2, 3, 4, 8]), st.integers(0, 2**32 - 1))
+def test_correct_mode_stays_exact_when_its_node_rows_err_within_their_bound(instance, fanout,
+                                                                            seed):
+    # every element of the node owners' rows errs by up to half the margin,
+    # and one in five is NaN, unknown: the elements near a threshold still
+    # go to the scalar code, and the leaves' bounds for their objects' rows
+    # stay bounds
+    objs, query, params = instance
+    stats = pair_table_stats(objs)
+    want = scalar_rknn(objs, query, params, stats)
+    tree = build_tree(objs, fanout)
+    margin = tree.tiles().sim_err(params, stats)
+    noise = np.random.default_rng(seed)
+    real_bounds = iur_tree.EntryArrays.bounds
+
+    def perturbed(arrays, owners, params, stats):
+        rows = []
+        for row in real_bounds(arrays, owners, params, stats):
+            row = row + noise.uniform(-0.5, 0.5, row.shape) * margin
+            rows.append(np.where(noise.random(row.shape) < 0.2, np.nan, row))
+        return tuple(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iur_tree.EntryArrays, "bounds", perturbed)
+        got, _ = rstknn_query(tree, query, params, stats=stats, audit=EngineAudit())
+    assert got == want
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_rows_with_non_finite_tile_values_go_to_the_scalar_code(monkeypatch, bad):
     real_block = core_mod._PairTiles.block
