@@ -4,7 +4,8 @@ An R-tree over object locations where every node additionally stores an
 intersection vector (per-term minimum weight over the contained objects),
 a union vector (per-term maximum weight) and the object count.  Those three
 ingredients, together with the node MBRs, yield sound lower/upper bounds on
-the similarity between any two groups of objects.
+the similarity between any two groups of objects: :func:`pair_sim_bounds`
+for one pair, :meth:`EntryArrays.bounds` for many owners at once.
 
 The tree is one :class:`EntryRecord` per entry, node or object, and nothing
 else.  One builder, :func:`tree_from_layout`, writes the records straight
