@@ -207,13 +207,13 @@ _EPS = sys.float_info.epsilon
 class _PairTiles:
     """Row tiles of the pairwise distance and Extended Jaccard matrices.
 
-    :meth:`block` computes rows ``lo:hi`` against all n objects, in the order
-    of ``objects``.  Iterating yields ``(lo, dist, ej)`` for consecutive
-    blocks of ``_TILE_ROWS`` rows, so memory is O(_TILE_ROWS * n) and never
-    O(n^2).  Distances come from ``np.hypot``; Extended Jaccard from a matmul
-    over a dense term matrix (sorted-term columns) and the exact per-vector
-    ``norm_sq``, clamped at 1, with two empty vectors scoring 0, as in the
-    scalar functions.
+    :meth:`block` computes the rows of given positions against all n objects,
+    in the order of ``objects``.  Iterating yields ``(lo, dist, ej)`` for
+    consecutive blocks of ``_TILE_ROWS`` rows, so memory is O(_TILE_ROWS * n)
+    and never O(n^2).  Distances come from :meth:`dist`; Extended Jaccard
+    from a matmul over a dense term matrix (sorted-term columns) and the
+    exact per-vector ``norm_sq``, clamped at 1, with two empty vectors
+    scoring 0, as in the scalar functions.
 
     The tiles are not bit-identical to the scalar functions: :meth:`dist`
     and ``math.hypot`` differ in the last ulps, and a matmul sums in another
@@ -256,32 +256,38 @@ class _PairTiles:
         several times faster than ``np.hypot``, which serves extreme D."""
         return np.sqrt(dx * dx + dy * dy) if self._squares else np.hypot(dx, dy)
 
-    def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(dist, ej)`` of rows ``lo:hi`` against all n objects."""
-        xy, terms, norm_sq = self.xy, self.terms, self.norm_sq
-        dist = self.dist(xy[lo:hi, 0:1] - xy[None, :, 0], xy[lo:hi, 1:2] - xy[None, :, 1])
-        dot = terms[lo:hi] @ terms.T
-        den = norm_sq[lo:hi, None] + norm_sq[None, :] - dot
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ej = np.minimum(1.0, dot / den)
-        # only two empty vectors have a zero denominator: the squared
-        # norm of a non-empty vector is a normal float
-        ej[den == 0.0] = 0.0
+    def block(self, rows: np.ndarray | slice, params: SimParams | None = None
+              ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(dist, ej)`` of the objects at positions ``rows`` (an index
+        array or a slice) against all n objects.  Given ``params``, a score
+        without weight there is not computed and reads None."""
+        dist = ej = None
+        if params is None or params.alpha > 0.0:
+            xy = self.xy
+            dist = self.dist(xy[rows, 0:1] - xy[None, :, 0], xy[rows, 1:2] - xy[None, :, 1])
+        if params is None or params.alpha < 1.0:
+            dot = self.terms[rows] @ self.terms.T
+            den = self.norm_sq[rows, None] + self.norm_sq[None, :] - dot
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ej = np.minimum(1.0, dot / den)
+            # only two empty vectors have a zero denominator: the squared
+            # norm of a non-empty vector is a normal float
+            ej[den == 0.0] = 0.0
         return dist, ej
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         for lo in range(0, self.n, _TILE_ROWS):
-            yield lo, *self.block(lo, min(self.n, lo + _TILE_ROWS))
+            yield lo, *self.block(slice(lo, lo + _TILE_ROWS))  # type: ignore[misc]
 
-    def sims(self, lo: int, hi: int, params: SimParams, stats: NormStats) -> np.ndarray:
-        """``combined_similarity`` of rows ``lo:hi`` against all n objects,
-        within :meth:`sim_err` of ``sim_st``; an object is not its own
-        neighbour, so each row's own element is -inf."""
-        dist, ej = self.block(lo, hi)
-        sims = np.empty_like(dist)
-        sims[...] = combined_similarity(dist, ej, params, stats)  # a scalar when both scores are constant
-        own = np.arange(hi - lo)
-        sims[own, own + lo] = -math.inf
+    def sims(self, rows: np.ndarray, params: SimParams, stats: NormStats) -> np.ndarray:
+        """``combined_similarity`` of the objects at positions ``rows`` against
+        all n objects, within :meth:`sim_err` of ``sim_st``; an object is not
+        its own neighbour, so each row's own element is -inf."""
+        dist, ej = self.block(rows, params)
+        sims = combined_similarity(dist, ej, params, stats)  # type: ignore[arg-type]
+        if np.ndim(sims) == 0:  # both scores are constant
+            sims = np.full((len(rows), self.n), sims)
+        sims[np.arange(len(rows)), rows] = -math.inf
         return sims
 
     def sim_err(self, params: SimParams, stats: NormStats) -> float:

@@ -6,15 +6,14 @@ differ in control flow:
 
 * ``CORRECT`` — FIFO queue over a frontier of tree entries (queued,
   candidate and routed) that partitions the dataset, kept as a mask over
-  the tree's entries.  A dequeued entry keeps no NN-list: it decides on its
-  row (:mod:`rstknn.nn_lists`), direct bounds against every other frontier
-  entry, so its verdict depends only on the owner and the frontier.  Node
-  rows come a tile of nodes at a time, and an expanded leaf's row bounds
-  the frontier nodes for its objects' rows.  A runtime assertion verifies
-  at every decision that the frontier covers all n objects, and audit runs
-  check every verdict against the sorted walks of the row's reference
-  list; candidates left after the main loop are settled on their rows
-  against all objects.
+  the tree's entries.  A dequeued entry, node or object, keeps no NN-list:
+  it decides on its row (:mod:`rstknn.nn_lists`), direct bounds against
+  every other frontier entry, so its verdict depends only on the owner and
+  the frontier.  Rows come a tile of owners of one kind at a time.  A
+  runtime assertion verifies at every decision that the frontier covers
+  all n objects, and audit runs check every verdict against the sorted
+  walks of the row's reference list; candidates left after the main loop
+  are settled on their rows against all objects.
 * ``FAULTY2011`` — a reproduction of the legacy priority-queue algorithm
   that never lets a node account for its own contents.  Intentionally
   unsound; kept as an executable regression of that failure mode.
@@ -46,7 +45,7 @@ import numpy as np
 
 from .core import NormStats, QueryObject, SimParams
 from .iur_tree import Entry, IurTree, QueryView, max_sim_st, object_entry
-from .nn_lists import NNLists, NodeRow, NodeRows, ObjectRow, ObjectRows, Verdict, is_hit_or_drop
+from .nn_lists import NNLists, Row, Rows, Verdict, is_hit_or_drop
 
 
 class Mode(str, Enum):
@@ -139,7 +138,7 @@ def _route(state: EngineState, tree: IurTree, entry: Entry, verdict: Verdict) ->
         state.pel.append(entry)
 
 
-def _checked_verdict(lists: NodeRow | ObjectRow, audit: EngineAudit | None) -> Verdict:
+def _checked_verdict(lists: Row, audit: EngineAudit | None) -> Verdict:
     """The gated verdict, taken only on a complete list.
 
     A HIT has just passed the gate's completeness check; any other verdict
@@ -164,77 +163,56 @@ def _checked_verdict(lists: NodeRow | ObjectRow, audit: EngineAudit | None) -> V
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
                  stats: NormStats, audit: EngineAudit | None) -> EngineState:
     state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
-    node_rows = NodeRows(tree, query, params, stats)
-    index = node_rows.arrays.index
+    rows = Rows(tree, query, params, stats)
+    index = rows.arrays.index
     root = tree.root_entry()
     state.u.append(root)
     # queued, candidate and routed entries: a partition of the dataset
     frontier = np.zeros(len(index), dtype=bool)
     frontier[index[root]] = True
-    leaf_bounds: dict[Entry, np.ndarray] = {}  # of expanded leaves, for their objects' rows
-    rows: ObjectRows | None = None  # of the leaf whose objects are being dequeued
 
     while state.u:
         entry = state.u.popleft()
         action = f"Dequeue {entry.label}"
-        lists: NodeRow | ObjectRow
-        if entry.is_object:
-            leaf = tree.parent(entry)
-            if entry == tree.children(leaf)[0]:  # type: ignore[arg-type]
-                # a leaf's objects come off the queue together, with no node
-                # expanded in between: one frontier serves them all
-                lo, hi = tree.record(leaf).span  # type: ignore[arg-type]
-                bounds = leaf_bounds.pop(leaf)  # type: ignore[arg-type]
-                rows = ObjectRows(node_rows, lo, hi, frontier.copy(), bounds)
-            lists = rows.row(entry)  # type: ignore[union-attr]
-        else:
-            lists = node_rows.row(entry, frontier)
-        verdict = _checked_verdict(lists, audit)
+        verdict = _checked_verdict(rows.row(entry, frontier), audit)
         if verdict is not Verdict.UNDECIDED:
             _route(state, tree, entry, verdict)
-            if entry.is_node:
-                node_rows.decided(entry)
+            rows.decided(entry)
         elif entry.is_node:
             frontier[index[entry]] = False
-            children = tree.children(entry)
-            for child in children:
+            for child in tree.children(entry):
                 state.u.append(child)
                 frontier[index[child]] = True
                 action += f", Enqueue {child.label}"
-            if children[0].is_object:
-                leaf_bounds[entry] = lists.node_bounds()  # type: ignore[union-attr]
         else:
             state.col.append(entry)
         state.snapshot(action)
 
-    final_verification(state, tree, query, params, stats, audit=audit)
+    final_verification(state, rows, audit=audit)
     return state
 
 
-def final_verification(state: EngineState, tree: IurTree, query: QueryObject,
-                       params: SimParams, stats: NormStats,
-                       audit: EngineAudit | None = None) -> None:
+def final_verification(state: EngineState, rows: Rows, audit: EngineAudit | None = None) -> None:
     """Settle the candidates left after the main loop.
 
     Each candidate decides on its row against single objects as the
     frontier.  Bounds between two objects, and between an object and the
     query, are exact (lower equals upper), so the two slot counts coincide
     and the accept/prune test is decisive: the candidate list empties in
-    one pass.
+    one pass.  The other objects are decided, so the candidates' rows come
+    in tiles of candidates.
     """
     if not state.col:
         return
-    run = NodeRows(tree, query, params, stats)
-    nodes = run.arrays.nodes
-    points = np.arange(nodes + tree.size) >= nodes  # the frontier of all objects, no node
+    nodes = rows.arrays.nodes
+    points = np.arange(nodes + rows.tree.size) >= nodes  # the frontier of all objects, no node
     for candidate in list(state.col):
-        pos = tree.record(candidate).span[0]
-        row = ObjectRows(run, pos, pos + 1, points, np.zeros(nodes)).row(candidate)
-        verdict = _checked_verdict(row, audit)
+        verdict = _checked_verdict(rows.row(candidate, points), audit)
         if verdict is Verdict.UNDECIDED:  # pragma: no cover - impossible with exact point bounds
             raise RuntimeError(f"verification left {candidate.label} undecided")
         state.col.remove(candidate)
-        _route(state, tree, candidate, verdict)
+        _route(state, rows.tree, candidate, verdict)
+        rows.decided(candidate)
         state.snapshot(f"Verify {candidate.label}")
 
 

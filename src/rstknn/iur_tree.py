@@ -541,9 +541,10 @@ class EntryArrays:
     then the object at preorder position i - ``nodes`` (``entries`` and
     ``index`` translate).  Per entry: the MBR corners, the intersection and
     union vectors as dense rows (the objects' are the pair tiles' own) with
-    each vector's exact ``norm_sq``, and the object ``count``.  ``bfs``
-    lists the nodes as a FIFO traversal dequeues them, ``rank`` is each
-    node's place there, and ``first`` its first preorder position.
+    each vector's exact ``norm_sq``, the object ``count`` and the first
+    preorder position ``first``.  ``bfs`` lists the entries as a FIFO
+    traversal dequeues them, by depth and each level in preorder, and
+    ``rank`` is each entry's place there.
     """
 
     def __init__(self, tree: IurTree):
@@ -563,20 +564,26 @@ class EntryArrays:
         self.union_sq = np.concatenate([[r.union_vct.norm_sq for r in records], tiles.norm_sq])
         self.empty = self.union_sq == 0.0  # only an empty vector has a zero squared norm
         spans = np.array([r.span for r in records])
-        self.first = spans[:, 0]
-        self.count = np.concatenate([spans[:, 1] - self.first, np.ones(tiles.n, dtype=int)])
-        # a FIFO traversal meets the nodes by depth, each level in preorder
-        self.bfs = np.array(sorted(range(self.nodes), key=lambda i: records[i].depth))
+        self.first = np.concatenate([spans[:, 0], np.arange(tiles.n)])
+        self.count = np.concatenate([spans[:, 1] - spans[:, 0], np.ones(tiles.n, dtype=int)])
+        depth = [tree.depth(e) for e in self.entries]
+        self.bfs = np.lexsort((self.first, depth))
         self.rank = np.argsort(self.bfs)
 
-    def bounds(self, owners: np.ndarray, params: SimParams, stats: NormStats
-               ) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self, owners: np.ndarray, params: SimParams, stats: NormStats,
+               nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) of :func:`pair_sim_bounds` between each owner (a row)
         and every entry (a column), each within the pair tiles' ``sim_err`` of
-        the scalar value.  Two empty unions score 0 in both codes.
+        the scalar value.  The owners are all nodes or all objects.
 
-        The rows repeat the scalar arithmetic operation for operation, so
-        they differ from it only where :class:`~rstknn.core._PairTiles` does:
+        Between two objects both bounds are the exact ``sim_st``, so object
+        owners take their object columns from the pair kernel
+        (:meth:`_PairTiles.sims`), whose margin this is; their own element
+        there is -inf.  Their node columns are those of ``nodes`` (all by
+        default), and NaN, unknown, elsewhere.  The other elements repeat
+        the scalar arithmetic operation for operation, so they differ from
+        it only where :class:`~rstknn.core._PairTiles` does (two empty
+        unions score 0 in both codes):
 
         * Distances.  Box corners are object coordinates, so both codes round
           the same corner differences (or their exact negations); only the
@@ -607,24 +614,36 @@ class EntryArrays:
         * ``combined_similarity`` runs the same operations in both codes, so
           ``sim_err`` bounds the result, as it does for the pair tiles.
         """
+        objects = owners[0] >= self.nodes
+        # the columns of the general arithmetic
+        cols = (slice(self.nodes) if nodes is None else nodes) if objects else slice(None)
         far = near = min_text = max_text = None  # only the scores with a nonzero weight count
         if params.alpha > 0.0:
-            u = self.hi[:, owners, None] - self.lo[:, None]  # a.hi - b.lo, per axis
-            v = self.hi[:, None] - self.lo[:, owners, None]  # b.hi - a.lo
+            u = self.hi[:, owners, None] - self.lo[:, None, cols]  # a.hi - b.lo, per axis
+            v = self.hi[:, None, cols] - self.lo[:, owners, None]  # b.hi - a.lo
             far = self.tiles.dist(*np.maximum(u, v))
             # -max(a.lo - b.hi, b.lo - a.hi, 0), which has the same square
             near = self.tiles.dist(*np.minimum(np.minimum(u, v), 0.0))
         if params.alpha < 1.0:
-            ii = self.inter[owners] @ self.inter.T
-            uu = self.union[owners] @ self.union.T
+            ii = self.inter[owners] @ self.inter[cols].T
+            uu = self.union[owners] @ self.union[cols].T
             with np.errstate(divide="ignore", invalid="ignore"):  # ratios are >= 0 where kept
-                min_text = np.minimum(ii / (self.union_sq[owners, None] + self.union_sq - ii), 1.0)
-                den = self.inter_sq[owners, None] + self.inter_sq - uu
+                union_sq = self.union_sq[owners, None] + self.union_sq[cols]
+                min_text = np.minimum(ii / (union_sq - ii), 1.0)
+                den = self.inter_sq[owners, None] + self.inter_sq[cols] - uu
                 max_text = np.minimum(np.where(den > 0.0, uu / den, 1.0), 1.0)
             if self.empty[owners].any():
-                both = self.empty[owners, None] & self.empty
+                both = self.empty[owners, None] & self.empty[cols]
                 min_text[both] = max_text[both] = 0.0
         lower = combined_similarity(far, min_text, params, stats)  # type: ignore[arg-type]
         upper = combined_similarity(near, max_text, params, stats)  # type: ignore[arg-type]
         shape = (len(owners), len(self.count))
-        return np.broadcast_to(lower, shape), np.broadcast_to(upper, shape)
+        if not objects:
+            return np.broadcast_to(lower, shape), np.broadcast_to(upper, shape)
+        sims = self.tiles.sims(self.first[owners], params, stats)
+        out = np.empty(shape), np.empty(shape)
+        for bound, tile in zip((lower, upper), out):
+            tile[:, :self.nodes] = np.nan
+            tile[:, cols] = bound
+            tile[:, self.nodes:] = sims
+        return out

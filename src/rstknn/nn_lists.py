@@ -17,22 +17,22 @@ sharing the immutable tuples, and :meth:`NNLists.update_with` pops every
 tuple covering the added entry (by lookup in :meth:`IurTree.covering`), so
 the popped tuple's other points lose coverage: the lists lose completeness.
 
-The correct mode keeps none.  Its owners decide on rows (:class:`NodeRow`,
-:class:`ObjectRow`): the list of direct bounds against every other entry of
-the frontier (the queued, candidate and routed entries, which partition the
+The correct mode keeps none.  Every owner, node or object, decides on its
+:class:`Row`: the list of direct bounds against every other entry of the
+frontier (the queued, candidate and routed entries, which partition the
 dataset), plus a node's self-tuple.  Refining a list only tightens its
 bounds, so this is the list any refinement converges to, and its verdict
 the exhaustive one.  The paper's two conditions are visible in a row:
 completeness is the frontier's coverage of all n objects, and locality is
-the node owner's own element, its self-tuple with count - 1 slots.  A row
-keeps no tuples.  Its elements come from NumPy, each within the margin
-``sim_err`` of the scalar value: a node's from :meth:`EntryArrays.bounds`,
-one call for a tile of nodes against every entry (its docstring proves the
-margin), an object's from the pair kernel (:meth:`IurTree.tiles`) against
-every object.  An element further than the margin from its threshold is on
-its side of it; the row counts the list's masses as ranges and settles the
-rest in scalar code, only until the ranges decide.  Its :meth:`reference`
-builds the list itself, which audit runs walk.
+the owner's own element, which holds count - 1 slots (a node's self-tuple,
+none for an object).  A row keeps no tuples.  Its elements come from
+:meth:`EntryArrays.bounds`, one NumPy call for a tile of owners of one kind
+against every entry, each within the margin ``sim_err`` of the scalar value
+(its docstring proves the margin).  An element further than the margin
+from its threshold is on its side of it; the row counts the list's masses
+as ranges and settles the rest in scalar code, only until the ranges
+decide.  Its :meth:`reference` builds the list itself, which audit runs
+walk.
 
 The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  A list keeps
 three slot totals from its construction on: the drop mass (m summed over
@@ -54,8 +54,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import _TILE_ROWS, NormStats, QueryObject, SimParams, sim_st
+from .core import NormStats, QueryObject, SimParams, sim_st
 from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, pair_sim_bounds
+
+_TILE_ROWS = 32  # owners per tile; 16 or 64 measured slower at n = 1,024 and 4,096, alpha 0.4
 
 NEG_INF = float("-inf")
 
@@ -362,18 +364,70 @@ def _settled(drop: Sequence[int], hit: Sequence[int], k: int) -> Verdict | None:
     return None
 
 
-class _Row:
-    """An owner's list of direct bounds against every other entry of the
-    mask ``frontier`` (:class:`EntryArrays` order), and a node's self-tuple."""
+class Rows:
+    """One query run, and its owners' rows a tile at a time: the next
+    ``_TILE_ROWS`` entries of the owner's kind, in the order a FIFO
+    traversal dequeues them, skipping decided entries and those under them
+    (:meth:`decided`).  A tile of each kind is kept, so nodes and objects
+    that take turns in the queue recompute none.  An object tile bounds
+    only the nodes on the frontier or not yet dequeued, since no other node
+    can join the frontier later.  One :meth:`EntryArrays.bounds` call per
+    tile, and O(_TILE_ROWS * (N + n)) memory.
+    """
 
-    def __init__(self, run: "NodeRows", owner: Entry, frontier: np.ndarray):
-        self.owner, self.frontier, self._run = owner, frontier, run
-        self.tree, self.params = run.tree, run.params
+    def __init__(self, tree: IurTree, query: QueryObject, params: SimParams, stats: NormStats):
+        self.tree, self.query, self.params, self.stats = tree, query, params, stats
+        self.arrays = tree.entry_arrays()
+        self.err = tree.tiles().sim_err(params, stats)
+        self._routed = np.zeros(tree.size, dtype=bool)  # the positions of decided entries
+        # per kind (is_node), the tile: entry index -> its row, and the rows
+        self._tiles: dict[bool, tuple[dict[int, int], np.ndarray, np.ndarray]] = {}
+
+    def decided(self, entry: Entry) -> None:
+        """Give no row to ``entry`` or the entries under it."""
+        lo, hi = self.tree.record(entry).span
+        self._routed[lo:hi] = True
+
+    def row(self, owner: Entry, frontier: np.ndarray) -> "Row":
+        """``owner``'s row against ``frontier``, a mask over the entries."""
+        a, i, kind = self.arrays, self.arrays.index[owner], owner.is_node
+        slot, lower, upper = self._tiles.get(kind, ({}, None, None))
+        if i not in slot:
+            order = a.bfs[a.rank[i]:]
+            owners = order[((order < a.nodes) == kind) & ~self._routed[a.first[order]]][:_TILE_ROWS]
+            nodes = None if kind else np.flatnonzero(frontier[:a.nodes]
+                                                     | (a.rank[:a.nodes] > a.rank[i]))
+            lower, upper = a.bounds(owners, self.params, self.stats, nodes)
+            slot = {j: r for r, j in enumerate(owners.tolist())}
+            self._tiles[kind] = slot, lower, upper
+        return Row(self, owner, frontier, lower[slot[i]], upper[slot[i]])  # type: ignore[index]
+
+
+class Row:
+    """An owner's list of direct bounds against every other entry of the
+    mask ``frontier`` (:class:`EntryArrays` order), and a node's self-tuple.
+
+    The bounds are the owner's row of :meth:`EntryArrays.bounds`; the lower
+    ones are compared with the owner's optimistic query similarity, the
+    upper ones with its pessimistic one.  Both are an object's exact
+    ``sim_st`` to the query.
+    """
+
+    def __init__(self, rows: Rows, owner: Entry, frontier: np.ndarray,
+                 lower: np.ndarray, upper: np.ndarray):
+        self.owner, self.frontier, self.lower, self.upper = owner, frontier, lower, upper
+        self.tree, self.params, self._rows = rows.tree, rows.params, rows
         self._verdict: Verdict | None = None
+        if owner.is_node:
+            self.pessimistic = min_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
+            self.optimistic = max_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
+        else:  # both query bounds of an object are its sim_st to the query
+            obj = rows.tree.object(owner.ident)  # type: ignore[arg-type]
+            self.pessimistic = self.optimistic = sim_st(obj, rows.query, rows.params, rows.stats)
 
     def is_complete(self) -> bool:
         """The frontier covers every object."""
-        return int(self._run.arrays.count @ self.frontier) == self.tree.size
+        return int(self._rows.arrays.count @ self.frontier) == self.tree.size
 
     def counted_verdict(self) -> Verdict:
         """:meth:`NNLists.counted_verdict` on the row, settled once."""
@@ -381,133 +435,20 @@ class _Row:
             self._verdict = self._decide()
         return self._verdict
 
-    def reference(self) -> NNLists:
-        """The list itself, of direct scalar bounds, which audit runs walk."""
-        run, entries = self._run, self._run.arrays.entries
-        others = [entries[j] for j in np.flatnonzero(self.frontier).tolist()
-                  if entries[j] != self.owner]
-        lists = NNLists.direct(self.owner, others, self.tree, run.query, run.params, run.stats)
-        if self.owner.is_node:
-            lists.add_self()
-        return lists
-
-
-class ObjectRows:
-    """Exact rows of consecutive preorder objects against one frontier.
-
-    Rows ``lo:hi`` of the pair kernel (:meth:`IurTree.tiles`) give each
-    owner's similarity to every object, within ``err`` of its ``sim_st``;
-    an owner is not its own neighbour, so its own element is -inf.
-    ``node_bounds`` holds, per node, an upper bound on its direct bounds
-    with every owner (:meth:`NodeRow.node_bounds` of the owners' leaf).
-    """
-
-    def __init__(self, run: "NodeRows", lo: int, hi: int, frontier: np.ndarray,
-                 node_bounds: np.ndarray):
-        self.run, self.lo, self.frontier, self.node_bounds = run, lo, frontier, node_bounds
-        self.sims = run.tree.tiles().sims(lo, hi, run.params, run.stats)
-
-    def row(self, owner: Entry) -> "ObjectRow":
-        return ObjectRow(self, owner)
-
-
-class ObjectRow(_Row):
-    """An object owner's row.  Its bounds against a frontier object are the
-    exact ``sim_st``, which the kernel's row holds within ``err``; against a
-    frontier node they are the scalar :func:`pair_sim_bounds`, evaluated
-    only when the node's bound from the leaf's row reaches the owner's query
-    similarity s, since a bound below s counts toward neither mass."""
-
-    def __init__(self, rows: ObjectRows, owner: Entry):
-        super().__init__(rows.run, owner, rows.frontier)
-        self._rows, self._pos = rows, self.tree.record(owner).span[0]
-        # exact: both query bounds of an object are its sim_st to the query
-        self.query_sim = sim_st(self.tree.tiles().objects[self._pos], rows.run.query,
-                                self.params, rows.run.stats)
-
     def _decide(self) -> Verdict:
-        rows, run, tree, owner = self._rows, self._run, self.tree, self.owner
-        params, stats, k, s = run.params, run.stats, self.params.k, self.query_sim
-        err, n_nodes = run.err, run.arrays.nodes
-        free = self.frontier[n_nodes:]
-        diff = rows.sims[self._pos - rows.lo] - s
-        known = int(np.count_nonzero(free & (diff > err)))  # objects known to reach s
-        near = free & ~(np.abs(diff) > err)  # objects not known either way (nan-safe)
-        nodes = self.frontier[:n_nodes] & ~(rows.node_bounds < s)  # may reach s (nan-safe)
-        unknown = int(np.count_nonzero(near)) + int(run.arrays.count[:n_nodes] @ nodes)
-        masses = [[known, known + unknown], [known, known + unknown]]  # (drop, hit) ranges
-        if (verdict := _settled(*masses, k)) is not None:
-            return verdict
-        near_objects = np.flatnonzero(near).tolist()
-        near_nodes = [run.arrays.entries[j] for j in np.flatnonzero(nodes).tolist()]
-        points = tree.tiles().objects
-        while (verdict := _settled(*masses, k)) is None:
-            if near_nodes:  # first: one bound settles all of a node's slots
-                e = near_nodes.pop()
-                m, bounds = tree.count(e), pair_sim_bounds(tree, owner, e, params, stats)
-            else:
-                m = 1
-                bounds = (sim_st(points[self._pos], points[near_objects.pop()], params, stats),) * 2
-            for mass, bound in zip(masses, bounds):
-                if bound >= s:
-                    mass[0] += m
-                else:
-                    mass[1] -= m
-        return verdict
-
-
-class NodeRows:
-    """One query run, and the rows of its node owners a tile at a time: the
-    next ``_TILE_ROWS`` nodes in the order a FIFO traversal dequeues them,
-    skipping those under a decided node (:meth:`decided`).  One NumPy call
-    per tile, and O(_TILE_ROWS * (N + n)) memory.
-    """
-
-    def __init__(self, tree: IurTree, query: QueryObject, params: SimParams, stats: NormStats):
-        self.tree, self.query, self.params, self.stats = tree, query, params, stats
-        self.arrays = tree.entry_arrays()
-        self.err = tree.tiles().sim_err(params, stats)
-        self._routed = np.zeros(tree.size, dtype=bool)  # the positions under decided nodes
-        self._slot: dict[int, int] = {}  # node id -> its row in the tile
-        self.lower = self.upper = np.empty((0, 0))
-
-    def decided(self, node: Entry) -> None:
-        """Give no row to the nodes under ``node``."""
-        lo, hi = self.tree.record(node).span
-        self._routed[lo:hi] = True
-
-    def row(self, owner: Entry, frontier: np.ndarray) -> "NodeRow":
-        """``owner``'s row against ``frontier``, a mask over the entries."""
-        if owner.ident not in self._slot:
-            a = self.arrays
-            order = a.bfs[a.rank[owner.ident]:]
-            owners = order[~self._routed[a.first[order]]][:_TILE_ROWS]
-            self.lower, self.upper = a.bounds(owners, self.params, self.stats)
-            self._slot = {j: r for r, j in enumerate(owners.tolist())}
-        return NodeRow(self, owner, frontier)
-
-
-class NodeRow(_Row):
-    """A node owner's row of :meth:`EntryArrays.bounds`, compared with the
-    owner's optimistic query similarity (lower bounds) and its pessimistic
-    one (upper bounds).  The owner's own element is its self-tuple.
-    """
-
-    def __init__(self, rows: NodeRows, owner: Entry, frontier: np.ndarray):
-        super().__init__(rows, owner, frontier)
-        slot = rows._slot[owner.ident]  # type: ignore[index]
-        self.lower, self.upper = rows.lower[slot], rows.upper[slot]
-        self.pessimistic = min_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
-        self.optimistic = max_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
-
-    def _decide(self) -> Verdict:
-        rows, owner, k, err = self._run, self.owner, self.params.k, self._run.err
+        rows, owner, k, err = self._rows, self.owner, self.params.k, self._rows.err
         m = np.where(self.frontier, rows.arrays.count, 0)
-        m[owner.ident] -= 1  # the self-tuple: a point is not its own neighbour
+        # a node's self-tuple holds count - 1 slots, an object's own element
+        # none: a point is not its own neighbour
+        m[rows.arrays.index[owner]] -= 1
         thresholds = (self.optimistic, self.pessimistic)
         diffs = (self.lower - thresholds[0], self.upper - thresholds[1])
+        known = int(m @ (diffs[0] > err))
+        if known >= k:  # the common verdict, before the other three masses
+            return Verdict.DROP
         # (drop, hit): the slots known to count, and those that may (nan-safe)
-        masses = [[int(m @ (diff > err)), int(m @ ~(diff < -err))] for diff in diffs]
+        masses = [[known, int(m @ ~(diffs[0] < -err))],
+                  [int(m @ (diffs[1] > err)), int(m @ ~(diffs[1] < -err))]]
         if (verdict := _settled(*masses, k)) is not None:
             return verdict
         unsure = [~(np.abs(diff) > err) for diff in diffs]
@@ -525,14 +466,18 @@ class NodeRow(_Row):
                     mass[1] -= int(m[j])
         return verdict
 
-    def node_bounds(self) -> np.ndarray:
-        """Per node, an upper bound that no scalar upper bound between one of
-        the owner's points and the node exceeds: the row's plus ``err`` (the
-        scalar bound of a subset is no larger)."""
-        return self.upper[:self._run.arrays.nodes] + self._run.err
+    def reference(self) -> NNLists:
+        """The list itself, of direct scalar bounds, which audit runs walk."""
+        rows, entries = self._rows, self._rows.arrays.entries
+        others = [entries[j] for j in np.flatnonzero(self.frontier).tolist()
+                  if entries[j] != self.owner]
+        lists = NNLists.direct(self.owner, others, self.tree, rows.query, rows.params, rows.stats)
+        if self.owner.is_node:
+            lists.add_self()
+        return lists
 
 
-def is_hit_or_drop(lists: NNLists | _Row, *, gated: bool = True) -> Verdict:
+def is_hit_or_drop(lists: NNLists | Row, *, gated: bool = True) -> Verdict:
     """Sufficient accept/prune test for the list's owner against its query.
 
     Drop when at least k slots have a lower bound at or above the optimistic

@@ -80,7 +80,7 @@ def _kth_sims(dataset: Sequence[STObject], params: SimParams, stats: NormStats
     unsure = np.empty(n, dtype=bool)
     for lo in range(0, n, _TILE_ROWS):
         hi = min(n, lo + _TILE_ROWS)
-        sim = tiles.sims(lo, hi, params, stats)
+        sim = tiles.sims(np.arange(lo, hi), params, stats)
         # the k-th largest of each row is its (n - k)-th smallest, self included
         kth[lo:hi] = np.partition(sim, n - k, axis=1)[:, n - k]
         unsure[lo:hi] = np.isfinite(sim).sum(axis=1) < n - 1

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from rstknn.core import (
     fdim_ratio,
     sim_st,
 )
+from rstknn.datasets import random_dataset
 
 term_vectors = st.dictionaries(
     st.sampled_from([f"t{i}" for i in range(6)]),
@@ -249,11 +251,23 @@ def test_tile_elements_lie_within_their_error_bounds(scale):
                              TermVector(weights)))
     tiles = _PairTiles(objs)
     assert tiles._squares is (1e-3 <= scale <= 1e6)
-    dist, ej = tiles.block(0, len(objs))
+    dist, ej = tiles.block(np.arange(len(objs)))
     for i, a in enumerate(objs):
         for j, b in enumerate(objs):
             assert abs(dist[i, j] - euclidean_dist(a.loc, b.loc)) <= tiles.dist_err
             assert abs(ej[i, j] - extended_jaccard(a.vct, b.vct)) <= tiles.ej_err
+
+
+def test_block_computes_only_the_scores_with_a_weight():
+    # given a query's parameters, a block leaves out the distances at alpha 0
+    # and the Extended Jaccard at alpha 1; the statistics' tiles hold both
+    tiles = _PairTiles(random_dataset(random.Random(4), 12, 5))
+    rows = np.arange(3, 7)
+    dist, ej = tiles.block(rows)
+    for alpha, want in ((0.0, (None, ej)), (0.4, (dist, ej)), (1.0, (dist, None))):
+        for got, expected in zip(tiles.block(rows, SimParams(alpha, 1)), want):
+            assert got is None if expected is None else np.array_equal(got, expected)
+    assert all(d is not None and e is not None for _, d, e in tiles)
 
 
 def test_sim_st_symmetric_bit_for_bit(rng):

@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import random
@@ -24,7 +23,7 @@ from rstknn.engine import (
 )
 from rstknn.iur_tree import build_tree, node_entry, object_entry, tree_from_layout
 from rstknn import iur_tree, nn_lists
-from rstknn.nn_lists import NodeRow, NodeRows, ObjectRow, ObjectRows, Verdict
+from rstknn.nn_lists import Row, Rows, Verdict
 from rstknn.oracle import kth_nn_sim, rknn_bruteforce
 
 
@@ -162,7 +161,7 @@ def test_final_verification_empty_col_is_noop():
     tree = fx.build_tree()
     state = EngineState(u=__import__("collections").deque(), col=[], rol=["P0"],
                         pel=[], lists={}, trace=[])
-    final_verification(state, tree, fx.query, fx.params, tree.norm_stats())
+    final_verification(state, Rows(tree, fx.query, fx.params, tree.norm_stats()))
     assert state.rol == ["P0"] and not state.trace
 
 
@@ -249,21 +248,27 @@ def test_legacy_modes_keep_only_candidate_lists(locality):
 
 
 def _assert_tiles(lists):
-    """The tuples' preorder spans tile [0, n) exactly once."""
+    """The tuples' preorder spans tile [0, n) exactly once, but for an object
+    owner's own position, which no tuple holds."""
+    spans = [lists.tree.record(t.entry).span for t in lists.tuples()]
+    if lists.owner.is_object:
+        assert lists.owner not in lists
+        spans.append(lists.tree.record(lists.owner).span)
     end = 0
-    for lo, hi in sorted(lists.tree.record(t.entry).span for t in lists.tuples()):
+    for lo, hi in sorted(spans):
         assert lo == end, f"{lists.owner.label}: gap or overlap at position {end}"
         end = hi
     assert end == lists.tree.size, f"{lists.owner.label}: positions from {end} uncovered"
 
 
 def test_correct_mode_lists_stay_partitions(monkeypatch, equal_span_trees):
-    # every node decision of an audited run walks its row's reference list:
-    # direct bounds against every other frontier entry, and the self-tuple.
-    # Its spans tile [0, n): the frontier partitions the dataset and the
-    # owner accounts for its own points
+    # every decision of an audited run walks its row's reference list:
+    # direct bounds against every other frontier entry, and a node's
+    # self-tuple.  Its spans tile [0, n), an object's but for its own
+    # position: the frontier partitions the dataset and a node accounts
+    # for its own points
     checks = []
-    reference = NodeRow.reference
+    reference = Row.reference
 
     def checked(row):
         lists = reference(row)
@@ -271,7 +276,7 @@ def test_correct_mode_lists_stay_partitions(monkeypatch, equal_span_trees):
         checks.append(row.owner)
         return lists
 
-    monkeypatch.setattr(NodeRow, "reference", checked)
+    monkeypatch.setattr(Row, "reference", checked)
     rng = random.Random(4242)
     trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
              for fanout in (2, 3, 4, 8) for _ in range(6)]
@@ -284,7 +289,7 @@ def test_correct_mode_lists_stay_partitions(monkeypatch, equal_span_trees):
                                k=rng.choice([1, 2, 4, len(objs), len(objs) + 1]))
             got, _ = rstknn_query(tree, q, params, stats=stats, audit=EngineAudit())
             assert got == rknn_bruteforce(objs, q, params, stats)
-    assert len(checks) > 600
+    assert sum(e.is_node for e in checks) > 600 and sum(e.is_object for e in checks) > 600
 
 
 def test_audited_offgrid_sweep_records_one_bound_per_decision():
@@ -308,9 +313,9 @@ def test_audited_offgrid_sweep_records_one_bound_per_decision():
 
 
 def test_node_rows_decide_alike_in_tiles_of_any_size(monkeypatch, equal_span_trees):
-    # a tree of at most _TILE_ROWS nodes bounds all its node owners in one
-    # call; tiles of two rows take many calls, skip the nodes under decided
-    # ones, and decide every query step for step as one tile does
+    # tiles taller than the tree bound all owners of a kind in one call;
+    # tiles of two rows take many calls, skip the entries under decided
+    # ones, and decide every query step for step as one tile per kind does
     rng = random.Random(77)
     trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
              for fanout in (2, 3, 4) for _ in range(4)] + equal_span_trees
@@ -321,26 +326,28 @@ def test_node_rows_decide_alike_in_tiles_of_any_size(monkeypatch, equal_span_tre
             params = SimParams(rng.choice([0.0, 0.4, 1.0]), rng.choice([1, 2, 4, tree.size]))
             runs.append((tree, q, params))
     calls, decided = [], []
-    bounds, decide = iur_tree.EntryArrays.bounds, NodeRows.decided
+    bounds, decide = iur_tree.EntryArrays.bounds, Rows.decided
 
-    def counted(arrays, owners, params, stats):
+    def counted(arrays, owners, *args):
         first, count = arrays.first, arrays.count
         under = [d for d in decided for j in owners.tolist()
                  if first[d] <= first[j] < first[d] + count[d]]
-        calls.append((len(owners), under))
-        return bounds(arrays, owners, params, stats)
+        calls.append((len(owners), bool(owners[0] < arrays.nodes), under))
+        return bounds(arrays, owners, *args)
 
-    def recorded(rows, node):
-        decided.append(node.ident)
-        decide(rows, node)
+    def recorded(rows, entry):
+        decided.append(rows.arrays.index[entry])
+        decide(rows, entry)
 
     monkeypatch.setattr(iur_tree.EntryArrays, "bounds", counted)
-    monkeypatch.setattr(NodeRows, "decided", recorded)
+    monkeypatch.setattr(Rows, "decided", recorded)
+    monkeypatch.setattr(nn_lists, "_TILE_ROWS", 10**6)
     one_tile = []
     for tree, q, params in runs:
         before, decided[:] = len(calls), []
         got, trace = rstknn_query(tree, q, params)
-        assert len(calls) - before == 1
+        kinds = {ev.action.split(",")[0].split(" ")[1].startswith("N") for ev in trace}
+        assert sorted(kind for _, kind, _ in calls[before:]) == sorted(kinds)
         one_tile.append((got, trace_to_jsonl(trace)))
     calls.clear()
     monkeypatch.setattr(nn_lists, "_TILE_ROWS", 2)
@@ -351,8 +358,9 @@ def test_node_rows_decide_alike_in_tiles_of_any_size(monkeypatch, equal_span_tre
         assert (got, trace_to_jsonl(trace)) == want
         skipped += tree.entry_arrays().nodes - sum(
             ev.action.startswith("Dequeue N") for ev in trace)
-    assert max(size for size, _ in calls) == 2 and len(calls) > 2 * len(runs)
-    assert all(not under for _, under in calls)  # no row for a node under a decided one
+    assert max(size for size, _, _ in calls) == 2 and len(calls) > 2 * len(runs)
+    assert {kind for _, kind, _ in calls} == {True, False}
+    assert all(not under for _, _, under in calls)  # no row for an entry under a decided one
     assert skipped > 0
 
 
@@ -380,15 +388,15 @@ def test_audit_counts_and_bound_records():
 
 
 def test_audit_catches_a_row_that_disagrees_with_its_reference_list(monkeypatch):
-    # an audited run walks each object row's reference list; a row whose
+    # an audited run walks each row's reference list; an object row whose
     # counts accept where the walks would not is caught there
-    decide = ObjectRow._decide
+    decide = Row._decide
 
     def flipped(row):
         verdict = decide(row)
-        return Verdict.HIT if verdict is Verdict.DROP else verdict
+        return Verdict.HIT if verdict is Verdict.DROP and row.owner.is_object else verdict
 
-    monkeypatch.setattr(ObjectRow, "_decide", flipped)
+    monkeypatch.setattr(Row, "_decide", flipped)
     fx = two_cluster_fixture()
     tree = fx.build_tree()
     wrong, _ = rstknn_query(tree, fx.query, fx.params)
@@ -413,33 +421,21 @@ def test_completeness_assertion_fires_on_an_incomplete_list(monkeypatch, n, alph
     objs = random_dataset(rng, n, 4)
     q = random_query(rng, 4)
     tree = build_tree(objs, 2)
-    node_row = NodeRows.row
-    row = ObjectRows.row
+    row = Rows.row
     incomplete = []
 
-    def node_row_less_one(rows, owner, frontier):
+    def row_less_one(rows, owner, frontier):
         if owner.label != target:
-            return node_row(rows, owner, frontier)
+            return row(rows, owner, frontier)
         entries = rows.arrays.entries
         less = frontier.copy()
         less[next(j for j in np.flatnonzero(frontier)
-                  if not tree.overlaps(entries[j], owner))] = False
-        incomplete.append(node_row(rows, owner, less))
+                  if not tree.overlaps(entries[j], owner)
+                  and (owner.is_node or entries[j].is_object))] = False
+        incomplete.append(row(rows, owner, less))
         return incomplete[-1]
 
-    def row_less_one(rows, owner):
-        if owner.label != target:
-            return row(rows, owner)
-        less = copy.copy(rows)
-        less.frontier = rows.frontier.copy()
-        entries = rows.run.arrays.entries
-        less.frontier[next(j for j in np.flatnonzero(rows.frontier)
-                           if entries[j].is_object and entries[j] != owner)] = False
-        incomplete.append(row(less, owner))
-        return incomplete[-1]
-
-    monkeypatch.setattr(NodeRows, "row", node_row_less_one)
-    monkeypatch.setattr(ObjectRows, "row", row_less_one)
+    monkeypatch.setattr(Rows, "row", row_less_one)
     audit = EngineAudit()
     with pytest.raises(CompletenessViolation, match=f"for {target} "):
         rstknn_query(tree, q, SimParams(alpha=alpha, k=k), audit=audit)
@@ -453,27 +449,30 @@ def test_exact_ties_with_the_query_drop_and_recheck_lazily(monkeypatch, alpha):
     # copies one of each, so many similarities equal an owner's query
     # similarity exactly.  A tie drops (the database point wins it), the
     # answer equals brute force, and the audit walks agree with every row.
-    # Every element near the threshold here is an exact tie, which counts,
-    # so a row that re-checks only while its verdict is open re-checks at
-    # most k of them
-    scalar = nn_lists.sim_st
-    calls = []
+    # Every element near an object owner's threshold here is an exact tie,
+    # which counts, so a row that settles in scalar code only while its
+    # verdict is open settles at most k of them
+    scalar, decide = nn_lists.pair_sim_bounds, Row._decide
+    settles, per_row, deciding = [], [], []  # settles: the owner of each scalar bound
 
     def counted(*args):
-        calls.append(1)
+        if deciding:  # not the audit's reference lists
+            settles.append(deciding[-1])
         return scalar(*args)
 
-    decide = ObjectRow._decide
-    per_row = []
-
     def recorded(row):
-        before = len(calls)
-        verdict = decide(row)
-        per_row.append((len(calls) - before, row.params.k))
+        before = len(settles)
+        deciding.append(row.owner)
+        try:
+            verdict = decide(row)
+        finally:
+            deciding.pop()
+        if row.owner.is_object:
+            per_row.append((len(settles) - before, row.params.k))
         return verdict
 
-    monkeypatch.setattr(nn_lists, "sim_st", counted)
-    monkeypatch.setattr(ObjectRow, "_decide", recorded)
+    monkeypatch.setattr(nn_lists, "pair_sim_bounds", counted)
+    monkeypatch.setattr(Row, "_decide", recorded)
     ties = 0
     for seed in range(20):
         rng = random.Random(seed)
@@ -495,7 +494,8 @@ def test_exact_ties_with_the_query_drop_and_recheck_lazily(monkeypatch, alpha):
                     ties += 1
                     assert o.id not in got
     assert ties > 100
-    assert calls and all(rechecks <= k for rechecks, k in per_row)
+    assert any(owner.is_object for owner in settles)
+    assert all(rechecks <= k for rechecks, k in per_row)
 
 
 def test_node_rows_settle_elements_within_the_margin_in_scalar_code(monkeypatch):
@@ -515,7 +515,7 @@ def test_node_rows_settle_elements_within_the_margin_in_scalar_code(monkeypatch)
         tree = build_tree(objs, rng.choice([2, 3]))
         runs.append((objs, QueryObject(source.loc, source.vct), tree))
     ties = 0
-    decide = NodeRow._decide
+    decide = Row._decide
 
     def counting(row):
         nonlocal ties
@@ -523,19 +523,19 @@ def test_node_rows_settle_elements_within_the_margin_in_scalar_code(monkeypatch)
         ties += int(np.count_nonzero(row.frontier & tied))
         return decide(row)
 
-    monkeypatch.setattr(NodeRow, "_decide", counting)
+    monkeypatch.setattr(Row, "_decide", counting)
     for objs, q, tree in runs:
         for alpha in (0.0, 0.4, 1.0):
             rstknn_query(tree, q, SimParams(alpha, 2))
     assert ties > 100
-    monkeypatch.setattr(NodeRow, "_decide", decide)
+    monkeypatch.setattr(Row, "_decide", decide)
     bounds = iur_tree.EntryArrays.bounds
     noise = np.random.default_rng(5)
 
-    def pushed(arrays, owners, params, stats):
+    def pushed(arrays, owners, params, stats, *args):
         margin = arrays.tiles.sim_err(params, stats)
         return tuple(row + noise.choice([-0.5, 0.5], row.shape) * margin
-                     for row in bounds(arrays, owners, params, stats))
+                     for row in bounds(arrays, owners, params, stats, *args))
 
     monkeypatch.setattr(iur_tree.EntryArrays, "bounds", pushed)
     for objs, q, tree in runs:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from rstknn import nn_lists
 from rstknn.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -96,3 +97,19 @@ def test_offgrid_trace_digest_matches_golden():
         code = script["main"](["--offgrid", "--instances", "40"])
     assert code == 0
     assert out.getvalue().encode() == (GOLDEN / "trace_digest_offgrid.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("tile_rows", [2, 3])
+@pytest.mark.parametrize("args,golden", [
+    (["--instances", "60"], "trace_digest.stdout"),
+    (["--offgrid", "--instances", "40"], "trace_digest_offgrid.stdout"),
+])
+def test_trace_digests_do_not_depend_on_the_tile_height(monkeypatch, tile_rows, args, golden):
+    # tiles of two and three rows split the owners of every kind, nodes and
+    # objects alike, and no decision changes
+    monkeypatch.setattr(nn_lists, "_TILE_ROWS", tile_rows)
+    script = runpy.run_path(str(ROOT / "scripts" / "trace_digest.py"))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert script["main"](args) == 0
+    assert out.getvalue().encode() == (GOLDEN / golden).read_bytes()

@@ -516,40 +516,47 @@ def _near_zero_denominator_tree():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
 def test_entry_array_bounds_lie_within_the_margin(alpha, equal_span_trees):
-    # every element of every node's row, against the scalar pair_sim_bounds;
-    # and a leaf's upper bounds plus the margin bound each of its objects'
-    # scalar upper bounds against every node, as the object rows assume
+    # every element of every owner's row against the scalar pair_sim_bounds:
+    # a node's from the general arithmetic, an object's from the pair
+    # kernel against the objects (its own element is -inf) and from the
+    # general arithmetic against the nodes
     rng = random.Random(99)
     trees = [build_tree(random_dataset(rng, rng.randint(1, 40), 5), fanout)
              for fanout in (2, 3, 4, 8) for _ in range(3)]
     trees += [offgrid_instance(i)[2] for i in range(24)]  # duplicates, chain layouts
     trees += [*equal_span_trees, _near_zero_denominator_tree()]
     params = SimParams(alpha, 1)
-    negative = zero = near_zero = 0
+    negative = zero = near_zero = objects = 0
     for tree in trees:
         stats = tree.norm_stats()
         arrays = tree.entry_arrays()
         entries = arrays.entries
         margin = tree.tiles().sim_err(params, stats)
-        lower, upper = arrays.bounds(np.arange(arrays.nodes), params, stats)
-        for i in range(arrays.nodes):
-            a = tree.record(entries[i])
-            for j, e in enumerate(entries):
-                low, high = pair_sim_bounds(tree, entries[i], e, params, stats)
-                # NaN only marks a dot of underflowed products, which these
-                # weights never make; it fails the comparison
-                assert abs(lower[i, j] - low) <= margin, (entries[i], e)
-                assert abs(upper[i, j] - high) <= margin, (entries[i], e)
-                b = tree.record(e)
-                dot = a.union_vct.dot(b.union_vct)
-                den = a.int_vct.norm_sq + b.int_vct.norm_sq - dot
-                if dot > 0:
-                    negative += den < 0
-                    zero += den == 0
-                    near_zero += 0 < den <= arrays.tiles.ej_err * (den + 2 * dot)
-            for o in a.children:
-                if o.is_object:
-                    for j in range(arrays.nodes):
-                        high = pair_sim_bounds(tree, o, entries[j], params, stats)[1]
-                        assert high <= upper[i, j] + margin
-    assert min(negative, zero, near_zero) > 0
+        for owners in np.arange(arrays.nodes), np.arange(arrays.nodes, len(entries)):
+            lower, upper = arrays.bounds(owners, params, stats)
+            for row, i in enumerate(owners.tolist()):
+                a = tree.record(entries[i])
+                for j, e in enumerate(entries):
+                    if j == i and e.is_object:
+                        assert lower[row, j] == upper[row, j] == -math.inf
+                        continue
+                    low, high = pair_sim_bounds(tree, entries[i], e, params, stats)
+                    # NaN only marks a dot of underflowed products, which these
+                    # weights never make; it fails the comparison
+                    assert abs(lower[row, j] - low) <= margin, (entries[i], e)
+                    assert abs(upper[row, j] - high) <= margin, (entries[i], e)
+                    objects += entries[i].is_object
+                    b = tree.record(e)
+                    dot = a.union_vct.dot(b.union_vct)
+                    den = a.int_vct.norm_sq + b.int_vct.norm_sq - dot
+                    if dot > 0:
+                        negative += den < 0
+                        zero += den == 0
+                        near_zero += 0 < den <= arrays.tiles.ej_err * (den + 2 * dot)
+        # object owners given some node columns read the others as unknown
+        some = np.arange(0, arrays.nodes, 2)
+        for part, full in zip(arrays.bounds(owners, params, stats, some), (lower, upper)):
+            expected = full.copy()
+            expected[:, 1:arrays.nodes:2] = np.nan
+            assert np.array_equal(part, expected, equal_nan=True)
+    assert min(negative, zero, near_zero) > 0 and objects > 10_000

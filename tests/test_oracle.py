@@ -293,6 +293,17 @@ def test_pair_scores_are_symmetric_bit_for_bit(instance):
             assert sim_st(a, b, params, stats).hex() == sim_st(b, a, params, stats).hex()
 
 
+def _perturbed(noise, tiles, dist, ej):
+    """A block's scores, each element moved by up to half its declared bound."""
+    if dist is not None:
+        dist = dist + noise.uniform(-0.5, 0.5, dist.shape) * tiles.dist_err
+    if ej is not None:
+        # a zero Extended Jaccard stays zero: it comes from a zero dot product
+        bumped = np.maximum(ej + noise.uniform(-0.5, 0.5, ej.shape) * tiles.ej_err, 5e-324)
+        ej = np.where(ej > 0, bumped, ej)
+    return dist, ej
+
+
 def _perturbed_tiles(monkeypatch, seed):
     """Make every tile element err by up to half its declared bound, the
     worst the margins must absorb besides NumPy's own last-ulp errors.  Every
@@ -300,12 +311,8 @@ def _perturbed_tiles(monkeypatch, seed):
     noise = np.random.default_rng(seed)
     real_block = core_mod._PairTiles.block
 
-    def perturbed(tiles, lo, hi):
-        dist, ej = real_block(tiles, lo, hi)
-        dist = dist + noise.uniform(-0.5, 0.5, dist.shape) * tiles.dist_err
-        # a zero Extended Jaccard stays zero: it comes from a zero dot product
-        bumped = np.maximum(ej + noise.uniform(-0.5, 0.5, ej.shape) * tiles.ej_err, 5e-324)
-        return dist, np.where(ej > 0, bumped, ej)
+    def perturbed(tiles, rows, params=None):
+        return _perturbed(noise, tiles, *real_block(tiles, rows, params))
 
     monkeypatch.setattr(core_mod._PairTiles, "block", perturbed)
 
@@ -337,11 +344,8 @@ def test_correct_mode_stays_exact_when_its_rows_err_within_their_bound(instance,
     noise = np.random.default_rng(seed)
     real_block = core_mod._PairTiles.block
 
-    def perturbed(tiles, lo, hi):
-        dist, ej = real_block(tiles, lo, hi)
-        dist = dist + noise.uniform(-0.5, 0.5, dist.shape) * tiles.dist_err
-        bumped = np.maximum(ej + noise.uniform(-0.5, 0.5, ej.shape) * tiles.ej_err, 5e-324)
-        return dist, np.where(ej > 0, bumped, ej)
+    def perturbed(tiles, rows, params=None):
+        return _perturbed(noise, tiles, *real_block(tiles, rows, params))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core_mod._PairTiles, "block", perturbed)
@@ -353,10 +357,9 @@ def test_correct_mode_stays_exact_when_its_rows_err_within_their_bound(instance,
 @given(real_instances(), st.sampled_from([2, 3, 4, 8]), st.integers(0, 2**32 - 1))
 def test_correct_mode_stays_exact_when_its_node_rows_err_within_their_bound(instance, fanout,
                                                                             seed):
-    # every element of the node owners' rows errs by up to half the margin,
-    # and one in five is NaN, unknown: the elements near a threshold still
-    # go to the scalar code, and the leaves' bounds for their objects' rows
-    # stay bounds
+    # every element of every owner's row, a node's or an object's, errs by
+    # up to half the margin, and one in five is NaN, unknown: the elements
+    # near a threshold still go to the scalar code
     objs, query, params = instance
     stats = pair_table_stats(objs)
     want = scalar_rknn(objs, query, params, stats)
@@ -365,9 +368,9 @@ def test_correct_mode_stays_exact_when_its_node_rows_err_within_their_bound(inst
     noise = np.random.default_rng(seed)
     real_bounds = iur_tree.EntryArrays.bounds
 
-    def perturbed(arrays, owners, params, stats):
+    def perturbed(arrays, owners, *args):
         rows = []
-        for row in real_bounds(arrays, owners, params, stats):
+        for row in real_bounds(arrays, owners, *args):
             row = row + noise.uniform(-0.5, 0.5, row.shape) * margin
             rows.append(np.where(noise.random(row.shape) < 0.2, np.nan, row))
         return tuple(rows)
@@ -382,10 +385,10 @@ def test_correct_mode_stays_exact_when_its_node_rows_err_within_their_bound(inst
 def test_rows_with_non_finite_tile_values_go_to_the_scalar_code(monkeypatch, bad):
     real_block = core_mod._PairTiles.block
 
-    def spoiled(tiles, lo, hi):
-        dist, ej = real_block(tiles, lo, hi)
-        rows = np.arange(hi - lo)
-        ej[rows, (rows + lo + 1) % tiles.n] = bad  # the element after each row's diagonal
+    def spoiled(tiles, rows, params=None):
+        dist, ej = real_block(tiles, rows, params)
+        rows = np.arange(tiles.n)[rows]
+        ej[np.arange(len(rows)), (rows + 1) % tiles.n] = bad  # after each row's diagonal
         return dist, ej
 
     monkeypatch.setattr(core_mod._PairTiles, "block", spoiled)
