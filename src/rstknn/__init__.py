@@ -47,43 +47,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DatasetTooSmall",
-    "NonPositiveInput",
-    "NormStats",
-    "QueryObject",
-    "STObject",
-    "SimParams",
-    "TermVector",
-    "compute_norm_stats",
-    "euclidean_dist",
-    "extended_jaccard",
-    "fdim_ratio",
-    "sim_st",
-    "CompletenessViolation",
-    "EngineAudit",
-    "Mode",
-    "TraceEvent",
-    "format_trace_table",
-    "rstknn_query",
-    "trace_to_jsonl",
-    "EmptyDataset",
-    "Entry",
-    "IurTree",
-    "build_tree",
-    "max_sim_st",
-    "max_text_sim",
-    "min_sim_st",
-    "min_text_sim",
-    "node_entry",
-    "object_entry",
-    "tree_from_layout",
-    "CounterexampleFixture",
-    "SandwichReport",
-    "check_bound_sandwich",
-    "counterexample_search",
-    "ej_dominance_counterexample",
-    "kth_nn_sim",
-    "rknn_bruteforce",
-]

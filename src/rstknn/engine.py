@@ -5,15 +5,15 @@ Three query modes share the bound machinery and one accept/prune test,
 differ in control flow:
 
 * ``CORRECT`` — FIFO queue over a frontier of tree entries (queued,
-  candidate and routed) that partitions the dataset, kept as a mask over
-  the tree's entries.  A dequeued entry, node or object, keeps no NN-list:
-  it decides on its row (:mod:`rstknn.nn_lists`), direct bounds against
+  candidate and routed) that partitions the dataset, which the run's
+  :class:`~rstknn.nn_lists.Rows` own and change.  A dequeued entry, node or
+  object, keeps no NN-list: it decides on its row, direct bounds against
   every other frontier entry, so its verdict depends only on the owner and
-  the frontier.  Rows come a tile of owners of one kind at a time.  A
-  runtime assertion verifies at every decision that the frontier covers
-  all n objects, and audit runs check every verdict against the sorted
-  walks of the row's reference list; candidates left after the main loop
-  are settled on their rows against all objects.
+  the frontier.  Rows come a tile of owners of one kind at a time.  Every
+  decision checks, by the covered count, that the frontier covers all n
+  objects; audit runs recount it from the mask and check every verdict
+  against the sorted walks of the row's reference list.  Candidates left
+  after the main loop are settled on their rows against all objects.
 * ``FAULTY2011`` — a reproduction of the legacy priority-queue algorithm
   that never lets a node account for its own contents.  Intentionally
   unsound; kept as an executable regression of that failure mode.
@@ -29,19 +29,17 @@ or expanded; the candidates keep theirs, for the final cleanup pass.
 
 Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
-lists.  A snapshot copies the entries; their labels are made only when a
-column is read.
+lists.  A run only appends to a column's list or makes a new one, so a
+snapshot is a window (list, lo, hi), not a copy; the labels are made only
+when a column is read.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .core import NormStats, QueryObject, SimParams
 from .iur_tree import Entry, IurTree, QueryView, max_sim_st, object_entry
@@ -61,33 +59,33 @@ class CompletenessViolation(RuntimeError):
 class TraceEvent:
     """One row of the run log, mirroring the Steps/Actions/U/COL/ROL/PEL table.
 
-    The columns are kept as the entries (object ids for ROL) at snapshot
-    time; reading one makes a fresh list of labels.
+    Each column is the window ``(items, lo, hi)`` of its list at snapshot
+    time, the entries (object ids for ROL) ``items[lo:hi]``; reading one
+    makes a fresh list of labels.
     """
 
     __slots__ = ("step", "action", "_u", "_col", "_rol", "_pel")
 
-    def __init__(self, step: int, action: str, u: tuple[Entry, ...], col: tuple[Entry, ...],
-                 rol: tuple[str, ...], pel: tuple[Entry, ...]):
+    def __init__(self, step: int, action: str, u: tuple, col: tuple, rol: tuple, pel: tuple):
         self.step = step
         self.action = action
         self._u, self._col, self._rol, self._pel = u, col, rol, pel
 
     @property
     def u(self) -> list[str]:
-        return [e.label for e in self._u]
+        return [e.label for e in _live(self._u)]
 
     @property
     def col(self) -> list[str]:
-        return [e.label for e in self._col]
+        return [e.label for e in _live(self._col)]
 
     @property
     def rol(self) -> list[str]:
-        return list(self._rol)
+        return _live(self._rol)
 
     @property
     def pel(self) -> list[str]:
-        return [e.label for e in self._pel]
+        return [e.label for e in _live(self._pel)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,6 +96,11 @@ class TraceEvent:
             "ROL": self.rol,
             "PEL": self.pel,
         }
+
+
+def _live(window: tuple[list, int, int]) -> list:
+    items, lo, hi = window
+    return items[lo:hi]
 
 
 @dataclass
@@ -114,18 +117,23 @@ class EngineAudit:
 
 @dataclass
 class EngineState:
-    """Mutable working state of one traversal; owned by a single run."""
+    """Mutable working state of one traversal; owned by a single run.  A run
+    only appends to a column's list or replaces it, and U and COL live from
+    ``u_lo`` and ``col_lo`` on."""
 
-    u: deque[Entry]
+    u: list[Entry]
     col: list[Entry]
     rol: list[str]
     pel: list[Entry]
     lists: dict[Entry, NNLists]
     trace: list[TraceEvent]
+    u_lo: int = 0
+    col_lo: int = 0
 
     def snapshot(self, action: str) -> None:
-        self.trace.append(TraceEvent(len(self.trace) + 1, action, tuple(self.u),
-                                     tuple(self.col), tuple(self.rol), tuple(self.pel)))
+        self.trace.append(TraceEvent(len(self.trace) + 1, action, (self.u, self.u_lo, len(self.u)),
+                                     (self.col, self.col_lo, len(self.col)),
+                                     (self.rol, 0, len(self.rol)), (self.pel, 0, len(self.pel))))
 
 
 # -- correct mode -----------------------------------------------------------
@@ -138,51 +146,49 @@ def _route(state: EngineState, tree: IurTree, entry: Entry, verdict: Verdict) ->
         state.pel.append(entry)
 
 
-def _checked_verdict(lists: Row, audit: EngineAudit | None) -> Verdict:
+def _checked_verdict(row: Row, audit: EngineAudit | None) -> Verdict:
     """The gated verdict, taken only on a complete list.
 
     A HIT has just passed the gate's completeness check; any other verdict
     checks here.  An incomplete list raises either way: its gate turns a
-    would-be HIT into UNDECIDED.  An audit walks the row's reference list
-    and checks that it agrees with the slot counts.
+    would-be HIT into UNDECIDED.  The completeness check reads the covered
+    count that the rows keep; an audit recounts it from the frontier's mask,
+    walks the row's reference list and checks that both agree.
     """
-    verdict = is_hit_or_drop(lists)
-    if verdict is not Verdict.HIT and not lists.is_complete():
+    verdict = is_hit_or_drop(row)
+    if verdict is not Verdict.HIT and not row.is_complete():
         raise CompletenessViolation(
-            f"incomplete NN-list for {lists.owner.label} at decision time"
+            f"incomplete NN-list for {row.owner.label} at decision time"
         )
     if audit is not None:
-        walked = lists.reference()
-        if walked.walked_verdict() is not verdict or walked.is_complete() != lists.is_complete():
-            raise AssertionError(f"slot counts and walks disagree on {lists.owner.label}")
-        k = lists.params.k
-        audit.bound_records.append((lists.owner, walked.knn_lower(k), walked.knn_upper(k)))
+        rows = row.rows
+        if int(rows.arrays.count @ rows.frontier) != rows.covered:
+            raise AssertionError(f"frontier mask and covered count disagree at {row.owner.label}")
+        walked = row.reference()
+        if walked.walked_verdict() is not verdict or walked.is_complete() != row.is_complete():
+            raise AssertionError(f"slot counts and walks disagree on {row.owner.label}")
+        k = row.params.k
+        audit.bound_records.append((row.owner, walked.knn_lower(k), walked.knn_upper(k)))
     return verdict
 
 
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
                  stats: NormStats, audit: EngineAudit | None) -> EngineState:
-    state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
-    rows = Rows(tree, query, params, stats)
-    index = rows.arrays.index
-    root = tree.root_entry()
-    state.u.append(root)
-    # queued, candidate and routed entries: a partition of the dataset
-    frontier = np.zeros(len(index), dtype=bool)
-    frontier[index[root]] = True
+    state = EngineState(u=[tree.root_entry()], col=[], rol=[], pel=[], lists={}, trace=[])
+    rows = Rows(tree, query, params, stats)  # its frontier starts as the root
 
-    while state.u:
-        entry = state.u.popleft()
+    while state.u_lo < len(state.u):
+        entry = state.u[state.u_lo]
+        state.u_lo += 1
         action = f"Dequeue {entry.label}"
-        verdict = _checked_verdict(rows.row(entry, frontier), audit)
+        verdict = _checked_verdict(rows.row(entry), audit)
         if verdict is not Verdict.UNDECIDED:
             _route(state, tree, entry, verdict)
             rows.decided(entry)
         elif entry.is_node:
-            frontier[index[entry]] = False
+            rows.expand(entry)
             for child in tree.children(entry):
                 state.u.append(child)
-                frontier[index[child]] = True
                 action += f", Enqueue {child.label}"
         else:
             state.col.append(entry)
@@ -202,15 +208,14 @@ def final_verification(state: EngineState, rows: Rows, audit: EngineAudit | None
     one pass.  The other objects are decided, so the candidates' rows come
     in tiles of candidates.
     """
-    if not state.col:
+    if state.col_lo == len(state.col):
         return
-    nodes = rows.arrays.nodes
-    points = np.arange(nodes + rows.tree.size) >= nodes  # the frontier of all objects, no node
-    for candidate in list(state.col):
-        verdict = _checked_verdict(rows.row(candidate, points), audit)
+    rows.objects_only()
+    for candidate in state.col[state.col_lo:]:
+        verdict = _checked_verdict(rows.row(candidate), audit)
         if verdict is Verdict.UNDECIDED:  # pragma: no cover - impossible with exact point bounds
             raise RuntimeError(f"verification left {candidate.label} undecided")
-        state.col.remove(candidate)
+        state.col_lo += 1
         _route(state, rows.tree, candidate, verdict)
         rows.decided(candidate)
         state.snapshot(f"Verify {candidate.label}")
@@ -234,7 +239,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
     Both order the queue by the optimistic query similarity and both use
     upper bounds without any completeness gate.
     """
-    state = EngineState(u=deque(), col=[], rol=[], pel=[], lists={}, trace=[])
+    state = EngineState(u=[], col=[], rol=[], pel=[], lists={}, trace=[])
     root = tree.root_entry()
     state.lists[root] = NNLists(root, tree, query, params, stats)
     queue: dict[Entry, float] = {root: 0.0}  # live entry -> priority
@@ -270,8 +275,8 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                         other_verdict = is_hit_or_drop(other_lists, gated=False)
                         if other_verdict is not Verdict.UNDECIDED:
                             queue.pop(other, None)
-                            if other in state.col:
-                                state.col.remove(other)
+                            # a new list: the trace's windows keep the old one
+                            state.col = [c for c in state.col if c != other]
                             _route(state, tree, other, other_verdict)
                             del state.lists[other]
             # as in the correct mode, a routed or expanded entry's list is never
@@ -287,7 +292,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                 _route(state, tree, child, verdict)
         del state.lists[parent]
         # keep the trace's U column consistent with the live queue
-        state.u = deque(_ranked(queue))
+        state.u = _ranked(queue)
         state.snapshot(action)
 
     _faulty_final_verification(state, tree)
@@ -314,7 +319,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree) -> None:
             lists.update_with(entry)
             verdict = is_hit_or_drop(lists, gated=False)
             if verdict is not Verdict.UNDECIDED:
-                state.col.remove(candidate)
+                state.col = [c for c in state.col if c != candidate]
                 _route(state, tree, candidate, verdict)
                 state.snapshot(f"Verify {candidate.label}")
         for child in tree.children(entry):
@@ -327,7 +332,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree) -> None:
         if verdict is Verdict.UNDECIDED:
             # fewer than k neighbors reachable: unconditional member
             verdict = Verdict.HIT
-        state.col.remove(candidate)
+        state.col = [c for c in state.col if c != candidate]
         _route(state, tree, candidate, verdict)
         state.snapshot(f"Verify {candidate.label}")
 

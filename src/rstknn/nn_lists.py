@@ -25,14 +25,15 @@ bounds, so this is the list any refinement converges to, and its verdict
 the exhaustive one.  The paper's two conditions are visible in a row:
 completeness is the frontier's coverage of all n objects, and locality is
 the owner's own element, which holds count - 1 slots (a node's self-tuple,
-none for an object).  A row keeps no tuples.  Its elements come from
-:meth:`EntryArrays.bounds`, one NumPy call for a tile of owners of one kind
-against every entry, each within the margin ``sim_err`` of the scalar value
-(its docstring proves the margin).  An element further than the margin
-from its threshold is on its side of it; the row counts the list's masses
-as ranges and settles the rest in scalar code, only until the ranges
-decide.  Its :meth:`reference` builds the list itself, which audit runs
-walk.
+none for an object).  :class:`Rows` own the frontier.  A row keeps no
+tuples.  Its elements come from :meth:`EntryArrays.bounds`, one NumPy call
+for a tile of owners of one kind against every entry, each within the
+margin ``sim_err`` of the scalar value (its docstring proves the margin).
+An element further than the margin from its threshold is on its side of
+it; the masses are counted as ranges, matrix-vector products with the
+frontier's counts, a tile's queued objects in one pass, and the rest is
+settled in scalar code, only until the ranges decide.
+:meth:`Row.reference` builds the list itself, which audit runs walk.
 
 The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  A list keeps
 three slot totals from its construction on: the drop mass (m summed over
@@ -364,70 +365,149 @@ def _settled(drop: Sequence[int], hit: Sequence[int], k: int) -> Verdict | None:
     return None
 
 
+def _masks(lower: np.ndarray, upper: np.ndarray, err: float) -> np.ndarray:
+    """The elements of the known and possible drop mass, then hit mass: the
+    bounds less their thresholds above ``err``, or not below -``err`` (NaN)."""
+    return np.array([lower > err, ~(lower < -err), upper > err, ~(upper < -err)])
+
+
+class _Tile:
+    """Owners of one kind (entry indices), their bounds against every entry,
+    query thresholds, and masses (NaN until counted) of frontier ``version``."""
+
+    def __init__(self, owners: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+        self.owners, self.lower, self.upper = owners, lower, upper
+        self.slot = {j: r for r, j in enumerate(owners.tolist())}
+        self.optimistic, self.pessimistic = np.full((2, len(owners)), np.nan)
+        self.masses = np.full((len(owners), 4), np.nan)
+        self.version = -1
+
+
 class Rows:
-    """One query run, and its owners' rows a tile at a time: the next
-    ``_TILE_ROWS`` entries of the owner's kind, in the order a FIFO
-    traversal dequeues them, skipping decided entries and those under them
-    (:meth:`decided`).  A tile of each kind is kept, so nodes and objects
-    that take turns in the queue recompute none.  An object tile bounds
-    only the nodes on the frontier or not yet dequeued, since no other node
-    can join the frontier later.  One :meth:`EntryArrays.bounds` call per
-    tile, and O(_TILE_ROWS * (N + n)) memory.
+    """One query run: its frontier, and its owners' rows a tile at a time.
+
+    The frontier is a mask over the :class:`EntryArrays` entries, with
+    ``covered``, the number of objects under it.  It starts as the root, and
+    only :meth:`expand` and :meth:`objects_only` change it, each making a
+    new ``version``.  A tile is the next ``_TILE_ROWS`` entries of one kind
+    in FIFO dequeue order, skipping decided entries and those under them
+    (:meth:`decided`), bounded against every entry by one
+    :meth:`EntryArrays.bounds` call (an object tile only against the nodes
+    on the frontier or not yet dequeued, since no other node can join it).
+    A tile of each kind is kept.  An object's dequeue leaves the frontier
+    as it is, so one pass (:meth:`_count`) counts the masses of all the
+    queued objects of a tile, kept until the frontier's next version; a
+    node's dequeue mostly expands it, so a node row counts its own.
+    O(_TILE_ROWS * (N + n)) memory.
     """
 
     def __init__(self, tree: IurTree, query: QueryObject, params: SimParams, stats: NormStats):
         self.tree, self.query, self.params, self.stats = tree, query, params, stats
         self.arrays = tree.entry_arrays()
         self.err = tree.tiles().sim_err(params, stats)
+        self.frontier = np.zeros(len(self.arrays.count), dtype=bool)
+        self.covered = self.version = 0
         self._routed = np.zeros(tree.size, dtype=bool)  # the positions of decided entries
-        # per kind (is_node), the tile: entry index -> its row, and the rows
-        self._tiles: dict[bool, tuple[dict[int, int], np.ndarray, np.ndarray]] = {}
+        self._tiles: dict[bool, _Tile] = {}  # per kind (is_node)
+        self._flip([self.arrays.index[tree.root_entry()]])
+
+    def expand(self, node: Entry) -> None:
+        """Replace ``node`` on the frontier by its children."""
+        index = self.arrays.index
+        self._flip([index[node], *(index[c] for c in self.tree.children(node))])
+
+    def objects_only(self) -> None:
+        """Make the frontier every object and no node."""
+        points = np.arange(len(self.frontier)) >= self.arrays.nodes
+        self._flip(np.flatnonzero(self.frontier != points))
+
+    def _flip(self, cols) -> None:
+        """Take the entries ``cols`` off the frontier or put them on."""
+        cols = np.asarray(cols)
+        on = ~self.frontier[cols]
+        self.frontier[cols] = on
+        self.covered += int(self.arrays.count[cols] @ (2 * on - 1))
+        self.version += 1
 
     def decided(self, entry: Entry) -> None:
         """Give no row to ``entry`` or the entries under it."""
         lo, hi = self.tree.record(entry).span
         self._routed[lo:hi] = True
 
-    def row(self, owner: Entry, frontier: np.ndarray) -> "Row":
-        """``owner``'s row against ``frontier``, a mask over the entries."""
-        a, i, kind = self.arrays, self.arrays.index[owner], owner.is_node
-        slot, lower, upper = self._tiles.get(kind, ({}, None, None))
-        if i not in slot:
+    def row(self, owner: Entry) -> "Row":
+        """The row of ``owner``, a queued entry, against the frontier."""
+        a = self.arrays
+        i = a.index[owner]
+        kind = i < a.nodes
+        tile = self._tiles.get(kind)
+        if tile is None or i not in tile.slot:
             order = a.bfs[a.rank[i]:]
             owners = order[((order < a.nodes) == kind) & ~self._routed[a.first[order]]][:_TILE_ROWS]
-            nodes = None if kind else np.flatnonzero(frontier[:a.nodes]
+            nodes = None if kind else np.flatnonzero(self.frontier[:a.nodes]
                                                      | (a.rank[:a.nodes] > a.rank[i]))
-            lower, upper = a.bounds(owners, self.params, self.stats, nodes)
-            slot = {j: r for r, j in enumerate(owners.tolist())}
-            self._tiles[kind] = slot, lower, upper
-        return Row(self, owner, frontier, lower[slot[i]], upper[slot[i]])  # type: ignore[index]
+            tile = self._tiles[kind] = _Tile(owners, *a.bounds(owners, self.params, self.stats,
+                                                                nodes))
+        r = tile.slot[i]
+        if kind:  # a node row counts its own masses
+            tile.optimistic[r] = max_sim_st(self.tree, owner, self.query, self.params, self.stats)
+            tile.pessimistic[r] = min_sim_st(self.tree, owner, self.query, self.params, self.stats)
+            return Row(self, owner, tile, r)
+        masses = tile.masses[r].tolist()
+        if tile.version != self.version or masses[0] != masses[0]:  # stale, or NaN
+            later = tile.owners[r:]  # the objects queued now: on the frontier, not decided
+            self._count(tile, r + np.flatnonzero(self.frontier[later]
+                                                 & ~self._routed[a.first[later]]))
+            masses = tile.masses[r].tolist()
+        return Row(self, owner, tile, r, masses)
+
+    def _count(self, tile: _Tile, rows: np.ndarray) -> None:
+        """Count the masses of the object tile's ``rows`` against the
+        frontier: the known drop mass, then the other three where it is
+        below k.  Both thresholds are an object's ``sim_st`` to the query."""
+        a, owners, masses, err = self.arrays, tile.owners, tile.masses, self.err
+        if tile.version != self.version:  # masses of another frontier
+            masses[:] = np.nan
+            tile.version = self.version
+        for j in rows[np.isnan(tile.optimistic[rows])].tolist():
+            obj = self.tree.object(a.entries[owners[j]].ident)  # type: ignore[arg-type]
+            tile.optimistic[j] = tile.pessimistic[j] = sim_st(obj, self.query, self.params,
+                                                              self.stats)
+        m = np.where(self.frontier, a.count, 0.0)
+        # less one slot of the owner's own element, which holds none
+        lower = tile.lower[rows] - tile.optimistic[rows, None]
+        known = lower > err
+        masses[rows, 0] = known @ m - known[np.arange(len(rows)), owners[rows]]
+        rest = masses[rows, 0] < self.params.k
+        if rest.any():
+            rows, lower = rows[rest], lower[rest]
+            masks = _masks(lower, tile.upper[rows] - tile.pessimistic[rows, None], err)
+            masses[rows] = (masks @ m - masks[:, np.arange(len(rows)), owners[rows]]).T
 
 
 class Row:
     """An owner's list of direct bounds against every other entry of the
-    mask ``frontier`` (:class:`EntryArrays` order), and a node's self-tuple.
+    frontier (:class:`EntryArrays` order), and a node's self-tuple, as its
+    tile counted it: bounds, query thresholds and masses.
 
-    The bounds are the owner's row of :meth:`EntryArrays.bounds`; the lower
-    ones are compared with the owner's optimistic query similarity, the
-    upper ones with its pessimistic one.  Both are an object's exact
-    ``sim_st`` to the query.
+    The lower bounds are compared with the owner's optimistic query
+    similarity, the upper ones with its pessimistic one.
     """
 
-    def __init__(self, rows: Rows, owner: Entry, frontier: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray):
-        self.owner, self.frontier, self.lower, self.upper = owner, frontier, lower, upper
-        self.tree, self.params, self._rows = rows.tree, rows.params, rows
+    __slots__ = ("owner", "rows", "frontier", "tree", "params", "lower", "upper", "optimistic",
+                 "pessimistic", "masses", "_verdict")
+
+    def __init__(self, rows: Rows, owner: Entry, tile: _Tile, r: int,
+                 masses: list[float] | None = None):
+        self.owner, self.rows, self.frontier = owner, rows, rows.frontier
+        self.tree, self.params = rows.tree, rows.params
+        self.lower, self.upper = tile.lower[r], tile.upper[r]
+        self.optimistic, self.pessimistic = tile.optimistic[r], tile.pessimistic[r]
+        self.masses = masses
         self._verdict: Verdict | None = None
-        if owner.is_node:
-            self.pessimistic = min_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
-            self.optimistic = max_sim_st(rows.tree, owner, rows.query, rows.params, rows.stats)
-        else:  # both query bounds of an object are its sim_st to the query
-            obj = rows.tree.object(owner.ident)  # type: ignore[arg-type]
-            self.pessimistic = self.optimistic = sim_st(obj, rows.query, rows.params, rows.stats)
 
     def is_complete(self) -> bool:
         """The frontier covers every object."""
-        return int(self._rows.arrays.count @ self.frontier) == self.tree.size
+        return self.rows.covered == self.tree.size
 
     def counted_verdict(self) -> Verdict:
         """:meth:`NNLists.counted_verdict` on the row, settled once."""
@@ -435,27 +515,34 @@ class Row:
             self._verdict = self._decide()
         return self._verdict
 
+    def _slots(self) -> np.ndarray:
+        """Each element's slots: its count on the frontier, less one for the
+        owner's own element (a node's self-tuple holds count - 1)."""
+        m = np.where(self.frontier, self.rows.arrays.count, 0)
+        m[self.rows.arrays.index[self.owner]] -= 1
+        return m
+
     def _decide(self) -> Verdict:
-        rows, owner, k, err = self._rows, self.owner, self.params.k, self._rows.err
-        m = np.where(self.frontier, rows.arrays.count, 0)
-        # a node's self-tuple holds count - 1 slots, an object's own element
-        # none: a point is not its own neighbour
-        m[rows.arrays.index[owner]] -= 1
-        thresholds = (self.optimistic, self.pessimistic)
-        diffs = (self.lower - thresholds[0], self.upper - thresholds[1])
-        known = int(m @ (diffs[0] > err))
-        if known >= k:  # the common verdict, before the other three masses
+        k, rows, counted = self.params.k, self.rows, self.masses
+        if counted is None:  # a node row, counted alone: the known drop mass first
+            lower = self.lower - self.optimistic
+            if int((m := self._slots()) @ (lower > rows.err)) >= k:
+                return Verdict.DROP
+            counted = (_masks(lower, self.upper - self.pessimistic, rows.err) @ m).tolist()
+        if counted[0] >= k:  # the other three masses are not counted then
             return Verdict.DROP
-        # (drop, hit): the slots known to count, and those that may (nan-safe)
-        masses = [[known, int(m @ ~(diffs[0] < -err))],
-                  [int(m @ (diffs[1] > err)), int(m @ ~(diffs[1] < -err))]]
+        # (drop, hit): the slots known to count, and those that may
+        masses = [[int(x) for x in counted[:2]], [int(x) for x in counted[2:]]]
         if (verdict := _settled(*masses, k)) is not None:
             return verdict
-        unsure = [~(np.abs(diff) > err) for diff in diffs]
+        m = self._slots()
+        thresholds = (self.optimistic, self.pessimistic)
+        unsure = [~(np.abs(bounds - t) > rows.err)
+                  for bounds, t in zip((self.lower, self.upper), thresholds)]
         unknown = np.flatnonzero((m > 0) & (unsure[0] | unsure[1])).tolist()
         while (verdict := _settled(*masses, k)) is None:
             j = unknown.pop()
-            bounds = pair_sim_bounds(self.tree, owner, rows.arrays.entries[j], self.params,
+            bounds = pair_sim_bounds(self.tree, self.owner, rows.arrays.entries[j], self.params,
                                      rows.stats)
             for mass, open_, bound, threshold in zip(masses, unsure, bounds, thresholds):
                 if not open_[j]:
@@ -468,7 +555,7 @@ class Row:
 
     def reference(self) -> NNLists:
         """The list itself, of direct scalar bounds, which audit runs walk."""
-        rows, entries = self._rows, self._rows.arrays.entries
+        rows, entries = self.rows, self.rows.arrays.entries
         others = [entries[j] for j in np.flatnonzero(self.frontier).tolist()
                   if entries[j] != self.owner]
         lists = NNLists.direct(self.owner, others, self.tree, rows.query, rows.params, rows.stats)

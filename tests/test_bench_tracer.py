@@ -84,6 +84,9 @@ def test_traced_correct_mode_counts_object_decisions(tracer_cls):
     stats = tree.norm_stats()
     tracer = tracer_cls()
     with tracer.installed():
-        tracer.query("correct", lambda: rstknn_query(tree, fx.query, fx.params, stats=stats))
+        _, trace = tracer.query("correct",
+                                lambda: rstknn_query(tree, fx.query, fx.params, stats=stats))
     decided = sum(tracer.values[f"engine.decisions.{v}.object.correct"] for v in ("hit", "drop"))
     assert decided > 0
+    # every decision, of a dequeue or a verification, is one test
+    assert tracer.values["engine.tests.correct"] == len(trace)

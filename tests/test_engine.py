@@ -106,6 +106,22 @@ def test_trace_columns_are_label_lists_fixed_at_snapshot_time(monkeypatch, mode)
         assert (ev.u, ev.col, ev.rol, ev.pel) == columns
 
 
+def test_correct_mode_snapshots_are_windows_into_four_lists():
+    # the correct mode only appends to its columns and takes entries off the
+    # front of U and COL, so every event's columns are windows into the same
+    # four lists: a trace copies no column
+    verified = set()
+    for seed in range(20):
+        rng = random.Random(900 + seed)
+        objs = random_dataset(rng, rng.randint(2, 40), 5)
+        params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=rng.randint(1, 4))
+        _, trace = rstknn_query(build_tree(objs, rng.choice([2, 4])), random_query(rng, 5), params)
+        held = {id(window[0]) for ev in trace for window in (ev._u, ev._col, ev._rol, ev._pel)}
+        assert len(held) == 4
+        verified.add(any(ev.action.startswith("Verify") for ev in trace))
+    assert verified == {True, False}
+
+
 def test_two_cluster_fixture_faulty2011_accepts_cluster_subtree():
     fx = two_cluster_fixture()
     tree = fx.build_tree()
@@ -405,6 +421,36 @@ def test_audit_catches_a_row_that_disagrees_with_its_reference_list(monkeypatch)
         rstknn_query(tree, fx.query, fx.params, audit=EngineAudit())
 
 
+def _off_frontier(rows, owner):
+    """A frontier entry that does not overlap ``owner``, an object if the
+    owner is one, for a test to take off the frontier."""
+    entries = rows.arrays.entries
+    return next(j for j in np.flatnonzero(rows.frontier)
+                if not rows.tree.overlaps(entries[j], owner)
+                and (owner.is_node or entries[j].is_object))
+
+
+def _incomplete_run(monkeypatch, n, alpha, k, target, take_off):
+    """An audited run whose rows, just before ``target``'s row, let
+    ``take_off(rows, j)`` lose one entry j of the frontier; the target's
+    rows are appended to the returned list."""
+    rng = random.Random(0)
+    objs = random_dataset(rng, n, 4)
+    q = random_query(rng, 4)
+    tree = build_tree(objs, 2)
+    row, incomplete = Rows.row, []
+
+    def row_less_one(rows, owner):
+        if owner.label != target:
+            return row(rows, owner)
+        take_off(rows, _off_frontier(rows, owner))
+        incomplete.append(row(rows, owner))
+        return incomplete[-1]
+
+    monkeypatch.setattr(Rows, "row", row_less_one)
+    return lambda: rstknn_query(tree, q, SimParams(alpha=alpha, k=k), audit=EngineAudit()), incomplete
+
+
 @pytest.mark.parametrize("n,alpha,k,target,would_be", [
     (8, 0.0, 1, "P0", Verdict.DROP),
     (8, 0.4, 3, "P5", Verdict.HIT),
@@ -412,35 +458,120 @@ def test_audit_catches_a_row_that_disagrees_with_its_reference_list(monkeypatch)
 ])
 def test_completeness_assertion_fires_on_an_incomplete_list(monkeypatch, n, alpha, k,
                                                             target, would_be):
-    # a node target's row reads a frontier without one entry that does not
-    # overlap it; an object target's row reads a frontier without one of
-    # its other objects.  Whatever the slot counts would decide, the
-    # decision raises (a would-be hit through the gate, any other verdict
-    # through the check)
-    rng = random.Random(0)
-    objs = random_dataset(rng, n, 4)
-    q = random_query(rng, 4)
-    tree = build_tree(objs, 2)
-    row = Rows.row
-    incomplete = []
-
-    def row_less_one(rows, owner, frontier):
-        if owner.label != target:
-            return row(rows, owner, frontier)
-        entries = rows.arrays.entries
-        less = frontier.copy()
-        less[next(j for j in np.flatnonzero(frontier)
-                  if not tree.overlaps(entries[j], owner)
-                  and (owner.is_node or entries[j].is_object))] = False
-        incomplete.append(row(rows, owner, less))
-        return incomplete[-1]
-
-    monkeypatch.setattr(Rows, "row", row_less_one)
-    audit = EngineAudit()
+    # just before the target's row, the rows take one entry off the
+    # frontier, its mask and its covered count together: for a node target
+    # one that does not overlap it, for an object target another object.
+    # Whatever the slot counts would decide, the decision raises (a would-be
+    # hit through the gate, any other verdict through the check)
+    run, incomplete = _incomplete_run(monkeypatch, n, alpha, k, target,
+                                      lambda rows, j: rows._flip([j]))
     with pytest.raises(CompletenessViolation, match=f"for {target} "):
-        rstknn_query(tree, q, SimParams(alpha=alpha, k=k), audit=audit)
+        run()
     [lists] = incomplete
+    assert not lists.is_complete()
     assert lists.counted_verdict() is would_be
+
+
+@pytest.mark.parametrize("target", ["P0", "N3"])
+def test_audit_catches_a_frontier_mask_that_disagrees_with_its_covered_count(monkeypatch,
+                                                                           target):
+    # only the mask loses the entry: the covered count, which the hot path
+    # checks, still reads complete, and the audit's recount from the mask
+    # reports the disagreement
+    def mask_only(rows, j):
+        rows.frontier[j] = False
+
+    run, incomplete = _incomplete_run(monkeypatch, 16, 0.0, 1, target, mask_only)
+    with pytest.raises(AssertionError, match=f"covered count disagree at {target}$"):
+        run()
+    [lists] = incomplete
+    assert lists.is_complete()
+
+
+def _random_partition(rng, rows):
+    """Expand random frontier nodes of a fresh ``rows``: a random partition
+    of the dataset as its frontier."""
+    entries = rows.arrays.entries
+    for _ in range(rng.randint(0, 12)):
+        nodes = [j for j in np.flatnonzero(rows.frontier).tolist() if entries[j].is_node]
+        if nodes:
+            rows.expand(entries[rng.choice(nodes)])
+
+
+def test_tile_verdicts_equal_the_walks_on_random_frontiers():
+    # every entry of a random partition frontier, read as a queued owner in
+    # FIFO order, decides on its row as the sorted walks of its reference
+    # list do; object rows come from one count per tile, on grid, off-grid
+    # and exact-tie instances
+    rng = random.Random(2024)
+    instances = []
+    for i in range(40):
+        objs = random_dataset(rng, rng.randint(1, 40), 5)
+        instances.append((build_tree(objs, rng.choice([2, 3, 4, 8])), random_query(rng, 5)))
+        _, query, tree, _ = offgrid_instance(i)
+        instances.append((tree, query))
+        _, query, tree = _tie_instance(rng)
+        instances.append((tree, query))
+    owners = {True: 0, False: 0}
+    for tree, query in instances:
+        stats = tree.norm_stats()
+        for alpha in (0.0, 0.4, 1.0):
+            params = SimParams(alpha, rng.choice([1, 2, 3, tree.size]))
+            for _ in range(2):
+                rows = Rows(tree, query, params, stats)
+                _random_partition(rng, rows)
+                rank, entries = rows.arrays.rank, rows.arrays.entries
+                for j in sorted(np.flatnonzero(rows.frontier).tolist(), key=rank.__getitem__):
+                    row = rows.row(entries[j])
+                    assert nn_lists.is_hit_or_drop(row) is row.reference().walked_verdict()
+                    owners[entries[j].is_node] += 1
+    assert owners[True] > 500 and owners[False] > 2000
+
+
+def test_a_tile_verdict_is_never_served_across_a_frontier_change():
+    # one object's row counts its tile's queued objects against the
+    # frontier; a node expanded before the next of them is read changes
+    # that object's verdict, and the verdict served is the one after the
+    # expansion, as the walks give it
+    rng = random.Random(31)
+    changed = 0
+    for _ in range(300):
+        tree = build_tree(random_dataset(rng, rng.randint(8, 40), 5), rng.choice([2, 3, 4]))
+        query, params = random_query(rng, 5), SimParams(rng.choice([0.0, 0.4, 1.0]), 2)
+        stats = tree.norm_stats()
+        rows, before = Rows(tree, query, params, stats), Rows(tree, query, params, stats)
+        seed = rng.random()
+        _random_partition(random.Random(seed), rows)
+        _random_partition(random.Random(seed), before)
+        entries, rank = rows.arrays.entries, rows.arrays.rank
+        frontier = sorted(np.flatnonzero(rows.frontier).tolist(), key=rank.__getitem__)
+        objects = [entries[j] for j in frontier if entries[j].is_object]
+        nodes = [entries[j] for j in frontier if entries[j].is_node]
+        if len(objects) < 2 or not nodes:
+            continue
+        first, later = objects[0], objects[1:]
+        rows.row(first)  # counts the masses of the queued objects of its tile
+        rows.expand(rng.choice(nodes))
+        for owner in later:
+            row = rows.row(owner)
+            verdict = nn_lists.is_hit_or_drop(row)
+            assert verdict is row.reference().walked_verdict()
+            changed += verdict is not nn_lists.is_hit_or_drop(before.row(owner))
+    assert changed > 20
+
+
+def _tie_instance(rng):
+    """(objects, query, tree): objects on a few shared locations and term
+    vectors, and a query that copies one of each, so that many bounds equal
+    their owner's threshold exactly."""
+    locs = [(rng.gauss(0, 10), rng.gauss(0, 10)) for _ in range(rng.randint(2, 4))]
+    vcts = [TermVector({f"t{j}": rng.uniform(0.01, 5.0)
+                        for j in rng.sample(range(5), rng.randint(1, 3))})
+            for _ in range(rng.randint(2, 4))]
+    objs = [STObject(f"P{i}", rng.choice(locs), rng.choice(vcts))
+            for i in range(rng.randint(8, 40))]
+    query = QueryObject(rng.choice(locs), rng.choice(vcts))
+    return objs, query, build_tree(objs, rng.choice([2, 4, 8]))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
@@ -475,15 +606,7 @@ def test_exact_ties_with_the_query_drop_and_recheck_lazily(monkeypatch, alpha):
     monkeypatch.setattr(Row, "_decide", recorded)
     ties = 0
     for seed in range(20):
-        rng = random.Random(seed)
-        locs = [(rng.gauss(0, 10), rng.gauss(0, 10)) for _ in range(rng.randint(2, 4))]
-        vcts = [TermVector({f"t{j}": rng.uniform(0.01, 5.0)
-                            for j in rng.sample(range(5), rng.randint(1, 3))})
-                for _ in range(rng.randint(2, 4))]
-        objs = [STObject(f"P{i}", rng.choice(locs), rng.choice(vcts))
-                for i in range(rng.randint(8, 40))]
-        q = QueryObject(rng.choice(locs), rng.choice(vcts))
-        tree = build_tree(objs, rng.choice([2, 4, 8]))
+        objs, q, tree = _tie_instance(random.Random(seed))
         stats = tree.norm_stats()
         for k in (1, 2, 3):
             params = SimParams(alpha, k)
