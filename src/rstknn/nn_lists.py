@@ -384,20 +384,19 @@ class _Tile:
 
 
 class Rows:
-    """One query run: its frontier, and its owners' rows a tile at a time.
-
-    The frontier is a mask over the :class:`EntryArrays` entries, with
-    ``covered``, the number of objects under it.  It starts as the root, and
-    only :meth:`expand` and :meth:`objects_only` change it, each making a
-    new ``version``.  A tile is the next ``_TILE_ROWS`` entries of one kind
-    in FIFO dequeue order, skipping decided entries and those under them
-    (:meth:`decided`), bounded against every entry by one
+    """One query run: its frontier, a mask over the :class:`EntryArrays`
+    entries covering ``covered`` objects, which only :meth:`expand` and
+    :meth:`objects_only` change, each making a new ``version``; and its
+    owners' rows a tile at a time.  A tile (one of each kind is kept) is the
+    next ``_TILE_ROWS`` entries of one kind in FIFO dequeue order, skipping
+    decided entries and those under them, bounded by one
     :meth:`EntryArrays.bounds` call (an object tile only against the nodes
-    on the frontier or not yet dequeued, since no other node can join it).
-    A tile of each kind is kept.  An object's dequeue leaves the frontier
-    as it is, so one pass (:meth:`_count`) counts the masses of all the
-    queued objects of a tile, kept until the frontier's next version; a
-    node's dequeue mostly expands it, so a node row counts its own.
+    on the frontier or not yet dequeued: no other node can join it).  An
+    object's dequeue leaves the frontier as it is, so :meth:`_count` counts
+    the masses of a tile's queued objects in one pass, kept until the next
+    version; a node's dequeue mostly expands it, so :meth:`_count_node`
+    counts a node's row alone, on one-dimensional views, which is cheaper
+    than a pass of one row.
     O(_TILE_ROWS * (N + n)) memory.
     """
 
@@ -413,8 +412,7 @@ class Rows:
 
     def expand(self, node: Entry) -> None:
         """Replace ``node`` on the frontier by its children."""
-        index = self.arrays.index
-        self._flip([index[node], *(index[c] for c in self.tree.children(node))])
+        self._flip([self.arrays.index[e] for e in (node, *self.tree.children(node))])
 
     def objects_only(self) -> None:
         """Make the frontier every object and no node."""
@@ -448,10 +446,8 @@ class Rows:
             tile = self._tiles[kind] = _Tile(owners, *a.bounds(owners, self.params, self.stats,
                                                                 nodes))
         r = tile.slot[i]
-        if kind:  # a node row counts its own masses
-            tile.optimistic[r] = max_sim_st(self.tree, owner, self.query, self.params, self.stats)
-            tile.pessimistic[r] = min_sim_st(self.tree, owner, self.query, self.params, self.stats)
-            return Row(self, owner, tile, r)
+        if kind:
+            return Row(self, owner, tile, r, self._count_node(owner, i, tile, r))
         masses = tile.masses[r].tolist()
         if tile.version != self.version or masses[0] != masses[0]:  # stale, or NaN
             later = tile.owners[r:]  # the objects queued now: on the frontier, not decided
@@ -459,6 +455,25 @@ class Rows:
                                                  & ~self._routed[a.first[later]]))
             masses = tile.masses[r].tolist()
         return Row(self, owner, tile, r, masses)
+
+    def _slots(self, i: int) -> np.ndarray:
+        """Each element's slots in the row of entry ``i``: its count on the
+        frontier, less one for the owner's own element (a node's self-tuple
+        holds count - 1, an object's own element none)."""
+        m = np.where(self.frontier, self.arrays.count, 0)
+        m[i] -= 1
+        return m
+
+    def _count_node(self, owner: Entry, i: int, tile: _Tile, r: int) -> list[float]:
+        """The masses of the row of ``owner`` (entry ``i``, row ``r`` of the
+        node tile) alone, as :meth:`_count` counts them; the thresholds are
+        the node's ``max_sim_st`` and ``min_sim_st`` to the query."""
+        tile.optimistic[r] = max_sim_st(self.tree, owner, self.query, self.params, self.stats)
+        tile.pessimistic[r] = min_sim_st(self.tree, owner, self.query, self.params, self.stats)
+        lower, m = tile.lower[r] - tile.optimistic[r], self._slots(i)
+        if (drop := int(m @ (lower > self.err))) >= self.params.k:
+            return [drop, np.nan, np.nan, np.nan]
+        return (_masks(lower, tile.upper[r] - tile.pessimistic[r], self.err) @ m).tolist()
 
     def _count(self, tile: _Tile, rows: np.ndarray) -> None:
         """Count the masses of the object tile's ``rows`` against the
@@ -490,23 +505,30 @@ class Row:
     tile counted it: bounds, query thresholds and masses.
 
     The lower bounds are compared with the owner's optimistic query
-    similarity, the upper ones with its pessimistic one.
+    similarity, the upper ones with its pessimistic one.  A row is read on
+    the frontier version it was made on; reading it after a change fails
+    an assertion.
     """
 
-    __slots__ = ("owner", "rows", "frontier", "tree", "params", "lower", "upper", "optimistic",
-                 "pessimistic", "masses", "_verdict")
+    __slots__ = ("owner", "rows", "frontier", "version", "tree", "params", "lower", "upper",
+                 "optimistic", "pessimistic", "masses", "_verdict")
 
-    def __init__(self, rows: Rows, owner: Entry, tile: _Tile, r: int,
-                 masses: list[float] | None = None):
+    def __init__(self, rows: Rows, owner: Entry, tile: _Tile, r: int, masses: list[float]):
         self.owner, self.rows, self.frontier = owner, rows, rows.frontier
-        self.tree, self.params = rows.tree, rows.params
+        self.version, self.tree, self.params = rows.version, rows.tree, rows.params
         self.lower, self.upper = tile.lower[r], tile.upper[r]
         self.optimistic, self.pessimistic = tile.optimistic[r], tile.pessimistic[r]
         self.masses = masses
         self._verdict: Verdict | None = None
 
+    def _current(self) -> None:
+        """The row is read on the frontier version it was made on."""
+        assert self.version == self.rows.version, (
+            f"row of {self.owner.label} read after a frontier change")
+
     def is_complete(self) -> bool:
         """The frontier covers every object."""
+        self._current()
         return self.rows.covered == self.tree.size
 
     def counted_verdict(self) -> Verdict:
@@ -515,27 +537,16 @@ class Row:
             self._verdict = self._decide()
         return self._verdict
 
-    def _slots(self) -> np.ndarray:
-        """Each element's slots: its count on the frontier, less one for the
-        owner's own element (a node's self-tuple holds count - 1)."""
-        m = np.where(self.frontier, self.rows.arrays.count, 0)
-        m[self.rows.arrays.index[self.owner]] -= 1
-        return m
-
     def _decide(self) -> Verdict:
+        self._current()
         k, rows, counted = self.params.k, self.rows, self.masses
-        if counted is None:  # a node row, counted alone: the known drop mass first
-            lower = self.lower - self.optimistic
-            if int((m := self._slots()) @ (lower > rows.err)) >= k:
-                return Verdict.DROP
-            counted = (_masks(lower, self.upper - self.pessimistic, rows.err) @ m).tolist()
         if counted[0] >= k:  # the other three masses are not counted then
             return Verdict.DROP
         # (drop, hit): the slots known to count, and those that may
         masses = [[int(x) for x in counted[:2]], [int(x) for x in counted[2:]]]
         if (verdict := _settled(*masses, k)) is not None:
             return verdict
-        m = self._slots()
+        m = rows._slots(rows.arrays.index[self.owner])
         thresholds = (self.optimistic, self.pessimistic)
         unsure = [~(np.abs(bounds - t) > rows.err)
                   for bounds, t in zip((self.lower, self.upper), thresholds)]
@@ -555,6 +566,7 @@ class Row:
 
     def reference(self) -> NNLists:
         """The list itself, of direct scalar bounds, which audit runs walk."""
+        self._current()
         rows, entries = self.rows, self.rows.arrays.entries
         others = [entries[j] for j in np.flatnonzero(self.frontier).tolist()
                   if entries[j] != self.owner]

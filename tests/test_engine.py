@@ -448,7 +448,8 @@ def _incomplete_run(monkeypatch, n, alpha, k, target, take_off):
         return incomplete[-1]
 
     monkeypatch.setattr(Rows, "row", row_less_one)
-    return lambda: rstknn_query(tree, q, SimParams(alpha=alpha, k=k), audit=EngineAudit()), incomplete
+    params = SimParams(alpha=alpha, k=k)
+    return lambda: rstknn_query(tree, q, params, audit=EngineAudit()), incomplete
 
 
 @pytest.mark.parametrize("n,alpha,k,target,would_be", [
@@ -532,7 +533,8 @@ def test_a_tile_verdict_is_never_served_across_a_frontier_change():
     # one object's row counts its tile's queued objects against the
     # frontier; a node expanded before the next of them is read changes
     # that object's verdict, and the verdict served is the one after the
-    # expansion, as the walks give it
+    # expansion, as the walks give it.  A row counted before the expansion
+    # and read after it fails an assertion
     rng = random.Random(31)
     changed = 0
     for _ in range(300):
@@ -550,8 +552,11 @@ def test_a_tile_verdict_is_never_served_across_a_frontier_change():
         if len(objects) < 2 or not nodes:
             continue
         first, later = objects[0], objects[1:]
-        rows.row(first)  # counts the masses of the queued objects of its tile
+        stale = rows.row(first)  # counts the masses of the queued objects of its tile
         rows.expand(rng.choice(nodes))
+        for read in (nn_lists.is_hit_or_drop, Row.is_complete, Row.reference):
+            with pytest.raises(AssertionError, match="read after a frontier change"):
+                read(stale)
         for owner in later:
             row = rows.row(owner)
             verdict = nn_lists.is_hit_or_drop(row)
