@@ -15,8 +15,17 @@ location (half of those its term vector too), fractional term weights, and
 k drawn from {1, 2, 3, n, n + 1}.  Even instances are laid out by a random
 nesting with single-child chains and single-object leaves, odd ones by STR.
 
+With ``--setup`` the script runs no query.  It writes the objects of each
+grid and each off-grid instance through `write_dataset`, reads them back with
+`read_dataset`, builds the instance's tree from what it read, and hashes the
+set-up: the `NormStats` as `float.hex`, and every entry record's span, depth,
+parent, children, covering entries, MBR and both vectors (items and
+`norm_sq`).  Two versions that print the same set-up digest read, pack and
+normalize every instance bit for bit alike.
+
     PYTHONPATH=src python3 scripts/trace_digest.py --instances 200
     PYTHONPATH=src python3 scripts/trace_digest.py --offgrid --instances 300
+    PYTHONPATH=src python3 scripts/trace_digest.py --setup --instances 300
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import random
+import tempfile
+from pathlib import Path
+from typing import Callable, Sequence
 
 from rstknn import (
     Mode,
@@ -32,22 +44,27 @@ from rstknn import (
     STObject,
     TermVector,
     build_tree,
+    object_entry,
     rknn_bruteforce,
     rstknn_query,
     trace_to_jsonl,
     tree_from_layout,
 )
-from rstknn.datasets import random_dataset, random_query
+from rstknn.datasets import random_dataset, random_query, read_dataset, write_dataset
 
 ALPHAS = (0.0, 0.4, 1.0)
 FANOUTS = (2, 3, 4, 8)
 VOCAB = 6
 
 
-def grid_instance(i: int):
-    """(objects, query, tree, rng) of instance i on the integer grid."""
+Load = Callable[[Sequence[STObject]], Sequence[STObject]]
+
+
+def grid_instance(i: int, load: Load = list):
+    """(objects, query, tree, rng) of instance i on the integer grid; the
+    tree is built over ``load(objects)``."""
     rng = random.Random(i)
-    objects = random_dataset(rng, rng.randint(1, 48), VOCAB)
+    objects = load(random_dataset(rng, rng.randint(1, 48), VOCAB))
     query = random_query(rng, VOCAB)
     return objects, query, build_tree(objects, FANOUTS[i % len(FANOUTS)]), rng
 
@@ -71,8 +88,9 @@ def _chain_layout(rng: random.Random, ids: list[str]) -> list:
     return layout
 
 
-def offgrid_instance(i: int):
-    """(objects, query, tree, rng) of instance i off the grid."""
+def offgrid_instance(i: int, load: Load = list):
+    """(objects, query, tree, rng) of instance i off the grid; the tree is
+    built over ``load(objects)``."""
     rng = random.Random(f"offgrid/{i}")
     objects: list[STObject] = []
     for j in range(rng.randint(1, 40)):
@@ -83,6 +101,7 @@ def offgrid_instance(i: int):
             loc, vct = (rng.gauss(0.0, 10.0), rng.gauss(0.0, 10.0)), _terms(rng)
         objects.append(STObject(f"P{j}", loc, vct))
     query = QueryObject((rng.gauss(0.0, 10.0), rng.gauss(0.0, 10.0)), _terms(rng))
+    objects = load(objects)
     if i % 2 == 0:
         tree = tree_from_layout(objects, _chain_layout(rng, [o.id for o in objects]))
     else:
@@ -112,12 +131,54 @@ def digest(instances: int, offgrid: bool = False) -> tuple[int, int, str]:
     return runs, mismatches, sha.hexdigest()
 
 
+def _vector(v: TermVector) -> str:
+    return " ".join(f"{t}={w.hex()}" for t, w in v.items) + f" |{v.norm_sq.hex()}"
+
+
+def setup_digest(instances: int) -> str:
+    """Hex SHA-256 over the set-up of every grid and off-grid instance read
+    back from its dataset file."""
+    sha = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.jsonl"
+
+        def load(objects: Sequence[STObject]) -> list[STObject]:
+            write_dataset(path, objects)
+            return read_dataset(path)
+
+        for i in range(instances):
+            for name, instance in (("grid", grid_instance), ("offgrid", offgrid_instance)):
+                tree = instance(i, load)[2]
+                stats = tree.norm_stats()
+                sha.update(f"{name} {i} {' '.join(x.hex() for x in vars(stats).values())}\n"
+                           .encode())
+                entries = [*tree.iter_node_entries(), *map(object_entry, tree.objects)]
+                for e in entries:
+                    r = tree.record(e)
+                    sha.update(" ".join([
+                        e.label, str(r.span), str(r.depth),
+                        r.parent.label if r.parent else "-",
+                        ",".join(c.label for c in r.children),
+                        ",".join(c.label for c in r.covering),
+                        *(c.hex() for c in (*r.mbr.lo, *r.mbr.hi)),
+                        _vector(r.int_vct), _vector(r.union_vct),
+                    ]).encode() + b"\n")
+    return sha.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--instances", type=int, default=200)
     parser.add_argument("--offgrid", action="store_true",
                         help="Gaussian data with duplicate locations and chain layouts")
+    parser.add_argument("--setup", action="store_true",
+                        help="hash the read-back objects, tree records and statistics "
+                             "of grid and off-grid instances; run no query")
     args = parser.parse_args(argv)
+    if args.setup:
+        print(f"instances {args.instances}  setup")
+        print(f"sha256 {setup_digest(args.instances)}")
+        return 0
     runs, mismatches, hexdigest = digest(args.instances, args.offgrid)
     print(f"instances {args.instances}  runs {runs}  mismatches {mismatches}")
     print(f"sha256 {hexdigest}")

@@ -6,8 +6,10 @@ proximity and normalized Extended Jaccard text similarity, where the
 normalization constants (min/max pairwise distance and text similarity) come
 from the database itself.
 
-Everything in this module is immutable after construction and safe to share
-between concurrent readers.
+Every value is validated once, by the type that stores it: the term vector
+its weights and squared norm, the objects their coordinates, the pair tiles
+the dataset's spread.  Everything in this module is immutable after
+construction and safe to share between concurrent readers.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 Point = tuple[float, float]
+
+_MIN, _MAX = sys.float_info.min, sys.float_info.max
 
 
 class DatasetTooSmall(ValueError):
@@ -47,7 +51,8 @@ class TermVector:
     NaN, infinite, out-of-float-range and negative weights are rejected, and
     so is a vector whose squared norm overflows or, for a non-empty vector,
     falls below the normal float range (where Extended Jaccard would divide
-    by zero or lose its relative precision).
+    by zero or lose its relative precision).  One pass over the sorted terms
+    checks each weight and sums the squared norm.
     Dot products always iterate terms in lexicographic order, which makes
     every similarity value derived from these vectors reproducible
     bit-for-bit regardless of how the input mapping was built.
@@ -57,20 +62,25 @@ class TermVector:
 
     def __init__(self, weights: Mapping[str, float] | Iterable[tuple[str, float]] = ()):
         raw = dict(weights)
-        for term, w in raw.items():
-            if not is_finite(w):
-                raise ValueError(f"non-finite weight for term {term!r}: {w}")
-            if w < 0:
-                raise ValueError(f"negative weight for term {term!r}: {w}")
-        self.items: tuple[tuple[str, float], ...] = tuple(
-            sorted((t, float(w)) for t, w in raw.items() if w > 0)
-        )
-        self._weights = dict(self.items)
-        self.norm_sq = 0.0
-        for _, w in self.items:
-            self.norm_sq += w * w
-        if self.items and not sys.float_info.min <= self.norm_sq <= sys.float_info.max:
-            raise ValueError(f"squared norm out of float range: {self.norm_sq}")
+        items = []
+        norm_sq = 0.0  # summed in the sorted order
+        for term in sorted(raw):
+            w = raw[term]
+            if not (type(w) is float and 0.0 < w <= _MAX):  # not a positive finite float
+                finite = is_finite(w)
+                if not finite or w < 0:
+                    raise ValueError(f"{'negative' if finite else 'non-finite'} weight for term "
+                                     f"{term!r}: {w}")
+                if not w:
+                    continue
+                w = float(w)
+            items.append((term, w))
+            norm_sq += w * w
+        if items and not _MIN <= norm_sq <= _MAX:
+            raise ValueError(f"squared norm out of float range: {norm_sq}")
+        self.items: tuple[tuple[str, float], ...] = tuple(items)
+        self._weights = dict(items)
+        self.norm_sq = norm_sq
 
     @property
     def is_empty(self) -> bool:
@@ -111,8 +121,35 @@ class TermVector:
         return f"TermVector({{{inner}}})"
 
 
+def union_vector(vectors: Iterable[TermVector]) -> TermVector:
+    """Term-by-term maximum, absent terms reading as 0, merged into one dict."""
+    merged: dict[str, float] = {}
+    for v in vectors:
+        for t, w in v.items:
+            if w > merged.get(t, 0.0):
+                merged[t] = w
+    return TermVector(merged)
+
+
+def intersection_vector(vectors: Sequence[TermVector]) -> TermVector:
+    """Term-by-term minimum: the first vector's weights, narrowed by each
+    other one.  A minimum whose squared norm falls below the normal float
+    range is the empty vector, which lies under it term by term."""
+    common = dict(vectors[0].items) if vectors else {}
+    for v in vectors[1:]:
+        if not common:
+            break
+        weights = v._weights
+        common = {t: w if w <= x else x for t, w in common.items()
+                  if (x := weights.get(t)) is not None}
+    try:
+        return TermVector(common)
+    except ValueError:  # it cannot overflow: it lies under the first vector
+        return TermVector()
+
+
 def _check_finite_loc(loc: Point) -> None:
-    if not all(is_finite(c) for c in loc):
+    if not all(map(is_finite, loc)):
         raise ValueError(f"non-finite coordinate in location {loc}")
 
 
@@ -139,13 +176,26 @@ class QueryObject:
         _check_finite_loc(self.loc)
 
 
+_SPREAD = "the bounding box of the object locations has a diagonal beyond float range"
+
+
 def check_spread(objects: Sequence[STObject]) -> None:
     """Reject a dataset whose bounding box has a diagonal beyond float range:
     its pairwise distances, and the spatial normalization by them, overflow."""
     xs, ys = zip(*(o.loc for o in objects))
     if not math.isfinite(math.hypot(max(xs) - min(xs), max(ys) - min(ys))):
-        raise ValueError("the bounding box of the object locations has a diagonal "
-                         "beyond float range")
+        raise ValueError(_SPREAD)
+
+
+def check_union(objects: Sequence[STObject]) -> None:
+    """Reject a dataset whose union vector (an index root's, over every
+    node's) has a squared norm beyond float range.  That is at most the sum
+    of the objects' squared norms, so a sum below half the range is enough."""
+    if not sum(o.vct.norm_sq for o in objects) <= _MAX / 2:
+        try:
+            union_vector(o.vct for o in objects)
+        except ValueError as exc:
+            raise ValueError(f"the union of the objects' term vectors: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -228,15 +278,18 @@ class _PairTiles:
     """
 
     def __init__(self, objects: Sequence[STObject]):
-        check_spread(objects)
         self.objects = objects
         self.n = len(objects)
         self.xy = np.array([o.loc for o in objects], dtype=float).reshape(self.n, 2)
-        vocab = sorted({t for o in objects for t, _ in o.vct.items})
+        with np.errstate(over="ignore"):
+            self.diameter = float(np.hypot(*np.ptp(self.xy, axis=0)))
+        if not math.isfinite(self.diameter):
+            raise ValueError(_SPREAD)
+        vectors = [o.vct for o in objects]
+        vocab = sorted(set().union(*(v._weights for v in vectors)))
         self.column = {t: j for j, t in enumerate(vocab)}  # a term's column in ``terms``
-        self.terms = self.dense([o.vct for o in objects])
-        self.norm_sq = np.array([o.vct.norm_sq for o in objects])
-        self.diameter = float(np.hypot(*np.ptp(self.xy, axis=0)))
+        self.terms = self.dense(vectors)
+        self.norm_sq = np.array([v.norm_sq for v in vectors])
         # squares of coordinate differences neither overflow nor lose eps * D
         self._squares = self.diameter == 0.0 or 2.0 ** -400 <= self.diameter <= 2.0 ** 400
         self.dist_err = 64 * (_EPS * self.diameter + math.ulp(0.0))
@@ -314,14 +367,13 @@ def compute_norm_stats(dataset: Sequence[STObject] | _PairTiles) -> NormStats:
     """Exact min/max distance and text similarity over all object pairs.
 
     ``dataset`` is the objects or their :class:`_PairTiles` (an index keeps
-    its tiles for the object rows of its queries).  The extremes are first
-    taken over the upper triangle of the vectorized pair tiles.  An exact
-    extreme lies within twice the tiles' error bound of the vectorized one,
-    so every pair that close to it is settled with the scalar
-    ``euclidean_dist`` or ``extended_jaccard``, and the scalar values
-    decide.  A vectorized
-    Extended Jaccard minimum of exactly 0 needs a zero dot product, which
-    the scalar dot gives as well, so it is exact as it stands.
+    its tiles for the object rows of its queries).  Each tile's extremes are
+    reductions over its upper triangle, masked by ``np.where``, and it keeps
+    the pairs near them.  An exact extreme lies within twice the tiles'
+    error bound of the vectorized one, so every pair that close to it is
+    settled with the scalar ``euclidean_dist`` or ``extended_jaccard``, and
+    the scalar values decide.  A vectorized Extended Jaccard minimum of
+    exactly 0 needs a zero dot product, which the scalar dot gives as well.
     """
     objects = dataset.objects if isinstance(dataset, _PairTiles) else dataset
     n = len(objects)
@@ -335,35 +387,37 @@ def compute_norm_stats(dataset: Sequence[STObject] | _PairTiles) -> NormStats:
     def ej_of(i: int, j: int) -> float:
         return extended_jaccard(objects[i].vct, objects[j].vct)
 
-    # phi_s, psi_s, phi_t, psi_t: (which tile, extreme, margin, scalar value)
-    stats = ((0, np.min, 2 * tiles.dist_err, dist_of), (0, np.max, 2 * tiles.dist_err, dist_of),
-             (1, np.min, 2 * tiles.ej_err, ej_of), (1, np.max, 2 * tiles.ej_err, ej_of))
+    # phi_s, psi_s, phi_t, psi_t: (which tile, whether a minimum, margin, scalar value)
+    stats = ((0, True, 2 * tiles.dist_err, dist_of), (0, False, 2 * tiles.dist_err, dist_of),
+             (1, True, 2 * tiles.ej_err, ej_of), (1, False, 2 * tiles.ej_err, ej_of))
 
-    def near(values: np.ndarray, extreme: float, margin: float) -> np.ndarray:
-        # nan-safe: a value not known to lie beyond the margin is near
-        return ~(np.abs(values - extreme) > margin)
+    def near(values: np.ndarray, extreme: float, margin: float, lowest: bool) -> np.ndarray:
+        # nan-safe: a value not known to lie beyond the margin is near, and an
+        # infinite fill lies beyond it; rounding extreme + margin is far
+        # inside the eightfold spare of the error bounds
+        return ~(values > extreme + margin if lowest else values < extreme - margin)
 
-    # per statistic, the (value, i, j) of the pairs near their tile's extreme;
-    # a pair near the global extreme is near its tile's as well
-    found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in stats]
+    # per statistic and tile: the tile's extreme, and the values and flat
+    # positions (i * n + j) of the pairs near it
+    found: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in stats]
     for lo, dist, ej in tiles:
-        rows, cols = np.nonzero(np.arange(n)[None, :] > np.arange(lo, lo + len(dist))[:, None])
-        if len(rows):
-            pair_values = (dist[rows, cols], ej[rows, cols])
-            for (tile, extreme, margin, _), out in zip(stats, found):
-                values = pair_values[tile]
-                keep = near(values, extreme(values), margin)
-                out.append((values[keep], rows[keep] + lo, cols[keep]))
+        if lo == n - 1:  # the last row alone has no pair above the diagonal
+            break
+        upper = np.arange(n) > np.arange(lo, lo + len(dist))[:, None]
+        for (tile, lowest, margin, _), out in zip(stats, found):
+            values = np.where(upper, (dist, ej)[tile], math.inf if lowest else -math.inf).ravel()
+            extreme = values.min() if lowest else values.max()
+            pairs = np.flatnonzero(near(values, extreme, margin, lowest))
+            out.append((extreme, values[pairs], pairs + lo * n))
     exact = []
-    for (tile, extreme, margin, scalar), out in zip(stats, found):
-        values, rows, cols = (np.concatenate(parts) for parts in zip(*out))
-        approx = extreme(values)
-        if tile == 1 and extreme is np.min and approx == 0.0:
+    for (tile, lowest, margin, scalar), out in zip(stats, found):
+        approx = (np.min if lowest else np.max)([extreme for extreme, _, _ in out])
+        if tile == 1 and lowest and approx == 0.0:
             exact.append(0.0)
             continue
-        keep = near(values, approx, margin)
-        pick = min if extreme is np.min else max
-        exact.append(pick(scalar(i, j) for i, j in zip(rows[keep].tolist(), cols[keep].tolist())))
+        pairs = [divmod(p, n) for _, values, flat in out
+                 for p in flat[near(values, approx, margin, lowest)].tolist()]
+        exact.append((min if lowest else max)(scalar(i, j) for i, j in pairs))
     return NormStats(*exact)
 
 

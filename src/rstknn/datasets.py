@@ -4,6 +4,11 @@ One object per line: ``{"id": str, "x": number, "y": number,
 "terms": {term: weight, ...}}``.  Queries use the same schema minus the id.
 Serialization is canonical (fixed key order, sorted terms, float-typed
 numbers), so generate -> parse -> serialize round-trips byte-identically.
+
+Reading checks JSON types and ids only; the values are checked once, where
+they are stored (:class:`TermVector` the weights, :class:`STObject` and
+:class:`QueryObject` the coordinates), and their ``ValueError`` becomes a
+:class:`ParseError` at the line.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import random
 from pathlib import Path
 from typing import Sequence
 
-from .core import QueryObject, STObject, TermVector, check_spread, is_finite
+from .core import QueryObject, STObject, TermVector, check_spread, check_union
 
 
 class ParseError(ValueError):
@@ -26,30 +31,33 @@ class ParseError(ValueError):
         self.message = message
 
 
+_decode = json.JSONDecoder().decode
+_JSON_NUMBERS = (int, float)  # a JSON bool is neither: its type is bool
+
+
 def _terms_from_json(raw: object, path: str | Path, line_no: int) -> TermVector:
+    """The term vector of a JSON ``terms`` object: this checks the JSON
+    types, and :class:`TermVector` the values."""
     if not isinstance(raw, dict):
         raise ParseError(path, line_no, "'terms' must be an object")
-    weights: dict[str, float] = {}
     for term, w in raw.items():
-        if not isinstance(term, str) or not isinstance(w, (int, float)) or isinstance(w, bool):
+        if type(w) not in _JSON_NUMBERS:
             raise ParseError(path, line_no, f"bad term entry {term!r}: {w!r}")
-        if not is_finite(w):
-            raise ParseError(path, line_no, f"non-finite weight for term {term!r}: {w!r}")
-        if w < 0:
-            raise ParseError(path, line_no, f"negative weight for term {term!r}")
-        weights[term] = float(w)
     try:
-        return TermVector(weights)
-    except ValueError as exc:  # a squared norm beyond float range
+        return TermVector(raw)
+    except ValueError as exc:
         raise ParseError(path, line_no, str(exc)) from exc
 
 
 def _number(raw: object, name: str, path: str | Path, line_no: int) -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+    """A JSON number as a float; :class:`STObject` and :class:`QueryObject`
+    check that it is finite."""
+    if type(raw) not in _JSON_NUMBERS:
         raise ParseError(path, line_no, f"'{name}' must be a number, got {raw!r}")
-    if not is_finite(raw):
-        raise ParseError(path, line_no, f"'{name}' must be finite, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)  # type: ignore[arg-type]
+    except OverflowError as exc:
+        raise ParseError(path, line_no, f"'{name}' is an integer beyond float range") from exc
 
 
 def object_to_json_line(obj: STObject) -> str:
@@ -71,6 +79,8 @@ def write_dataset(path: str | Path, objects: Sequence[STObject]) -> None:
 
 
 def read_dataset(path: str | Path) -> list[STObject]:
+    """The objects of a JSON-lines dataset file, one per non-blank line,
+    each decoded alone; the whole dataset's checks are reported at line 0."""
     objects: list[STObject] = []
     seen: set[str] = set()
     try:
@@ -78,34 +88,31 @@ def read_dataset(path: str | Path) -> list[STObject]:
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read dataset: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            raw = json.loads(line)
+            raw = _decode(line)
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
         if not isinstance(raw, dict):
             raise ParseError(path, line_no, "each line must be a JSON object")
-        if not isinstance(raw.get("id"), str):
+        oid = raw.get("id")
+        if not isinstance(oid, str):
             raise ParseError(path, line_no, "'id' must be a string")
-        oid = raw["id"]
         if oid in seen:
             raise ParseError(path, line_no, f"duplicate object id {oid!r}")
         seen.add(oid)
-        objects.append(
-            STObject(
-                id=oid,
-                loc=(
-                    _number(raw.get("x"), "x", path, line_no),
-                    _number(raw.get("y"), "y", path, line_no),
-                ),
-                vct=_terms_from_json(raw.get("terms", {}), path, line_no),
-            )
-        )
+        loc = (_number(raw.get("x"), "x", path, line_no), _number(raw.get("y"), "y", path, line_no))
+        vct = _terms_from_json(raw.get("terms", {}), path, line_no)
+        try:
+            objects.append(STObject(oid, loc, vct))
+        except ValueError as exc:  # a non-finite coordinate
+            raise ParseError(path, line_no, str(exc)) from exc
     if not objects:
         raise ParseError(path, 0, "dataset is empty")
     try:
         check_spread(objects)
+        check_union(objects)
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
     return objects
@@ -117,15 +124,17 @@ def read_query(path: str | Path) -> QueryObject:
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read query: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = _decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, 1, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ParseError(path, 1, "query file must hold a JSON object")
-    return QueryObject(
-        loc=(_number(raw.get("x"), "x", path, 1), _number(raw.get("y"), "y", path, 1)),
-        vct=_terms_from_json(raw.get("terms", {}), path, 1),
-    )
+    loc = (_number(raw.get("x"), "x", path, 1), _number(raw.get("y"), "y", path, 1))
+    vct = _terms_from_json(raw.get("terms", {}), path, 1)
+    try:
+        return QueryObject(loc, vct)
+    except ValueError as exc:  # a non-finite coordinate
+        raise ParseError(path, 1, str(exc)) from exc
 
 
 def parse_query_terms(spec: str) -> TermVector:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +34,9 @@ from .core import (
     TermVector,
     combined_similarity,
     compute_norm_stats,
+    intersection_vector,
     sim_st,
+    union_vector,
 )
 
 
@@ -57,21 +60,11 @@ class Mbr:
         return cls(p, p)
 
     @classmethod
-    def from_points(cls, points: Sequence[Point]) -> "Mbr":
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        return cls((min(xs), min(ys)), (max(xs), max(ys)))
-
-    @classmethod
     def union(cls, boxes: Sequence["Mbr"]) -> "Mbr":
         return cls(
             (min(b.lo[0] for b in boxes), min(b.lo[1] for b in boxes)),
             (max(b.hi[0] for b in boxes), max(b.hi[1] for b in boxes)),
         )
-
-    @property
-    def center(self) -> Point:
-        return ((self.lo[0] + self.hi[0]) / 2.0, (self.lo[1] + self.hi[1]) / 2.0)
 
 
 def min_dist(a: Mbr, b: Mbr) -> float:
@@ -123,29 +116,6 @@ def node_entry(node_id: int) -> Entry:
 
 def object_entry(object_id: str) -> Entry:
     return Entry("object", object_id)
-
-
-def _intersect_vectors(vectors: Sequence[TermVector]) -> TermVector:
-    """Coordinatewise minimum, treating absent terms as zero.
-
-    A term survives only if it appears in every vector.
-    """
-    if not vectors:
-        return TermVector()
-    common = set(vectors[0].terms())
-    for v in vectors[1:]:
-        common &= set(v.terms())
-    return TermVector({t: min(v.weight(t) for v in vectors) for t in common})
-
-
-def _union_vectors(vectors: Sequence[TermVector]) -> TermVector:
-    """Coordinatewise maximum over all vectors."""
-    merged: dict[str, float] = {}
-    for v in vectors:
-        for t, w in v.items:
-            if w > merged.get(t, 0.0):
-                merged[t] = w
-    return TermVector(merged)
 
 
 Layout = list  # nested lists; a leaf is a list of object-id strings
@@ -301,56 +271,44 @@ class IurTree:
 # -- construction ----------------------------------------------------------
 
 
-def _validate_objects(objects: Sequence[STObject]) -> None:
-    if not objects:
-        raise EmptyDataset("cannot build a tree over zero objects")
-    seen: set[str] = set()
-    for o in objects:
-        if o.id in seen:
-            raise ValueError(f"duplicate object id {o.id!r}")
-        seen.add(o.id)
-
-
-def _tile(items: list, fanout: int) -> list[list]:
+def _tile(records: list, fanout: int) -> list[list]:
     """One level of Sort-Tile-Recursive packing.
 
-    ``items`` are (x, y, tiebreak, payload) records; returns groups of at
-    most ``fanout`` payloads.  Fully deterministic: ties fall back to the
-    tiebreak key.
+    ``records`` start with (x, y, tiebreak), the tiebreaks distinct; returns
+    groups of at most ``fanout`` records.  Fully deterministic: ties fall
+    back to the tiebreak key.
     """
-    n = len(items)
-    groups_needed = math.ceil(n / fanout)
-    slices = math.ceil(math.sqrt(groups_needed))
-    slice_size = slices * fanout
-    by_x = sorted(items, key=lambda r: (r[0], r[1], r[2]))
+    n = len(records)
+    slice_size = math.ceil(math.sqrt(math.ceil(n / fanout))) * fanout
+    by_x = sorted(records, key=_BY_X)
     groups: list[list] = []
     for s in range(0, n, slice_size):
-        vertical = sorted(by_x[s : s + slice_size], key=lambda r: (r[1], r[0], r[2]))
-        for g in range(0, len(vertical), fanout):
-            groups.append([r[3] for r in vertical[g : g + fanout]])
+        vertical = sorted(by_x[s : s + slice_size], key=_BY_Y)
+        groups.extend(vertical[g : g + fanout] for g in range(0, len(vertical), fanout))
     return groups
+
+
+_BY_X, _BY_Y = itemgetter(0, 1, 2), itemgetter(1, 0, 2)
+
+
+def _packed(group: list) -> tuple:
+    """The level record of a group of records: its box's center, its least
+    id, its layout and its box."""
+    _, _, firsts, layouts, lxs, lys, hxs, hys = zip(*group)
+    lx, ly, hx, hy = min(lxs), min(lys), max(hxs), max(hys)
+    return (lx + hx) / 2.0, (ly + hy) / 2.0, min(firsts), list(layouts), lx, ly, hx, hy
 
 
 def _str_layout(objects: Sequence[STObject], fanout: int) -> Layout:
     """Nested id layout produced by a Sort-Tile-Recursive bulk load."""
     if len(objects) <= fanout:
         return [o.id for o in sorted(objects, key=lambda o: (o.loc[0], o.loc[1], o.id))]
-    records = [(o.loc[0], o.loc[1], o.id, (o.id, o.loc)) for o in objects]
-    # level records: (center x, center y, min id, (layout, box, min id))
-    level: list[tuple[float, float, str, tuple[Layout, Mbr, str]]] = []
-    for group in _tile(records, fanout):
-        box = Mbr.from_points([loc for _, loc in group])
-        first = min(oid for oid, _ in group)
-        level.append((*box.center, first, ([oid for oid, _ in group], box, first)))
-    # repeatedly pack the current level until a single root remains
-    while len(level) > 1:
-        packed = _tile(level, fanout)
-        level = []
-        for group in packed:
-            box = Mbr.union([b for _, b, _ in group])
-            first = min(f for _, _, f in group)
-            level.append((*box.center, first, ([sub for sub, _, _ in group], box, first)))
-    return level[0][3][0]
+    # level records: (center x, center y, least id, layout, box lo x, lo y,
+    # hi x, hi y); an object is a point box
+    level = [(x, y, o.id, o.id, x, y, x, y) for o in objects for x, y in (o.loc,)]
+    while len(level) > 1:  # pack the current level until a single root remains
+        level = [_packed(group) for group in _tile(level, fanout)]
+    return level[0][3]
 
 
 def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
@@ -368,8 +326,15 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
     aggregates each node's record from its children's.  Both passes are
     iterative, so a layout of any depth builds.
     """
-    _validate_objects(objects)
+    if not objects:
+        raise EmptyDataset("cannot build a tree over zero objects")
     by_id = {o.id: o for o in objects}
+    if len(by_id) < len(objects):  # name the first repeated id
+        seen: set[str] = set()
+        for o in objects:
+            if o.id in seen:
+                raise ValueError(f"duplicate object id {o.id!r}")
+            seen.add(o.id)
     records: dict[Entry, EntryRecord] = {}
     order: list[str] = []  # object ids in preorder
     nodes: list[tuple[tuple[Entry, ...], list[Entry], int]] = []  # ancestors, children, span start
@@ -388,20 +353,20 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
         if any(isinstance(x, list) for x in sub):
             stack.extend((c, below) for c in reversed(sub))
             continue
+        depth = len(below)
         for oid in sub:
             if not isinstance(oid, str):
                 raise ValueError(f"leaf element {oid!r} of {entry.label} is not an object id")
             obj = by_id.get(oid)
-            child = object_entry(oid)
-            if obj is None or child in records:
+            if obj is None:
                 raise ValueError("layout must mention each object id exactly once")
             pos = len(order)
+            child = Entry("object", oid)
             records[child] = EntryRecord(
-                (pos, pos + 1), len(below), entry, (), Mbr.from_point(obj.loc),
-                obj.vct, obj.vct, below)
+                (pos, pos + 1), depth, entry, (), Mbr(obj.loc, obj.loc), obj.vct, obj.vct, below)
             children.append(child)
             order.append(oid)
-    if len(order) != len(by_id):
+    if not len(order) == len(records) == len(by_id):  # a repeated id has one record
         raise ValueError("layout must mention each object id exactly once")
 
     for nid in reversed(range(len(nodes))):
@@ -415,8 +380,8 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
         records[node_entry(nid)] = EntryRecord(
             (lo, hi), len(ancestors), ancestors[-1] if ancestors else None,
             tuple(children), Mbr.union([r.mbr for r in below_records]),
-            _intersect_vectors([r.int_vct for r in below_records]),
-            _union_vectors([r.union_vct for r in below_records]),
+            intersection_vector([r.int_vct for r in below_records]),
+            union_vector(r.union_vct for r in below_records),
             ancestors + chain)
     return IurTree([by_id[oid] for oid in order], records)
 
@@ -614,9 +579,27 @@ class EntryArrays:
         * ``combined_similarity`` runs the same operations in both codes, so
           ``sim_err`` bounds the result, as it does for the pair tiles.
         """
-        objects = owners[0] >= self.nodes
-        # the columns of the general arithmetic
-        cols = (slice(self.nodes) if nodes is None else nodes) if objects else slice(None)
+        shape = (len(owners), len(self.count))
+        if owners[0] < self.nodes:
+            lower, upper = self._general(owners, slice(None), params, stats)
+            return np.broadcast_to(lower, shape), np.broadcast_to(upper, shape)
+        cols = slice(self.nodes) if nodes is None else nodes
+        # no node column once every node has left the queue and the frontier
+        general = nodes is None or len(nodes) > 0
+        bounds = self._general(owners, cols, params, stats) if general else (None, None)
+        sims = self.tiles.sims(self.first[owners], params, stats)
+        out = np.empty(shape), np.empty(shape)
+        for bound, tile in zip(bounds, out):
+            tile[:, :self.nodes] = np.nan
+            if general:
+                tile[:, cols] = bound
+            tile[:, self.nodes:] = sims
+        return out
+
+    def _general(self, owners: np.ndarray, cols: np.ndarray | slice, params: SimParams,
+                 stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) of the general arithmetic of :meth:`bounds` between
+        the ``owners`` and the entries ``cols``."""
         far = near = min_text = max_text = None  # only the scores with a nonzero weight count
         if params.alpha > 0.0:
             u = self.hi[:, owners, None] - self.lo[:, None, cols]  # a.hi - b.lo, per axis
@@ -635,15 +618,5 @@ class EntryArrays:
             if self.empty[owners].any():
                 both = self.empty[owners, None] & self.empty[cols]
                 min_text[both] = max_text[both] = 0.0
-        lower = combined_similarity(far, min_text, params, stats)  # type: ignore[arg-type]
-        upper = combined_similarity(near, max_text, params, stats)  # type: ignore[arg-type]
-        shape = (len(owners), len(self.count))
-        if not objects:
-            return np.broadcast_to(lower, shape), np.broadcast_to(upper, shape)
-        sims = self.tiles.sims(self.first[owners], params, stats)
-        out = np.empty(shape), np.empty(shape)
-        for bound, tile in zip((lower, upper), out):
-            tile[:, :self.nodes] = np.nan
-            tile[:, cols] = bound
-            tile[:, self.nodes:] = sims
-        return out
+        return (combined_similarity(far, min_text, params, stats),  # type: ignore[arg-type]
+                combined_similarity(near, max_text, params, stats))  # type: ignore[arg-type]

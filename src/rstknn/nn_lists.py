@@ -51,7 +51,7 @@ walks stay as the reference that audit runs and the tests compare with.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .core import NormStats, QueryObject, SimParams, sim_st
 from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, pair_sim_bounds
 
 _TILE_ROWS = 32  # owners per tile; 16 or 64 measured slower at n = 1,024 and 4,096, alpha 0.4
+_SETTLE_BLOCK = 64  # elements a row's scalar settle scans first; each next block doubles
 
 NEG_INF = float("-inf")
 
@@ -456,12 +457,14 @@ class Rows:
             masses = tile.masses[r].tolist()
         return Row(self, owner, tile, r, masses)
 
-    def _slots(self, i: int) -> np.ndarray:
-        """Each element's slots in the row of entry ``i``: its count on the
-        frontier, less one for the owner's own element (a node's self-tuple
-        holds count - 1, an object's own element none)."""
-        m = np.where(self.frontier, self.arrays.count, 0)
-        m[i] -= 1
+    def _slots(self, i: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Each element's slots in the row of entry ``i`` (those of the
+        elements ``lo`` to ``hi``): its count on the frontier, less one for
+        the owner's own element (a node's self-tuple holds count - 1, an
+        object's own element none)."""
+        m = np.where(self.frontier[lo:hi], self.arrays.count[lo:hi], 0)
+        if 0 <= i - lo < len(m):
+            m[i - lo] -= 1
         return m
 
     def _count_node(self, owner: Entry, i: int, tile: _Tile, r: int) -> list[float]:
@@ -546,23 +549,36 @@ class Row:
         masses = [[int(x) for x in counted[:2]], [int(x) for x in counted[2:]]]
         if (verdict := _settled(*masses, k)) is not None:
             return verdict
-        m = rows._slots(rows.arrays.index[self.owner])
         thresholds = (self.optimistic, self.pessimistic)
-        unsure = [~(np.abs(bounds - t) > rows.err)
-                  for bounds, t in zip((self.lower, self.upper), thresholds)]
-        unknown = np.flatnonzero((m > 0) & (unsure[0] | unsure[1])).tolist()
+        unknown = self._unsure(thresholds)
         while (verdict := _settled(*masses, k)) is None:
-            j = unknown.pop()
+            j, slots, unsure = next(unknown)
             bounds = pair_sim_bounds(self.tree, self.owner, rows.arrays.entries[j], self.params,
                                      rows.stats)
             for mass, open_, bound, threshold in zip(masses, unsure, bounds, thresholds):
-                if not open_[j]:
+                if not open_:
                     continue
                 if bound >= threshold:
-                    mass[0] += int(m[j])
+                    mass[0] += slots
                 else:
-                    mass[1] -= int(m[j])
+                    mass[1] -= slots
         return verdict
+
+    def _unsure(self, thresholds: tuple[float, float]) -> Iterator[tuple[int, int, list[bool]]]:
+        """(element, its slots, whether its lower and its upper bound lie
+        within the margin of their thresholds) of the elements with slots
+        and a bound there, from the last element back, a block at a time:
+        a verdict mostly settles within the first few."""
+        rows, i = self.rows, self.rows.arrays.index[self.owner]
+        hi, size = len(self.frontier), _SETTLE_BLOCK
+        while hi > 0:
+            lo = max(hi - size, 0)
+            m = rows._slots(i, lo, hi)
+            unsure = np.array([~(np.abs(bounds[lo:hi] - t) > rows.err)
+                               for bounds, t in zip((self.lower, self.upper), thresholds)])
+            pick = np.flatnonzero((m > 0) & (unsure[0] | unsure[1]))[::-1]
+            yield from zip((lo + pick).tolist(), m[pick].tolist(), unsure[:, pick].T.tolist())
+            hi, size = lo, 2 * size
 
     def reference(self) -> NNLists:
         """The list itself, of direct scalar bounds, which audit runs walk."""

@@ -19,6 +19,7 @@ from rstknn.datasets import (
     serialize_dataset,
     write_dataset,
 )
+from rstknn.iur_tree import build_tree
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -93,6 +94,103 @@ def test_read_dataset_rejects_non_finite_values(tmp_path, line):
     code, out, err = run_cli(["compare", str(path), "--qx", "0", "--qy", "0"])
     assert code == EXIT_PARSE and not out
     assert "nonfinite.jsonl:2" in err
+
+
+_GOOD = '{"id": "a", "x": 0, "y": 0, "terms": {"t": 1}}\n'
+
+
+def _line(x: str = "0", y: str = "0", terms: str = "{}", oid: str = '"b"') -> str:
+    return f'{{"id": {oid}, "x": {x}, "y": {y}, "terms": {terms}}}\n'
+
+
+def _case(name: str, text: str, line_no: int, fragment: str):
+    return pytest.param(text, line_no, fragment, id=name)
+
+
+@pytest.mark.parametrize("text,line_no,fragment", [
+    _case("non-object line", _GOOD + "[1, 2]\n", 2, "must be a JSON object"),
+    _case("missing id", _GOOD + '{"x": 0, "y": 0, "terms": {}}\n', 2, "'id' must be a string"),
+    _case("non-string id", _GOOD + _line(oid="7"), 2, "'id' must be a string"),
+    _case("duplicate id", _GOOD + _line(oid='"a"'), 2, "duplicate object id 'a'"),
+    _case("bool x", _GOOD + _line(x="true"), 2, "'x' must be a number"),
+    _case("string y", _GOOD + _line(y='"0"'), 2, "'y' must be a number"),
+    _case("NaN x", _GOOD + _line(x="NaN"), 2, "non-finite coordinate"),
+    _case("Infinity y", _GOOD + _line(y="Infinity"), 2, "non-finite coordinate"),
+    _case("-Infinity x", _GOOD + _line(x="-Infinity"), 2, "non-finite coordinate"),
+    _case("1e400 y", _GOOD + _line(y="1e400"), 2, "non-finite coordinate"),
+    _case("400-digit x", _GOOD + _line(x="1" + "0" * 400), 2,
+          "'x' is an integer beyond float range"),
+    _case("non-object terms", _GOOD + _line(terms="[1]"), 2, "'terms' must be an object"),
+    _case("bool weight", _GOOD + _line(terms='{"t": true}'), 2, "bad term entry 't'"),
+    _case("string weight", _GOOD + _line(terms='{"t": "1"}'), 2, "bad term entry 't'"),
+    _case("negative weight", _GOOD + _line(terms='{"t": -1}'), 2,
+          "negative weight for term 't'"),
+    _case("NaN weight", _GOOD + _line(terms='{"t": NaN}'), 2,
+          "non-finite weight for term 't'"),
+    _case("Infinity weight", _GOOD + _line(terms='{"t": Infinity}'), 2,
+          "non-finite weight for term 't'"),
+    _case("400-digit weight", _GOOD + _line(terms='{"t": 1' + "0" * 400 + "}"), 2,
+          "non-finite weight for term 't'"),
+    _case("squared norm overflow", _GOOD + _line(terms='{"t": 1e200}'), 2,
+          "squared norm out of float range"),
+    _case("squared norm underflow", _GOOD + _line(terms='{"t": 1e-170}'), 2,
+          "squared norm out of float range"),
+    # the whole dataset's checks: the union vector of all objects, which every
+    # node's union vector lies under, and the bounding box's diagonal
+    _case("union overflow", _line(terms='{"a": 1e154}', oid='"a"') + _line(terms='{"b": 1e154}'),
+          0, "union of the objects' term vectors: squared norm out of float range"),
+    _case("spread overflow", _line(x="1e308", oid='"a"') + _line(x="-1e308"), 0,
+          "diagonal beyond float range"),
+    _case("empty file", "", 0, "dataset is empty"),
+    _case("only blank lines", "\n  \n\t\n", 0, "dataset is empty"),
+    # blank lines are skipped, and counted
+    _case("after blank lines", _GOOD + "\n   \n" + _line(x="true"), 4, "'x' must be a number"),
+    _case("after a blank line", _GOOD + "\n" + _line(terms='{"t": -2}'), 3, "negative weight"),
+])
+def test_read_dataset_rejection_table(tmp_path, text, line_no, fragment):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line_no == line_no
+    assert fragment in exc.value.message
+
+
+def test_read_dataset_decodes_each_line_alone(tmp_path):
+    # two objects on one line are one invalid line, even where the lines
+    # joined into one JSON array would parse
+    path = tmp_path / "joined.jsonl"
+    path.write_text(_GOOD.strip() + ", " + _line().strip() + "\n" + _line(oid='"c"'))
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line_no == 1 and "invalid JSON" in exc.value.message
+
+
+def test_a_union_beyond_float_range_is_a_parse_error(tmp_path):
+    # each vector's squared norm is 1e308, their union's overflows: every
+    # tree over these objects has it as its root's union vector
+    path = tmp_path / "union.jsonl"
+    path.write_text(_line(terms='{"a": 1e154}', oid='"a"') + _line(x="1", terms='{"b": 1e154}'))
+    code, out, err = run_cli(["compare", str(path), "--qx", "0", "--qy", "0", "--k", "1",
+                              "--fanout", "2"])
+    assert code == EXIT_PARSE and not out
+    assert "union.jsonl:0" in err and "squared norm" in err
+    objs = [STObject("a", (0.0, 0.0), TermVector({"a": 1e154})),
+            STObject("b", (1.0, 0.0), TermVector({"b": 1e154}))]
+    with pytest.raises(ValueError, match="squared norm"):  # the library's own error
+        build_tree(objs, 2)
+
+
+def test_an_intersection_below_float_range_is_answered(tmp_path):
+    # the leaf of a and b keeps "t" at 1e-160 in both: a squared norm of
+    # 1e-320, below the normal range, stored as the empty intersection
+    path = tmp_path / "tiny.jsonl"
+    path.write_text(_line(terms='{"t": 1e-160, "u": 1}', oid='"a"')
+                    + _line(x="1", terms='{"t": 1e-160, "v": 1}'))
+    code, out, _ = run_cli(["compare", str(path), "--qx", "0", "--qy", "0", "--qterms", "t=1",
+                            "--k", "1", "--alpha", "0.5", "--fanout", "2"])
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "correct: match"
 
 
 def test_read_dataset_rejects_squared_norm_overflow(tmp_path):

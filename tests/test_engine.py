@@ -675,6 +675,66 @@ def test_node_rows_settle_elements_within_the_margin_in_scalar_code(monkeypatch)
                 assert got == rknn_bruteforce(objs, q, params, stats)
 
 
+def test_the_scalar_settle_walks_every_row_alike_in_blocks_of_any_size(monkeypatch):
+    # a row's settle takes the elements within the margin from the last one
+    # back; whatever the block it scans at a time, the correct mode asks for
+    # the same scalar bounds in the same order.  A block of 10**9 elements
+    # lists the whole row at once
+    rng = random.Random(11)
+    runs = [offgrid_instance(i)[1:3] for i in range(30)]
+    for _ in range(30):  # shared locations and term vectors: many exact ties
+        locs = [(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(3)]
+        vcts = [TermVector({f"t{j}": float(rng.randint(1, 3))}) for j in range(3)]
+        objs = [STObject(f"P{i}", rng.choice(locs), rng.choice(vcts))
+                for i in range(rng.randint(6, 40))]
+        source = rng.choice(objs)
+        runs.append((QueryObject(source.loc, source.vct), build_tree(objs, rng.choice([2, 3]))))
+    asked: list[tuple] = []
+
+    def recording(tree, a, b, params, stats):
+        asked.append((a, b))
+        return iur_tree.pair_sim_bounds(tree, a, b, params, stats)
+
+    monkeypatch.setattr(nn_lists, "pair_sim_bounds", recording)
+    sequences = []
+    for block in (1, 3, 10**9):
+        monkeypatch.setattr(nn_lists, "_SETTLE_BLOCK", block)
+        asked = []
+        for q, tree in runs:
+            for alpha in (0.0, 0.4, 1.0):
+                for k in (1, 2, 4):
+                    rstknn_query(tree, q, SimParams(alpha, k))
+        sequences.append(asked)
+    assert len(sequences[0]) > 200
+    assert sequences[0] == sequences[1] == sequences[2]
+
+
+def test_an_intersection_below_float_range_is_stored_empty_and_answers_exactly():
+    # "t" at 1e-160 in every object of a leaf: the minimum's squared norm,
+    # 1e-320, is subnormal, so the leaf stores the empty vector, which lies
+    # under it term by term, and the bounds stay sound
+    tiny = 1e-160
+    objs = [STObject("a", (0.0, 0.0), TermVector({"t": tiny, "u": 1.0})),
+            STObject("b", (1.0, 0.0), TermVector({"t": tiny, "v": 1.0})),
+            STObject("c", (5.0, 2.0), TermVector({"t": tiny, "v": 2.0})),
+            STObject("d", (6.0, 3.0), TermVector({"t": tiny, "w": 1.0}))]
+    layouts = ([["a", "b"], ["c", "d"]], [["a", "b", "c", "d"]], [[["a"], ["b"]], ["c", "d"]])
+    queries = [QueryObject((x, y), TermVector(terms)) for x, y, terms in (
+        (0.0, 0.0, {"t": 1.0}), (5.5, 2.5, {"t": tiny, "v": 1.0}), (3.0, 1.0, {}),
+        (1.0, 0.0, {"u": 1.0, "v": 1.0}))]
+    for layout in layouts:
+        tree = tree_from_layout(objs, layout)
+        assert tree.record(node_entry(1)).int_vct.is_empty
+        assert not tree.record(object_entry("d")).int_vct.is_empty
+        stats = tree.norm_stats()
+        for q in queries:
+            for alpha in (0.0, 0.4, 1.0):
+                for k in (1, 2, 3, 4):
+                    params = SimParams(alpha, k)
+                    got, _ = rstknn_query(tree, q, params, stats=stats, audit=EngineAudit())
+                    assert got == rknn_bruteforce(objs, q, params, stats)
+
+
 def test_knn_bound_sandwich_against_bruteforce():
     # every recorded lower/upper k-NN bound must sandwich the true k-th
     # neighbor similarity of every object under the owner, with no tolerance

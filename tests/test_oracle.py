@@ -224,6 +224,21 @@ def test_compute_norm_stats_equals_pair_table_off_the_grid(instance):
         [x.hex() for x in (want.phi_s, want.psi_s, want.phi_t, want.psi_t)]
 
 
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_compute_norm_stats_is_exact_over_tiles_of_any_height(monkeypatch, rows):
+    # several tiles per dataset, each keeping the pairs near its own
+    # extreme, and tiles of the last row alone, which holds no pair
+    monkeypatch.setattr(core_mod, "_TILE_ROWS", rows)
+    rng = random.Random(rows)
+    datasets = [random_dataset(rng, rng.randint(2, 30), 4) for _ in range(30)]
+    datasets += [[STObject(f"P{i}", (rng.choice([0.0, 1e-9, 3.0]), 0.0),
+                           TermVector({"t": rng.choice([1.0, 1.0 + 1e-12])}))
+                  for i in range(rng.randint(2, 12))] for _ in range(20)]
+    for objs in datasets:
+        got, want = compute_norm_stats(objs), pair_table_stats(objs)
+        assert [x.hex() for x in vars(got).values()] == [x.hex() for x in vars(want).values()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(real_instances())
 def test_rknn_bruteforce_equals_scalar_definition_off_the_grid(instance):
