@@ -15,6 +15,10 @@ location (half of those its term vector too), fractional term weights, and
 k drawn from {1, 2, 3, n, n + 1}.  Even instances are laid out by a random
 nesting with single-child chains and single-object leaves, odd ones by STR.
 
+With ``--extreme`` the instances (`extreme_instance`) reach the ends of the
+float range: coordinates scaled by 1e-300 to 1e300, weights by 1e-150 to
+1e150, far queries whose similarity may be -inf, k drawn from 1 to n + 1.
+
 With ``--setup`` the script runs no query.  It writes the objects of each
 grid and each off-grid instance through `write_dataset`, reads them back with
 `read_dataset`, builds the instance's tree from what it read, and hashes the
@@ -25,6 +29,7 @@ normalize every instance bit for bit alike.
 
     PYTHONPATH=src python3 scripts/trace_digest.py --instances 200
     PYTHONPATH=src python3 scripts/trace_digest.py --offgrid --instances 300
+    PYTHONPATH=src python3 scripts/trace_digest.py --extreme --instances 300
     PYTHONPATH=src python3 scripts/trace_digest.py --setup --instances 300
 """
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import random
+import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, Sequence
@@ -109,14 +115,49 @@ def offgrid_instance(i: int, load: Load = list):
     return objects, query, tree, rng
 
 
-def digest(instances: int, offgrid: bool = False) -> tuple[int, int, str]:
-    """(runs, correct-mode mismatches, hex SHA-256) over the sweep."""
+FAR = 0.9 * sys.float_info.max  # two coordinates this far apart on either side overflow
+
+
+def extreme_instance(i: int):
+    """(objects, query, tree, rng) of instance i at extreme magnitudes.
+
+    Gaussian coordinates scaled by 1e-300 to 1e300, a fifth of the objects
+    on an earlier object's location, and weights from (0.01, 5) scaled by
+    1e-150 to 1e150, the same factor for the whole dataset, so that the
+    text range, which does not depend on it, is never subnormal.  Two
+    instances in five ask a far query, at -``FAR`` or ``FAR`` in x, and
+    half of those shift the data to the other side, where the query
+    distance overflows to inf.  Fanout 2, 3 or 8 in turn.
+    """
+    rng = random.Random(f"extreme/{i}")
+    scale, weight = 10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-150, 150)
+    far = rng.choice([-FAR, FAR]) if rng.random() < 0.4 else 0.0
+    shift = -far if rng.random() < 0.5 else 0.0
+    objects: list[STObject] = []
+    for j in range(rng.randint(1, 16)):
+        if objects and rng.random() < 0.2:
+            loc = rng.choice(objects).loc
+        else:
+            loc = (shift + scale * rng.gauss(0.0, 10.0), scale * rng.gauss(0.0, 10.0))
+        terms = rng.sample(range(VOCAB), rng.randint(0, 3))
+        objects.append(STObject(f"P{j}", loc, TermVector(
+            {f"t{t}": weight * rng.uniform(0.01, 5.0) for t in terms})))
+    loc = (far or scale * rng.gauss(0.0, 10.0), scale * rng.gauss(0.0, 10.0))
+    query = QueryObject(loc, TermVector({f"t{t}": weight * rng.uniform(0.01, 5.0)
+                                         for t in rng.sample(range(VOCAB), rng.randint(0, 3))}))
+    return objects, query, build_tree(objects, (2, 3, 8)[i % 3]), rng
+
+
+def digest(instances: int, kind: str = "grid") -> tuple[int, int, str]:
+    """(runs, correct-mode mismatches, hex SHA-256) over the sweep of one
+    kind of instance: grid, offgrid or extreme."""
     sha = hashlib.sha256()
     runs = mismatches = 0
     for i in range(instances):
-        objects, query, tree, rng = (offgrid_instance if offgrid else grid_instance)(i)
+        objects, query, tree, rng = INSTANCES[kind](i)
         n = len(objects)
-        ks = [1, 2, 3, n, n + 1] if offgrid else [1, 2, 4, n, n + 1]
+        ks = {"grid": [1, 2, 4, n, n + 1], "offgrid": [1, 2, 3, n, n + 1]}.get(
+            kind, range(1, n + 2))
         stats = tree.norm_stats()
         for alpha in ALPHAS:
             params = SimParams(alpha, rng.choice(ks))
@@ -129,6 +170,9 @@ def digest(instances: int, offgrid: bool = False) -> tuple[int, int, str]:
                 sha.update(trace_to_jsonl(trace).encode() + b"\n")
                 runs += 1
     return runs, mismatches, sha.hexdigest()
+
+
+INSTANCES = {"grid": grid_instance, "offgrid": offgrid_instance, "extreme": extreme_instance}
 
 
 def _vector(v: TermVector) -> str:
@@ -171,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--instances", type=int, default=200)
     parser.add_argument("--offgrid", action="store_true",
                         help="Gaussian data with duplicate locations and chain layouts")
+    parser.add_argument("--extreme", action="store_true",
+                        help="coordinates and weights at extreme magnitudes, far queries, "
+                             "k from 1 to n + 1")
     parser.add_argument("--setup", action="store_true",
                         help="hash the read-back objects, tree records and statistics "
                              "of grid and off-grid instances; run no query")
@@ -179,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"instances {args.instances}  setup")
         print(f"sha256 {setup_digest(args.instances)}")
         return 0
-    runs, mismatches, hexdigest = digest(args.instances, args.offgrid)
+    kind = "extreme" if args.extreme else "offgrid" if args.offgrid else "grid"
+    runs, mismatches, hexdigest = digest(args.instances, kind)
     print(f"instances {args.instances}  runs {runs}  mismatches {mismatches}")
     print(f"sha256 {hexdigest}")
     return 1 if mismatches else 0

@@ -421,55 +421,59 @@ def compute_norm_stats(dataset: Sequence[STObject] | _PairTiles) -> NormStats:
     return NormStats(*exact)
 
 
-def spatial_score(dist: float, stats: NormStats) -> float:
-    """Normalized spatial similarity 1 - (dist - phi_s) / (psi_s - phi_s).
-
-    When the dataset is spatially degenerate (psi_s == phi_s) the score is
-    the constant 1; any constant preserves comparisons, 1 keeps things
-    deterministic.
-    """
-    if stats.psi_s == stats.phi_s:
-        return 1.0
-    return 1.0 - (dist - stats.phi_s) / (stats.psi_s - stats.phi_s)
-
-
-def textual_score(ej: float, stats: NormStats) -> float:
-    """Normalized textual similarity (ej - phi_t) / (psi_t - phi_t)."""
-    if stats.psi_t == stats.phi_t:
-        return 1.0
-    return (ej - stats.phi_t) / (stats.psi_t - stats.phi_t)
-
-
 def combined_similarity(dist: float, ej: float, params: SimParams, stats: NormStats) -> float:
-    """alpha-weighted combination of the normalized spatial and textual scores.
-
-    Deliberately NOT clamped to [0, 1]: the stats are database-only, so a
-    query that is closer (or textually more similar) than any database pair
-    legitimately scores outside the unit interval, and clamping would
-    destroy strict comparisons against database-pair similarities.
-
-    Only the scores with a nonzero weight are evaluated, as in
-    :meth:`_PairTiles.sim_err`: a query too far away for its distance to be
-    a float has a spatial score of -inf, which must not turn the purely
-    textual similarity at alpha = 0 into NaN.
+    """alpha-weighted combination of the normalized spatial score
+    1 - (dist - phi_s) / (psi_s - phi_s) and textual score
+    (ej - phi_t) / (psi_t - phi_t), of floats or arrays (each weighted as soon
+    as made, so that arrays are freed early); a degenerate score (psi ==
+    phi) is the constant 1.  NOT clamped to [0, 1]: a query closer (or
+    textually more similar) than any database pair scores outside it, and
+    must compare strictly.  Only the scores with a nonzero weight are
+    evaluated: the spatial score -inf of a query too far away must not turn
+    the purely textual similarity at alpha = 0 into NaN.
     """
     a = params.alpha
+    if a > 0.0:
+        lo, hi = stats.phi_s, stats.psi_s
+        s = 1.0 if hi == lo else 1.0 - (dist - lo) / (hi - lo)
+        if a == 1.0:
+            return s
+        s = a * s
+    lo, hi = stats.phi_t, stats.psi_t
+    t = 1.0 if hi == lo else (ej - lo) / (hi - lo)
     if a == 0.0:
-        return textual_score(ej, stats)
-    if a == 1.0:
-        return spatial_score(dist, stats)
-    return a * spatial_score(dist, stats) + (1.0 - a) * textual_score(ej, stats)
+        return t
+    t = (1.0 - a) * t
+    return s + t
 
 
 def sim_st(o1: STObject | QueryObject, o2: STObject | QueryObject,
            params: SimParams, stats: NormStats) -> float:
-    """Spatio-textual similarity between two objects (or object and query)."""
-    return combined_similarity(
-        euclidean_dist(o1.loc, o2.loc),
-        extended_jaccard(o1.vct, o2.vct),
-        params,
-        stats,
-    )
+    """Spatio-textual similarity between two objects (or object and query):
+    ``combined_similarity(euclidean_dist, extended_jaccard)`` as one
+    straight-line body, operation for operation, so bit for bit."""
+    a = params.alpha
+    if a > 0.0:
+        (x1, y1), (x2, y2) = o1.loc, o2.loc
+        lo, hi = stats.phi_s, stats.psi_s
+        s = 1.0 if hi == lo else 1.0 - (math.hypot(x1 - x2, y1 - y2) - lo) / (hi - lo)
+        if a == 1.0:
+            return s
+    u, v = o1.vct, o2.vct
+    t = 0.0  # two empty vectors
+    if u.items or v.items:
+        if len(v.items) < len(u.items):
+            u, v = v, u
+        weights = v._weights
+        for term, w in u.items:  # the sorted common terms, as in TermVector.dot
+            if (wv := weights.get(term)) is not None:
+                t += w * wv
+        t /= u.norm_sq + v.norm_sq - t
+        if not t < 1.0:
+            t = 1.0
+    lo, hi = stats.phi_t, stats.psi_t
+    t = 1.0 if hi == lo else (t - lo) / (hi - lo)
+    return t if a == 0.0 else a * s + (1.0 - a) * t
 
 
 def fdim_ratio(x: float, x_prime: float) -> float:

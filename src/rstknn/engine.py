@@ -22,10 +22,10 @@ differ in control flow:
   Intentionally unsound as well.
 
 Both legacy modes take the test ungated: a hit needs only k covered slots,
-not a complete list.
-
-In the legacy modes an entry's NN-list is freed once the entry is decided
-or expanded; the candidates keep theirs, for the final cleanup pass.
+not a complete list.  An entry's NN-list is freed once the entry is decided
+or expanded; the queued entries and candidates keep theirs, and the run
+finds them, and the queue priority (the list's optimistic similarity),
+there.  The queue is sorted only after it changes.
 
 Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import NormStats, QueryObject, SimParams
-from .iur_tree import Entry, IurTree, QueryView, max_sim_st, object_entry
+# ``max_sim_st`` is imported for perfbench/tracing.py, which wraps it here by name
+from .iur_tree import Entry, IurTree, max_sim_st, object_entry  # noqa: F401
 from .nn_lists import NNLists, Row, Rows, Verdict, is_hit_or_drop
 
 
@@ -243,10 +244,13 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
     root = tree.root_entry()
     state.lists[root] = NNLists(root, tree, query, params, stats)
     queue: dict[Entry, float] = {root: 0.0}  # live entry -> priority
+    ranked: list[Entry] | None = [root]  # _ranked(queue), None once it is stale
+    hits: list[Entry] = []  # the entries of the ids on ROL so far
 
     while queue:
-        parent = _ranked(queue)[0]
+        parent = ranked[0]  # type: ignore[index]  # sorted when the last dequeue ended
         del queue[parent]
+        ranked = None
         action = f"Dequeue {parent.label}"
         parent_lists = state.lists[parent]
         for child in tree.children(parent):
@@ -257,8 +261,10 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
             if verdict is Verdict.UNDECIDED:
                 if locality and child.is_node:
                     lists.add_self()
-                candidates = list(state.col) + [object_entry(o) for o in state.rol]
-                candidates += _ranked(queue)
+                if ranked is None:
+                    ranked = _ranked(queue)
+                hits += map(object_entry, state.rol[len(hits):])
+                candidates = state.col[state.col_lo:] + hits + ranked
                 pairs: dict[Entry, tuple[float, float]] = {}
                 if locality:
                     # the later variant scans neighbors most-similar first
@@ -269,14 +275,17 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                     verdict = is_hit_or_drop(lists, gated=False)
                     if verdict is not Verdict.UNDECIDED:
                         break
-                    if other in queue or other in state.col:
-                        other_lists = state.lists[other]
+                    other_lists = state.lists.get(other)  # queued or a candidate
+                    if other_lists is not None:
                         other_lists.update_with(child, bounds)
                         other_verdict = is_hit_or_drop(other_lists, gated=False)
                         if other_verdict is not Verdict.UNDECIDED:
-                            queue.pop(other, None)
-                            # a new list: the trace's windows keep the old one
-                            state.col = [c for c in state.col if c != other]
+                            if other.is_node:
+                                del queue[other]
+                                ranked = None
+                            else:  # a new list: the trace's windows keep the old one
+                                state.col, state.col_lo = [c for c in state.col[state.col_lo:]
+                                                           if c != other], 0
                             _route(state, tree, other, other_verdict)
                             del state.lists[other]
             # as in the correct mode, a routed or expanded entry's list is never
@@ -284,7 +293,8 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
             if verdict is Verdict.UNDECIDED:
                 state.lists[child] = lists
                 if child.is_node:
-                    queue[child] = max_sim_st(tree, child, query, params, stats)
+                    queue[child] = lists.optimistic
+                    ranked = None
                     action += f", Enqueue {child.label}"
                 else:
                     state.col.append(child)
@@ -292,47 +302,50 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                 _route(state, tree, child, verdict)
         del state.lists[parent]
         # keep the trace's U column consistent with the live queue
-        state.u = _ranked(queue)
+        state.u = ranked = _ranked(queue) if ranked is None else ranked
         state.snapshot(action)
 
-    _faulty_final_verification(state, tree)
+    _faulty_final_verification(state, tree, hits)
     return state
 
 
-def _faulty_final_verification(state: EngineState, tree: IurTree) -> None:
+def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Entry]) -> None:
     """The legacy cleanup pass: feed pruned entries to the candidates.
 
     Entries come off the pruned list deepest-first and are replaced by their
-    children, so candidates eventually see plain points.  The printed
-    procedure can leave candidates undecided (there may be nothing pruned, or
-    k may exceed the coverage any list can reach); those leftovers are
-    settled against the result/candidate points, and an entry whose list
-    still covers fewer than k neighbors is accepted, mirroring the convention
-    that an object short of k competitors has the query among its k nearest.
+    children, so candidates eventually see plain points.  Candidates left
+    undecided (there may be nothing pruned, or too few slots) are settled,
+    first to last, against the result points (``hits`` holds the entries of
+    the first ids on ROL) and the later candidates; one still undecided is
+    accepted, as an object short of k competitors has the query among its k
+    nearest.
     """
     working = [(-tree.depth(e), e) for e in state.pel]  # a heap, deepest first
     heapq.heapify(working)
-    while state.col and working:
+    while state.col_lo < len(state.col) and working:
         neg_depth, entry = heapq.heappop(working)
-        for candidate in list(state.col):
+        for candidate in state.col[state.col_lo:]:
             lists = state.lists[candidate]
             lists.update_with(entry)
             verdict = is_hit_or_drop(lists, gated=False)
             if verdict is not Verdict.UNDECIDED:
-                state.col = [c for c in state.col if c != candidate]
+                state.col, state.col_lo = [c for c in state.col[state.col_lo:]
+                                           if c != candidate], 0
                 _route(state, tree, candidate, verdict)
                 state.snapshot(f"Verify {candidate.label}")
         for child in tree.children(entry):
             heapq.heappush(working, (neg_depth - 1, child))
-    for candidate in list(state.col):
+    while state.col_lo < len(state.col):
+        candidate = state.col[state.col_lo]
         lists = state.lists[candidate]
-        for other in state.rol + [c.ident for c in state.col if c != candidate]:
-            lists.update_with(object_entry(str(other)))
+        hits += map(object_entry, state.rol[len(hits):])
+        for other in hits + state.col[state.col_lo + 1:]:
+            lists.update_with(other)
         verdict = is_hit_or_drop(lists, gated=False)
         if verdict is Verdict.UNDECIDED:
             # fewer than k neighbors reachable: unconditional member
             verdict = Verdict.HIT
-        state.col = [c for c in state.col if c != candidate]
+        state.col_lo += 1
         _route(state, tree, candidate, verdict)
         state.snapshot(f"Verify {candidate.label}")
 
@@ -351,7 +364,6 @@ def rstknn_query(tree: IurTree, query: QueryObject, params: SimParams,
     """
     if stats is None:
         stats = tree.norm_stats()
-    query = QueryView(query.loc, query.vct)
     if mode is Mode.CORRECT:
         state = _run_correct(tree, query, params, stats, audit)
     elif mode is Mode.FAULTY2011:

@@ -16,7 +16,6 @@ share one tree.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -58,13 +57,6 @@ class Mbr:
     @classmethod
     def from_point(cls, p: Point) -> "Mbr":
         return cls(p, p)
-
-    @classmethod
-    def union(cls, boxes: Sequence["Mbr"]) -> "Mbr":
-        return cls(
-            (min(b.lo[0] for b in boxes), min(b.lo[1] for b in boxes)),
-            (max(b.hi[0] for b in boxes), max(b.hi[1] for b in boxes)),
-        )
 
 
 def min_dist(a: Mbr, b: Mbr) -> float:
@@ -323,8 +315,9 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
 
     A preorder pass numbers the nodes and the objects and writes the object
     records; a pass in reverse preorder, children before parents, then
-    aggregates each node's record from its children's.  Both passes are
-    iterative, so a layout of any depth builds.
+    aggregates each node's record from its children's, its box from their
+    corner floats.  Both passes are iterative, so a layout of any depth
+    builds.
     """
     if not objects:
         raise EmptyDataset("cannot build a tree over zero objects")
@@ -369,6 +362,7 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
     if not len(order) == len(records) == len(by_id):  # a repeated id has one record
         raise ValueError("layout must mention each object id exactly once")
 
+    boxes: list = [None] * len(nodes)  # per node: lo x, lo y, hi x, hi y
     for nid in reversed(range(len(nodes))):
         ancestors, children, lo = nodes[nid]
         below_records = [records[c] for c in children]
@@ -377,9 +371,15 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
         if len(children) == 1:  # the only child, then its chain: its covering past its ancestors
             only = below_records[0]
             chain = (children[0], *only.covering[only.depth:])
-        records[node_entry(nid)] = EntryRecord(
+        if below_records[0].children:  # of nodes: from their boxes
+            lxs, lys, hxs, hys = zip(*(boxes[c.ident] for c in children))  # type: ignore[index]
+        else:  # of objects: from their locations
+            lxs, lys = hxs, hys = tuple(zip(*(r.mbr.lo for r in below_records)))
+        box = boxes[nid] = min(lxs), min(lys), max(hxs), max(hys)
+        entry = node_entry(nid)
+        records[entry] = EntryRecord(
             (lo, hi), len(ancestors), ancestors[-1] if ancestors else None,
-            tuple(children), Mbr.union([r.mbr for r in below_records]),
+            tuple(children), Mbr(box[:2], box[2:]),
             intersection_vector([r.int_vct for r in below_records]),
             union_vector(r.union_vct for r in below_records),
             ancestors + chain)
@@ -396,69 +396,32 @@ def build_tree(objects: Sequence[STObject], fanout: int = 4) -> IurTree:
 # -- group-level similarity bounds ------------------------------------------
 
 
-class QueryView(QueryObject):
-    """A query that keeps its point MBR, built once for all the bounds of a run."""
-
-    @functools.cached_property
-    def mbr(self) -> Mbr:
-        return Mbr.from_point(self.loc)
-
-
 def _view(tree: IurTree, x: Entry | STObject | QueryObject) -> tuple[Mbr, TermVector, TermVector]:
-    """(mbr, intersection vector, union vector) of a tree entry or bare object.
-
-    A single object is a degenerate node: point MBR, both vectors equal to
-    its term vector.  This gives every bound computation one code path.
-    """
-    if isinstance(x, Entry):
+    """(mbr, intersection vector, union vector) of a tree entry or bare object,
+    a degenerate node: point MBR, both vectors equal to its term vector."""
+    if type(x) is Entry:
         record = tree._records[x]
         return record.mbr, record.int_vct, record.union_vct
-    return x.mbr if isinstance(x, QueryView) else Mbr.from_point(x.loc), x.vct, x.vct
+    return Mbr.from_point(x.loc), x.vct, x.vct
 
 
-def _min_text(ia: TermVector, ua: TermVector, ib: TermVector, ub: TermVector) -> float:
-    if ua.is_empty and ub.is_empty:
-        return 0.0
-    num = ia.dot(ib)
-    den = ua.norm_sq + ub.norm_sq - num
-    return max(0.0, min(1.0, num / den))
-
-
-def _max_text(ia: TermVector, ua: TermVector, ib: TermVector, ub: TermVector) -> float:
-    if ua.is_empty and ub.is_empty:
-        return 0.0
-    num = ua.dot(ub)
-    den = ia.norm_sq + ib.norm_sq - num
-    if den <= 0.0:
-        return 1.0
-    return max(0.0, min(1.0, num / den))
+# the raw text similarity as a score: alpha 0 and the identity normalization
+_TEXT = (SimParams(0.0, 1), NormStats(0.0, 0.0, 0.0, 1.0))
+_LOWER, _UPPER = 1, 2
 
 
 def min_text_sim(tree: IurTree, a: Entry | STObject | QueryObject,
                  b: Entry | STObject | QueryObject) -> float:
-    """Lower bound on the Extended Jaccard between any pair drawn from a and b.
-
-    Smallest defensible numerator (intersection vectors) over largest
-    denominator (union vectors).  Zero when both unions are empty.
-    """
-    _, ia, ua = _view(tree, a)
-    _, ib, ub = _view(tree, b)
-    return _min_text(ia, ua, ib, ub)
+    """Lower bound on the Extended Jaccard between any pair drawn from a and b
+    (see :func:`pair_sim_bounds`)."""
+    return pair_sim_bounds(tree, a, b, *_TEXT, _LOWER)[0]
 
 
 def max_text_sim(tree: IurTree, a: Entry | STObject | QueryObject,
                  b: Entry | STObject | QueryObject) -> float:
-    """Upper bound on the Extended Jaccard between any pair drawn from a and b.
-
-    Largest numerator (union vectors) over smallest defensible denominator
-    (intersection vectors).  Sparse intersections can drive that denominator
-    to zero or below; 1 is then the (always valid) answer.  Two all-empty
-    groups score 0, matching :func:`rstknn.core.extended_jaccard` so that
-    point entries collapse exactly.
-    """
-    _, ia, ua = _view(tree, a)
-    _, ib, ub = _view(tree, b)
-    return _max_text(ia, ua, ib, ub)
+    """Upper bound on the Extended Jaccard between any pair drawn from a and b
+    (see :func:`pair_sim_bounds`)."""
+    return pair_sim_bounds(tree, a, b, *_TEXT, _UPPER)[1]
 
 
 def min_sim_st(tree: IurTree, a: Entry | STObject | QueryObject,
@@ -466,38 +429,80 @@ def min_sim_st(tree: IurTree, a: Entry | STObject | QueryObject,
                params: SimParams, stats: NormStats) -> float:
     """Lower bound on sim_st over all pairs from a x b (worst distance
     combined with worst text similarity)."""
-    ma, ia, ua = _view(tree, a)
-    mb, ib, ub = _view(tree, b)
-    return combined_similarity(max_dist(ma, mb), _min_text(ia, ua, ib, ub), params, stats)
+    return pair_sim_bounds(tree, a, b, params, stats, _LOWER)[0]
 
 
 def max_sim_st(tree: IurTree, a: Entry | STObject | QueryObject,
                b: Entry | STObject | QueryObject,
                params: SimParams, stats: NormStats) -> float:
     """Upper bound on sim_st over all pairs from a x b."""
-    ma, ia, ua = _view(tree, a)
-    mb, ib, ub = _view(tree, b)
-    return combined_similarity(min_dist(ma, mb), _max_text(ia, ua, ib, ub), params, stats)
+    return pair_sim_bounds(tree, a, b, params, stats, _UPPER)[1]
 
 
 def pair_sim_bounds(tree: IurTree, a: Entry | STObject | QueryObject,
-                    b: Entry | STObject | QueryObject,
-                    params: SimParams, stats: NormStats) -> tuple[float, float]:
-    """(lower, upper) sim_st bounds computed with one pass over the views.
-
-    Between two object entries both bounds are the exact :func:`sim_st`,
-    which is what the general arithmetic gives there, bit for bit: the
-    corner distances of two point MBRs are the points' distance, and both
-    text bounds are the Extended Jaccard of the two term vectors.
+                    b: Entry | STObject | QueryObject, params: SimParams, stats: NormStats,
+                    sides: int = _LOWER | _UPPER) -> tuple[float, float]:
+    """(lower, upper) sim_st bounds between a tree entry or bare object (a
+    degenerate node) and another, one straight-line body; only the ``sides``
+    asked for are meaningful.  The lower bound is ``combined_similarity`` of
+    the boxes' :func:`max_dist` and the smallest text numerator (intersection
+    vectors) over the largest denominator (union vectors), the upper one of
+    :func:`min_dist` and the converse, or 1 where that denominator is <= 0;
+    two all-empty groups score 0.  Operation for operation, so bit for bit.
+    Between two object entries both are the exact :func:`sim_st`, which the
+    general arithmetic gives there too.
     """
     if type(a) is Entry and type(b) is Entry and a.kind == b.kind == "object":
         s = sim_st(tree.objects[a.ident], tree.objects[b.ident], params, stats)  # type: ignore[index]
         return s, s
-    ma, ia, ua = _view(tree, a)
-    mb, ib, ub = _view(tree, b)
-    lower = combined_similarity(max_dist(ma, mb), _min_text(ia, ua, ib, ub), params, stats)
-    upper = combined_similarity(min_dist(ma, mb), _max_text(ia, ua, ib, ub), params, stats)
-    return lower, upper
+    r = tree._records[a] if type(a) is Entry else None
+    (alx, aly), (ahx, ahy), ia, ua = ((r.mbr.lo, r.mbr.hi, r.int_vct, r.union_vct) if r
+                                      else (a.loc, a.loc, a.vct, a.vct))  # type: ignore[union-attr]
+    r = tree._records[b] if type(b) is Entry else None
+    (blx, bly), (bhx, bhy), ib, ub = ((r.mbr.lo, r.mbr.hi, r.int_vct, r.union_vct) if r
+                                      else (b.loc, b.loc, b.vct, b.vct))  # type: ignore[union-attr]
+    alpha = params.alpha
+    lower = upper = 1.0
+    if alpha > 0.0:
+        lo, hi = stats.phi_s, stats.psi_s
+        if hi != lo:
+            if sides & _LOWER:
+                far = math.hypot(max(ahx - blx, bhx - alx), max(ahy - bly, bhy - aly))
+                lower = 1.0 - (far - lo) / (hi - lo)
+            if sides & _UPPER:
+                near = math.hypot(max(alx - bhx, blx - ahx, 0.0), max(aly - bhy, bly - ahy, 0.0))
+                upper = 1.0 - (near - lo) / (hi - lo)
+        if alpha == 1.0:
+            return lower, upper
+    t_lower = t_upper = 0.0  # two empty unions
+    if ua.items or ub.items:
+        if sides & _LOWER:
+            num = 0.0  # TermVector.dot: over the sorted common terms, the shorter's
+            short, other = (ib, ia) if len(ib.items) < len(ia.items) else (ia, ib)
+            weights = other._weights
+            for term, w in short.items:
+                if (x := weights.get(term)) is not None:
+                    num += w * x
+            t = num / (ua.norm_sq + ub.norm_sq - num)
+            t_lower = (t if t > 0.0 else 0.0) if t < 1.0 else 1.0
+        if sides & _UPPER:
+            num = 0.0
+            short, other = (ub, ua) if len(ub.items) < len(ua.items) else (ua, ub)
+            weights = other._weights
+            for term, w in short.items:
+                if (x := weights.get(term)) is not None:
+                    num += w * x
+            den = ia.norm_sq + ib.norm_sq - num
+            t = num / den if den > 0.0 else 1.0
+            t_upper = (t if t > 0.0 else 0.0) if t < 1.0 else 1.0
+    lo, hi = stats.phi_t, stats.psi_t
+    if hi == lo:
+        t_lower = t_upper = 1.0
+    else:
+        t_lower, t_upper = (t_lower - lo) / (hi - lo), (t_upper - lo) / (hi - lo)
+    if alpha == 0.0:
+        return t_lower, t_upper
+    return alpha * lower + (1.0 - alpha) * t_lower, alpha * upper + (1.0 - alpha) * t_upper
 
 
 class EntryArrays:

@@ -5,46 +5,40 @@ An entry's NN-list records, for a set of pairwise non-overlapping tree
 entries, how many neighbor slots each one accounts for (``m``) together with
 lower/upper similarity bounds.  Walking the tuples in decreasing bound order
 and accumulating ``m`` yields under/over-estimates of the similarity to the
-k-th nearest neighbor of any point inside the owner; ties in bound cannot
-change the walk's value.  Counting a point twice inflates the lower walk and
-can trigger a false prune; leaving a point out deflates the upper walk and
-can trigger a false accept.  A list belongs to one query run, whose query,
-parameters and statistics it is built with, and it computes its owner's
-pessimistic and optimistic query similarity once.
+k-th nearest neighbor of any point inside the owner.  Counting a point twice
+can trigger a false prune; leaving a point out, a false accept.  A list
+belongs to one query run and computes its owner's pessimistic and
+optimistic query similarity once, at birth.
 
-The legacy modes keep lists.  A child's list starts as its parent's dict,
-sharing the immutable tuples, and :meth:`NNLists.update_with` pops every
-tuple covering the added entry (by lookup in :meth:`IurTree.covering`), so
-the popped tuple's other points lose coverage: the lists lose completeness.
+The legacy modes keep lists, lean ones: a child's list is born as one copy
+of its parent's dict, sharing the immutable tuples, counted once against the
+child's thresholds, and :meth:`NNLists.update_with` is one straight-line
+body that pops every tuple covering the added entry (by lookup in
+:meth:`IurTree.covering`), so the popped tuple's other points lose
+coverage: the lists lose completeness.
 
 The correct mode keeps none.  Every owner, node or object, decides on its
-:class:`Row`: the list of direct bounds against every other entry of the
-frontier (the queued, candidate and routed entries, which partition the
-dataset), plus a node's self-tuple.  Refining a list only tightens its
-bounds, so this is the list any refinement converges to, and its verdict
-the exhaustive one.  The paper's two conditions are visible in a row:
-completeness is the frontier's coverage of all n objects, and locality is
-the owner's own element, which holds count - 1 slots (a node's self-tuple,
-none for an object).  :class:`Rows` own the frontier.  A row keeps no
-tuples.  Its elements come from :meth:`EntryArrays.bounds`, one NumPy call
-for a tile of owners of one kind against every entry, each within the
-margin ``sim_err`` of the scalar value (its docstring proves the margin).
-An element further than the margin from its threshold is on its side of
-it; the masses are counted as ranges, matrix-vector products with the
-frontier's counts, a tile's queued objects in one pass, and the rest is
+:class:`Row`: direct bounds against every other entry of the frontier (the
+queued, candidate and routed entries, which partition the dataset), plus a
+node's self-tuple, the list any refinement converges to.  Completeness is
+the frontier's coverage of all n objects, and locality the owner's own
+element, which holds count - 1 slots.  :class:`Rows` own the frontier.  The
+elements come from :meth:`EntryArrays.bounds`, one NumPy call for a tile of
+owners of one kind, each within the margin ``sim_err`` of the scalar value;
+the masses are counted as ranges, and the elements within the margin are
 settled in scalar code, only until the ranges decide.
 :meth:`Row.reference` builds the list itself, which audit runs walk.
 
 The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  A list keeps
-three slot totals from its construction on: the drop mass (m summed over
-tuples whose lower bound reaches the optimistic owner-query similarity), the
-hit mass (upper bounds against the pessimistic one) and the covered slots;
-only inheritance, where the tuples change owner, counts them afresh.  A
-walk's k-th slot reaches a threshold exactly when at least k slots reach it,
-so drop mass >= k is the lower walk's prune and hit mass < k the upper
-walk's accept.  An accept also needs a complete list, the condition the
-legacy algorithms failed to maintain; their ungated test needs only k
-covered slots.  A list is complete when the held spans tile [0, N).  The
+three slot totals: the drop mass (m summed over tuples whose lower bound
+reaches the optimistic owner-query similarity), the hit mass (upper bounds
+against the pessimistic one) and the covered slots.  A walk's k-th slot
+reaches a threshold exactly when at least k slots reach it, so drop mass >=
+k is the lower walk's prune and hit mass < k the upper walk's accept.  A
+query similarity of -inf is below every k-th-neighbour similarity, -inf
+included, so it prunes and never accepts.  An accept also needs a complete
+list (the held spans tile [0, N)), the condition the legacy algorithms
+failed to maintain; their ungated test needs only k covered slots.  The
 walks stay as the reference that audit runs and the tests compare with.
 """
 
@@ -92,18 +86,21 @@ class NNLists:
     totals are counted against.
     """
 
+    __slots__ = ("owner", "tree", "_records", "query", "params", "stats", "_tuples", "_span",
+                 "pessimistic", "optimistic", "drop_mass", "hit_mass", "covered_slots")
+
     def __init__(self, owner: Entry, tree: IurTree, query: QueryObject,
-                 params: SimParams, stats: NormStats):
+                 params: SimParams, stats: NormStats, tuples: dict[Entry, NNTuple] | None = None):
+        """An empty list for ``owner`` in one query run, or a copy of another
+        list's ``tuples``, counted against the owner's query bounds."""
         self.owner = owner
-        self.tree = tree
+        self.tree, self._records = tree, tree._records
         self.query, self.params, self.stats = query, params, stats
-        self._tuples: dict[Entry, NNTuple] = {}
-        self._span = tree.record(owner).span
+        self._tuples: dict[Entry, NNTuple] = {} if tuples is None else tuples.copy()
+        self._span = self._records[owner].span
         self.pessimistic = min_sim_st(tree, owner, query, params, stats)
         self.optimistic = max_sim_st(tree, owner, query, params, stats)
-        self.drop_mass = 0
-        self.hit_mass = 0
-        self.covered_slots = 0
+        self.drop_mass, self.hit_mass, self.covered_slots = self._recount()
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -117,13 +114,6 @@ class NNLists:
     def tuples(self) -> list[NNTuple]:
         return list(self._tuples.values())
 
-    def _m_for(self, entry: Entry) -> int:
-        """The entry's size, less one when it overlaps the owner (a point is
-        not its own neighbor)."""
-        lo, hi = self.tree.record(entry).span
-        olo, ohi = self._span
-        return hi - lo - ((lo <= olo and ohi <= hi) or (olo <= lo and hi <= ohi))
-
     # -- mutations ----------------------------------------------------------
 
     def _count(self, t: NNTuple, sign: int) -> None:
@@ -136,27 +126,25 @@ class NNLists:
 
     def _recount(self) -> tuple[int, int, int]:
         """(drop mass, hit mass, covered slots) counted afresh."""
+        optimistic, pessimistic = self.optimistic, self.pessimistic
         drop = hit = covered = 0
-        for _, m, min_sim, max_sim in self._tuples.values():
+        for _, m, lower, upper in self._tuples.values():
             covered += m
-            if min_sim >= self.optimistic:
+            if lower >= optimistic:
                 drop += m
-            if max_sim >= self.pessimistic:
+            if upper >= pessimistic:
                 hit += m
         return drop, hit, covered
 
     def _put(self, t: NNTuple) -> None:
-        old = self._tuples.get(t.entry)
+        self._pop(t.entry)
         self._tuples[t.entry] = t
-        if old is not None:
-            self._count(old, -1)
         self._count(t, 1)
 
-    def _pop(self, entry: Entry) -> NNTuple | None:
+    def _pop(self, entry: Entry) -> None:
         t = self._tuples.pop(entry, None)
         if t is not None:
             self._count(t, -1)
-        return t
 
     def bounds(self, other: Entry) -> tuple[float, float]:
         """The (lower, upper) similarity bounds between the owner and ``other``,
@@ -187,18 +175,35 @@ class NNLists:
         ``bounds`` takes the (lower, upper) pair already computed, by
         :meth:`bounds` or for the reverse update, ``other``'s list updated
         with this owner: :func:`pair_sim_bounds` is symmetric bit for bit, so
-        one evaluation serves both lists.  Returns the pair stored.
+        one evaluation serves both lists.  Returns the pair stored.  One
+        body, the legacy modes' hottest step.
         """
         if other == self.owner:
             raise ValueError("an entry never contributes to its own list via update")
-        tuples = self._tuples
-        for e in self.tree.covering(other):
-            if e in tuples:
-                self._pop(e)
+        tuples, record = self._tuples, self._records[other]
+        optimistic, pessimistic = self.optimistic, self.pessimistic
+        drop, hit, covered = self.drop_mass, self.hit_mass, self.covered_slots
+        # its old tuple, if any, and those covering it
+        for e in (other, *record.covering) if other in tuples else record.covering:
+            if (t := tuples.pop(e, None)) is not None:
+                _, m, lower, upper = t
+                covered -= m
+                if lower >= optimistic:
+                    drop -= m
+                if upper >= pessimistic:
+                    hit -= m
         if bounds is None:
-            bounds = self.bounds(other)
-        lo, hi = bounds
-        self._put(NNTuple(other, self._m_for(other), lo, hi))
+            bounds = pair_sim_bounds(self.tree, self.owner, other, self.params, self.stats)
+        lower, upper = bounds
+        (lo, hi), (olo, ohi) = record.span, self._span
+        m = hi - lo - ((lo <= olo and ohi <= hi) or (olo <= lo and hi <= ohi))
+        tuples[other] = tuple.__new__(NNTuple, (other, m, lower, upper))
+        covered += m
+        if lower >= optimistic:
+            drop += m
+        if upper >= pessimistic:
+            hit += m
+        self.drop_mass, self.hit_mass, self.covered_slots = drop, hit, covered
         return bounds
 
     @classmethod
@@ -206,18 +211,12 @@ class NNLists:
         """The parent's tuples, shared, as the child's list in the same run.
 
         Bounds are inherited verbatim (any bound over the parent's point set
-        bounds the child's subset, just more loosely), and so are the slot
-        counts: an entry's count differs between the two owners only when it
-        overlaps exactly one of them, and an entry that overlaps the parent
-        but not the child is a proper descendant of the parent, which no
-        list holds.  The slot totals are counted once, against the child's
-        own query bounds.
+        bounds the child's subset), and so are the slot counts: they differ
+        only for an entry that overlaps the parent but not the child, a
+        proper descendant of the parent, which no list holds.
         """
         p = parent_lists
-        lists = cls(child, p.tree, p.query, p.params, p.stats)
-        lists._tuples = p._tuples.copy()
-        lists.drop_mass, lists.hit_mass, lists.covered_slots = lists._recount()
-        return lists
+        return cls(child, p.tree, p.query, p.params, p.stats, p._tuples)
 
     @classmethod
     def direct(cls, owner: Entry, entries: Iterable[Entry], tree: IurTree, query: QueryObject,
@@ -226,18 +225,14 @@ class NNLists:
         which must not overlap one another."""
         lists = cls(owner, tree, query, params, stats)
         for e in entries:
-            lo, hi = lists.bounds(e)
-            lists._put(NNTuple(e, lists._m_for(e), lo, hi))
+            lists.update_with(e)
         return lists
 
     def strip_self_and_parent(self) -> None:
         """Drop the owner's own tuple and its parent's, if present."""
-        doomed = [self.owner]
-        parent = self.tree.parent(self.owner)
-        if parent is not None:
-            doomed.append(parent)
-        for e in doomed:
-            self._pop(e)
+        for e in (self.owner, self.tree.parent(self.owner)):
+            if e is not None:
+                self._pop(e)
 
     def remove(self, entry: Entry) -> None:
         self._pop(entry)
@@ -246,11 +241,13 @@ class NNLists:
 
     def counted_verdict(self) -> Verdict:
         """The accept/prune rule on the slot totals of a list known to be
-        complete; :func:`is_hit_or_drop` adds what a hit needs otherwise."""
+        complete; :func:`is_hit_or_drop` adds what a hit needs otherwise.
+        A query similarity not above -inf, a k-th-neighbour similarity of a
+        point short of k neighbours, drops, and is never a hit."""
         k = self.params.k
-        if self.drop_mass >= k:
+        if self.drop_mass >= k or not self.optimistic > NEG_INF:
             return Verdict.DROP
-        if self.hit_mass < k:
+        if self.hit_mass < k and self.pessimistic > NEG_INF:
             return Verdict.HIT
         return Verdict.UNDECIDED
 
@@ -318,39 +315,12 @@ class NNLists:
         runs and the tests compare it with."""
         k = self.params.k
         lower = self.knn_lower(k)
-        if lower is not None and self.optimistic <= lower:
+        if not self.optimistic > (NEG_INF if lower is None else lower):
             return Verdict.DROP
         upper = self.knn_upper(k) if gated else self._walk(k, upper=True)
         if upper is not None and self.pessimistic > upper:
             return Verdict.HIT
         return Verdict.UNDECIDED
-
-    # -- test support ---------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Assert the structural invariants; used by the test suite."""
-        entries = list(self._tuples)
-        n = self.tree.size
-        assert (self.drop_mass, self.hit_mass, self.covered_slots) == self._recount(), (
-            "slot totals differ from a recount"
-        )
-        assert self.covered_slots <= n - 1, "over-coverage: sum(m) exceeds N - 1"
-        depth = self.tree.depth(self.owner)
-        for t in self._tuples.values():
-            count = self.tree.count(t.entry)
-            assert 0 <= t.m <= count
-            assert not (self.tree.depth(t.entry) > depth
-                        and self.tree.is_ancestor_or_equal(self.owner, t.entry)), (
-                f"{t.entry.label} is a proper descendant of the owner {self.owner.label}"
-            )
-            if self.tree.overlaps(t.entry, self.owner):
-                assert t.m == count - 1, "overlapping entry must give up one slot"
-            assert t.min_sim <= t.max_sim + 1e-12
-        for i, a in enumerate(entries):
-            for b in entries[i + 1 :]:
-                assert not self.tree.overlaps(a, b), (
-                    f"overlapping tuples {a.label} / {b.label}"
-                )
 
 
 def _settled(drop: Sequence[int], hit: Sequence[int], k: int) -> Verdict | None:
@@ -543,10 +513,13 @@ class Row:
     def _decide(self) -> Verdict:
         self._current()
         k, rows, counted = self.params.k, self.rows, self.masses
-        if counted[0] >= k:  # the other three masses are not counted then
+        # as NNLists.counted_verdict; the other three masses are not counted then
+        if counted[0] >= k or not self.optimistic > NEG_INF:
             return Verdict.DROP
-        # (drop, hit): the slots known to count, and those that may
-        masses = [[int(x) for x in counted[:2]], [int(x) for x in counted[2:]]]
+        # (drop, hit): the slots known to count, and those that may; without
+        # a pessimistic query similarity above -inf, k (no hit)
+        masses = [[int(x) for x in counted[:2]],
+                  [int(x) for x in counted[2:]] if self.pessimistic > NEG_INF else [k, k]]
         if (verdict := _settled(*masses, k)) is not None:
             return verdict
         thresholds = (self.optimistic, self.pessimistic)
@@ -598,13 +571,18 @@ def is_hit_or_drop(lists: NNLists | Row, *, gated: bool = True) -> Verdict:
     Drop when at least k slots have a lower bound at or above the optimistic
     owner-query similarity (ties drop: database points win them).  Hit when
     fewer than k slots have an upper bound at or above the pessimistic one
-    and the list is complete, or, with ``gated=False`` (only the deliberately
-    faulty legacy modes), covers at least k slots.  Otherwise undecided.  The
-    list keeps its slot totals current, and completeness is checked only when
-    a hit is possible.
+    and the list is complete, or, with ``gated=False`` (only the legacy
+    modes' :class:`NNLists`), covers at least k slots.  Otherwise undecided.
+    Completeness is checked only when a hit is possible.
     """
+    if not gated:  # NNLists.counted_verdict, read in place
+        k = lists.params.k
+        if lists.drop_mass >= k or not lists.optimistic > NEG_INF:
+            return Verdict.DROP
+        if lists.hit_mass < k <= lists.covered_slots and lists.pessimistic > NEG_INF:
+            return Verdict.HIT
+        return Verdict.UNDECIDED
     verdict = lists.counted_verdict()
-    if verdict is Verdict.HIT and not (
-            lists.is_complete() if gated else lists.covered_slots >= lists.params.k):
+    if verdict is Verdict.HIT and not lists.is_complete():
         return Verdict.UNDECIDED
     return verdict

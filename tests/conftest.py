@@ -25,10 +25,11 @@ with warnings.catch_warnings():
     except ImportError:  # the plugin then writes no patch, and warns nothing
         pass
 
-# the off-grid digest's instances and its random chain-layout generator,
-# which draws exactly as the digest's goldens were made
+# the off-grid and extreme digests' instances and the random chain-layout
+# generator, which draw exactly as the digests' goldens were made
 _digest = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"))
 _chain_layout, offgrid_instance = _digest["_chain_layout"], _digest["offgrid_instance"]
+extreme_instance = _digest["extreme_instance"]
 
 
 @pytest.fixture

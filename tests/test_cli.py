@@ -365,6 +365,23 @@ def test_compare_far_query_at_alpha_zero(tmp_path):
     assert out.splitlines()[:2] == ["oracle: a", "correct: match"]
 
 
+def test_compare_far_query_with_k_at_least_n(tmp_path):
+    # the query similarity is -inf, and so is the k-th-neighbour similarity
+    # of objects short of k neighbours: -inf is not above -inf, so no object
+    # is in the result, in every mode
+    dataset = tmp_path / "far.jsonl"
+    dataset.write_text(
+        '{"id":"a","x":-1e308,"y":0,"terms":{"t":1}}\n'
+        '{"id":"b","x":-1e308,"y":5,"terms":{"t":1}}\n'
+        '{"id":"c","x":-1e308,"y":9,"terms":{"u":1}}\n')
+    for k in ("2", "3", "4"):
+        code, out, _ = run_cli(["compare", str(dataset), "--qx", "1e308", "--qy", "0",
+                                "--qterms", "t=1", "--k", k, "--alpha", "0.5"])
+        assert code == EXIT_OK
+        assert out.splitlines() == ["oracle: -", "correct: match", "faulty2011: match",
+                                    "faulty2014: match"]
+
+
 @pytest.mark.filterwarnings("error")
 def test_compare_rejects_a_spread_beyond_float_range(tmp_path):
     dataset = tmp_path / "big.jsonl"

@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 import random
 
 import numpy as np
 import pytest
-from conftest import offgrid_instance
+from conftest import extreme_instance, offgrid_instance
 
 from rstknn.core import QueryObject, STObject, SimParams, TermVector, sim_st
 from rstknn.datasets import random_dataset, random_query
@@ -326,6 +327,55 @@ def test_audited_offgrid_sweep_records_one_bound_per_decision():
             assert [owner.label for owner, _, _ in audit.bound_records] == owners
             decisions += len(owners)
     assert decisions > 3000
+
+
+def test_a_query_similarity_of_minus_infinity_is_never_a_hit():
+    # far query: every query similarity is -inf at alpha > 0.  With k >= n
+    # every k-th-neighbour similarity is -inf too, and -inf > -inf is false,
+    # so nothing is in the result; the rule is the lists' and the rows'
+    objs = [STObject(i, (-1e308, y), TermVector({t: 1.0}))
+            for i, y, t in (("a", 0.0, "t"), ("b", 5.0, "t"), ("c", 9.0, "u"))]
+    query = QueryObject((1e308, 0.0), TermVector({"t": 1.0}))
+    for layout in ([["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], [["b"], ["c"]]]):
+        tree = tree_from_layout(objs, layout)
+        stats = tree.norm_stats()
+        for alpha, k in itertools.product((0.4, 1.0), (1, 2, 3, 4)):
+            params = SimParams(alpha, k)
+            assert rknn_bruteforce(objs, query, params, stats) == set()
+            assert rstknn_query(tree, query, params, stats=stats, audit=EngineAudit())[0] == set()
+            for mode in (Mode.FAULTY2011, Mode.FAULTY2014):
+                assert rstknn_query(tree, query, params, mode, stats=stats)[0] == set()
+            for entry in (node_entry(1), object_entry("a")):
+                lists = nn_lists.NNLists(entry, tree, query, params, stats)
+                assert lists.optimistic == lists.pessimistic == -math.inf
+                assert lists.counted_verdict() is Verdict.DROP
+                assert lists.walked_verdict(gated=False) is Verdict.DROP
+    # a node whose pessimistic query similarity alone is -inf is no hit: its
+    # far object may have a k-th neighbour similarity of -inf
+    objs.append(STObject("d", (0.0, 0.0), TermVector({"t": 1.0})))
+    tree = tree_from_layout(objs, [["a", "d"], ["b", "c"]])
+    lists = nn_lists.NNLists(node_entry(1), tree, query, SimParams(0.5, 4), tree.norm_stats())
+    assert lists.pessimistic == -math.inf < lists.optimistic
+    assert lists.counted_verdict() is lists.walked_verdict(gated=False) is Verdict.UNDECIDED
+
+
+def test_audited_extreme_magnitude_sweep_matches_bruteforce():
+    # the extreme digest's 300 instances: coordinates from 1e-300 to 1e300,
+    # weights from 1e-150 to 1e150, far queries, k from 1 to n + 1 and
+    # fanouts 2, 3 and 8.  No similarity is NaN, many are -inf with k >= n,
+    # and every audited answer is brute force's
+    far_runs = 0
+    for i in range(300):
+        objects, query, tree, rng = extreme_instance(i)
+        n, stats = len(objects), tree.norm_stats()
+        for alpha in (0.0, 0.4, 1.0):
+            params = SimParams(alpha, rng.choice(range(1, n + 2)))
+            sims = [sim_st(o, query, params, stats) for o in objects]
+            assert not any(map(math.isnan, sims))
+            far_runs += params.k >= n and -math.inf in sims
+            got, _ = rstknn_query(tree, query, params, stats=stats, audit=EngineAudit())
+            assert got == rknn_bruteforce(objects, query, params, stats)
+    assert far_runs > 20
 
 
 def test_node_rows_decide_alike_in_tiles_of_any_size(monkeypatch, equal_span_trees):

@@ -6,14 +6,16 @@ trace it writes, and the standard output of ``rstknn compare``, each run with
 the fixture's recorded query, k, alpha and fanout, and the standard output
 of ``scripts/demo_traces.py`` on the hand-laid-out two-cluster tree, and
 the digests ``scripts/trace_digest.py`` prints over seeded sweeps of random
-instances in all three modes, on the integer grid and off it (``--offgrid``),
-and over the set-up of those instances read back from their dataset files
-(``--setup``: objects, tree records and normalization statistics);
-``trace_digest_300.stdout``, ``trace_digest_offgrid_300.stdout`` and
-``setup_digest_300.stdout``, the digests over 300 instances, are diffed by CI
-alone.  A change that alters any decision, label or column of the snapshot
-trace, or any bit of a set-up, shows up here.  To re-record after an intended
-change, write each case's output to the file it is compared with.
+instances in all three modes, on the integer grid, off it (``--offgrid``)
+and at extreme magnitudes (``--extreme``), and over the set-up of the grid
+and off-grid instances read back from their dataset files (``--setup``:
+objects, tree records and normalization statistics);
+``trace_digest_300.stdout``, ``trace_digest_offgrid_300.stdout``,
+``trace_digest_extreme_300.stdout`` and ``setup_digest_300.stdout``, the
+digests over 300 instances, are diffed by CI alone.  A change that alters
+any decision, label or column of the snapshot trace, or any bit of a
+set-up, shows up here.  To re-record after an intended change, write each
+case's output to the file it is compared with.
 """
 
 from __future__ import annotations
@@ -102,6 +104,15 @@ def test_offgrid_trace_digest_matches_golden():
     assert out.getvalue().encode() == (GOLDEN / "trace_digest_offgrid.stdout").read_bytes()
 
 
+def test_extreme_trace_digest_matches_golden():
+    script = runpy.run_path(str(ROOT / "scripts" / "trace_digest.py"))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = script["main"](["--extreme", "--instances", "40"])
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / "trace_digest_extreme.stdout").read_bytes()
+
+
 def test_setup_digest_matches_golden():
     script = runpy.run_path(str(ROOT / "scripts" / "trace_digest.py"))
     out = io.StringIO()
@@ -115,6 +126,7 @@ def test_setup_digest_matches_golden():
 @pytest.mark.parametrize("args,golden", [
     (["--instances", "60"], "trace_digest.stdout"),
     (["--offgrid", "--instances", "40"], "trace_digest_offgrid.stdout"),
+    (["--extreme", "--instances", "40"], "trace_digest_extreme.stdout"),
 ])
 def test_trace_digests_do_not_depend_on_the_tile_height(monkeypatch, tile_rows, args, golden):
     # tiles of two and three rows split the owners of every kind, nodes and

@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rstknn.core import (
+    NormStats,
     QueryObject,
     STObject,
     SimParams,
     TermVector,
+    combined_similarity,
+    euclidean_dist,
     extended_jaccard,
     sim_st,
 )
@@ -560,3 +563,105 @@ def test_entry_array_bounds_lie_within_the_margin(alpha, equal_span_trees):
             expected[:, 1:arrays.nodes:2] = np.nan
             assert np.array_equal(part, expected, equal_nan=True)
     assert min(negative, zero, near_zero) > 0 and objects > 10_000
+
+
+# -- the scalar kernel against the reference composition, bit for bit ----------
+
+
+def _combined(dist, ej, params, stats):
+    """combined_similarity as the composition of the two normalized scores,
+    each evaluated only with a nonzero weight."""
+    def spatial():
+        if stats.psi_s == stats.phi_s:
+            return 1.0
+        return 1.0 - (dist - stats.phi_s) / (stats.psi_s - stats.phi_s)
+
+    def textual():
+        if stats.psi_t == stats.phi_t:
+            return 1.0
+        return (ej - stats.phi_t) / (stats.psi_t - stats.phi_t)
+
+    a = params.alpha
+    if a == 0.0:
+        return textual()
+    if a == 1.0:
+        return spatial()
+    return a * spatial() + (1.0 - a) * textual()
+
+
+def _reference_bounds(tree, a, b, params, stats):
+    """(lower, upper) as the corner distances of the boxes and the group text
+    bounds, composed by :func:`_combined`."""
+    ma, ia, ua = _view(tree, a)
+    mb, ib, ub = _view(tree, b)
+    lower_text = upper_text = 0.0
+    if not (ua.is_empty and ub.is_empty):
+        num = ia.dot(ib)
+        lower_text = max(0.0, min(1.0, num / (ua.norm_sq + ub.norm_sq - num)))
+        num = ua.dot(ub)
+        den = ia.norm_sq + ib.norm_sq - num
+        upper_text = 1.0 if den <= 0.0 else max(0.0, min(1.0, num / den))
+    return (_combined(max_dist(ma, mb), lower_text, params, stats),
+            _combined(min_dist(ma, mb), upper_text, params, stats))
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+_kernel_coords = st.one_of(st.integers(-20, 20).map(float),
+                           st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False))
+_kernel_vectors = st.dictionaries(
+    st.sampled_from("abcde"),
+    st.one_of(st.integers(1, 9).map(float), st.floats(0.01, 10.0)), max_size=4).map(TermVector)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(objects, tree, query, stats): grid or Gaussian-like coordinates with
+    repeated locations, possibly empty vectors, data possibly shifted to
+    -1e308, a query possibly at 1e308, and the data's statistics or
+    degenerate ones."""
+    shift = draw(st.sampled_from([0.0, 0.0, -1e308]))
+    locs: list = []
+    for _ in range(draw(st.integers(1, 10))):
+        repeat = locs and draw(st.booleans())
+        locs.append(draw(st.sampled_from(locs)) if repeat
+                    else (shift + draw(_kernel_coords), draw(_kernel_coords)))
+    objs = [STObject(f"P{i}", loc, draw(_kernel_vectors)) for i, loc in enumerate(locs)]
+    tree = build_tree(objs, draw(st.sampled_from([2, 3, 8])))
+    base = tree.norm_stats()
+    stats = draw(st.sampled_from([
+        base, NormStats(base.phi_s, base.phi_s, base.phi_t, base.psi_t),
+        NormStats(base.phi_s, base.psi_s, base.psi_t, base.psi_t), NormStats(0.0, 0.0, 0.0, 0.0)]))
+    qx = draw(st.one_of(_kernel_coords, st.just(1e308)))
+    query = QueryObject((qx, draw(_kernel_coords)), draw(_kernel_vectors))
+    return objs, tree, query, stats
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_cases(), st.sampled_from([0.0, 0.4, 1.0]))
+def test_the_scalar_kernel_is_the_reference_composition_bit_for_bit(case, alpha):
+    # sim_st against combined_similarity(euclidean_dist, extended_jaccard), and
+    # pair_sim_bounds against the corner distances and group text bounds and
+    # against (min_sim_st, max_sim_st), for every entry pair and every
+    # entry-query pair; both codes in the same order, so every bit agrees
+    objs, tree, query, stats = case
+    params = SimParams(alpha, 1)
+    for o in objs:
+        for other in [*objs, query]:
+            want = _combined(euclidean_dist(o.loc, other.loc), extended_jaccard(o.vct, other.vct),
+                             params, stats)
+            assert _bits(sim_st(o, other, params, stats)) == _bits(want)
+            assert _bits(combined_similarity(euclidean_dist(o.loc, other.loc),
+                                             extended_jaccard(o.vct, other.vct),
+                                             params, stats)) == _bits(want)
+    entries = all_entries(tree)
+    for a in entries:
+        for b in [*entries, query]:
+            got = pair_sim_bounds(tree, a, b, params, stats)
+            assert _bits(*got) == _bits(*_reference_bounds(tree, a, b, params, stats))
+            assert _bits(*got) == _bits(min_sim_st(tree, a, b, params, stats),
+                                        max_sim_st(tree, a, b, params, stats))
+            if b is not query:
+                assert _bits(*got) == _bits(*pair_sim_bounds(tree, b, a, params, stats))

@@ -37,6 +37,31 @@ def _assert_totals(lists):
     assert lists.hit_mass == sum(t.m for t in ts if t.max_sim >= lists.pessimistic)
 
 
+def _m_for(lists, entry):
+    """The slots ``entry`` holds in the list: its size, less one when it
+    overlaps the owner (a point is not its own neighbor)."""
+    return lists.tree.count(entry) - lists.tree.overlaps(entry, lists.owner)
+
+
+def _check_invariants(lists):
+    """The list's structural invariants: its totals are a recount, it covers
+    at most N - 1 slots, holds no proper descendant of its owner and no two
+    overlapping entries, and each entry holds its slots."""
+    tree, owner = lists.tree, lists.owner
+    _assert_totals(lists)
+    assert lists.covered_slots <= tree.size - 1, "over-coverage: sum(m) exceeds N - 1"
+    entries = [t.entry for t in lists.tuples()]
+    for t in lists.tuples():
+        assert t.m == _m_for(lists, t.entry) and 0 <= t.m
+        assert not (tree.depth(t.entry) > tree.depth(owner)
+                    and tree.is_ancestor_or_equal(owner, t.entry)), (
+            f"{t.entry.label} is a proper descendant of the owner {owner.label}")
+        assert t.min_sim <= t.max_sim + 1e-12
+    for i, a in enumerate(entries):
+        for b in entries[i + 1:]:
+            assert not tree.overlaps(a, b), f"overlapping tuples {a.label} / {b.label}"
+
+
 def _line_tree():
     """Six points on a line, grouped pairwise; handy ancestry structure."""
     objs = [STObject(f"P{i}", (float(i * 10), 0.0), TermVector()) for i in range(6)]
@@ -86,7 +111,7 @@ def test_update_replaces_proper_ancestor():
     # sibling updates never remove each other
     lists.update_with(node_entry(4))
     assert n3 in lists and node_entry(4) in lists
-    lists.check_invariants()
+    _check_invariants(lists)
 
 
 def test_update_upsert_keeps_m():
@@ -131,7 +156,7 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
                 equal_span_removals += sum(tree.is_ancestor_or_equal(b, e) for e in removed)
                 lists.update_with(b)
                 assert {t.entry for t in lists.tuples()} == (held - removed) | {b}
-                lists.check_invariants()
+                _check_invariants(lists)
     assert equal_span_removals > 0
 
 
@@ -318,7 +343,7 @@ def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_
         _assert_totals(lists)
         for t in lists.tuples():
             assert t is parent_lists.get(t.entry)
-            assert t.m == lists._m_for(t.entry), (child.label, t.entry.label)
+            assert t.m == _m_for(lists, t.entry), (child.label, t.entry.label)
             assert not (tree.depth(t.entry) > tree.depth(child)
                         and tree.is_ancestor_or_equal(child, t.entry))
             shared += 1
@@ -600,7 +625,7 @@ def test_operation_sequences_preserve_invariants(rng):
         root = tree.root_entry()
         lists = _lists(tree, root, params=params, stats=stats)
         lists.add_self()
-        lists.check_invariants()
+        _check_invariants(lists)
         # walk down one branch, inheriting and updating with sibling entries
         current, current_lists = root, lists
         while current.is_node:
@@ -613,6 +638,6 @@ def test_operation_sequences_preserve_invariants(rng):
             for sib in children:
                 if sib != nxt:
                     child_lists.update_with(sib)
-            child_lists.check_invariants()
+            _check_invariants(child_lists)
             assert child_lists.covered_slots <= tree.size - 1
             current, current_lists = nxt, child_lists
