@@ -23,9 +23,9 @@ With ``--setup`` the script runs no query.  It writes the objects of each
 grid and each off-grid instance through `write_dataset`, reads them back with
 `read_dataset`, builds the instance's tree from what it read, and hashes the
 set-up: the `NormStats` as `float.hex`, and every entry record's span, depth,
-parent, children, covering entries, MBR and both vectors (items and
-`norm_sq`).  Two versions that print the same set-up digest read, pack and
-normalize every instance bit for bit alike.
+parent, children, covering entries, the box's four corner floats and both
+vectors (items and `norm_sq`).  Two versions that print the same set-up
+digest read, pack and normalize every instance bit for bit alike.
 
     PYTHONPATH=src python3 scripts/trace_digest.py --instances 200
     PYTHONPATH=src python3 scripts/trace_digest.py --offgrid --instances 300
@@ -204,7 +204,7 @@ def setup_digest(instances: int) -> str:
                         r.parent.label if r.parent else "-",
                         ",".join(c.label for c in r.children),
                         ",".join(c.label for c in r.covering),
-                        *(c.hex() for c in (*r.mbr.lo, *r.mbr.hi)),
+                        *(c.hex() for c in r.box),
                         _vector(r.int_vct), _vector(r.union_vct),
                     ]).encode() + b"\n")
     return sha.hexdigest()

@@ -105,7 +105,11 @@ def _set_up(args: argparse.Namespace
     objects = read_dataset(args.dataset)
     query = _parse_query(args)
     tree = build_tree(objects, args.fanout)
-    return params, objects, query, tree, tree.norm_stats()
+    try:
+        stats = tree.norm_stats()
+    except ValueError as exc:  # statistics the arithmetic cannot normalize by
+        raise ParseError(args.dataset, 0, str(exc)) from exc
+    return params, objects, query, tree, stats
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

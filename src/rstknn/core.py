@@ -204,7 +204,9 @@ class NormStats:
 
     ``phi_s``/``psi_s`` are the minimum/maximum Euclidean distance over all
     unordered object pairs, ``phi_t``/``psi_t`` the analogous extremes of the
-    Extended Jaccard similarity.  The query never contributes to these.
+    Extended Jaccard similarity.  The query never contributes to these.  A
+    positive text range lies in the normal float range, so that a normalized
+    text score, at most 1 / (psi_t - phi_t), is finite.
     """
 
     phi_s: float
@@ -215,6 +217,9 @@ class NormStats:
     def __post_init__(self) -> None:
         if self.phi_s > self.psi_s or self.phi_t > self.psi_t:
             raise ValueError("min statistic exceeds max statistic")
+        if 0.0 < self.psi_t - self.phi_t < _MIN:
+            raise ValueError(f"the text similarity range {self.psi_t - self.phi_t!r} lies "
+                             f"below the normal float range")
 
 
 @dataclass(frozen=True)

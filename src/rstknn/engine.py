@@ -126,7 +126,6 @@ class EngineState:
     col: list[Entry]
     rol: list[str]
     pel: list[Entry]
-    lists: dict[Entry, NNLists]
     trace: list[TraceEvent]
     u_lo: int = 0
     col_lo: int = 0
@@ -175,7 +174,7 @@ def _checked_verdict(row: Row, audit: EngineAudit | None) -> Verdict:
 
 def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
                  stats: NormStats, audit: EngineAudit | None) -> EngineState:
-    state = EngineState(u=[tree.root_entry()], col=[], rol=[], pel=[], lists={}, trace=[])
+    state = EngineState(u=[tree.root_entry()], col=[], rol=[], pel=[], trace=[])
     rows = Rows(tree, query, params, stats)  # its frontier starts as the root
 
     while state.u_lo < len(state.u):
@@ -240,9 +239,9 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
     Both order the queue by the optimistic query similarity and both use
     upper bounds without any completeness gate.
     """
-    state = EngineState(u=[], col=[], rol=[], pel=[], lists={}, trace=[])
+    state = EngineState(u=[], col=[], rol=[], pel=[], trace=[])
     root = tree.root_entry()
-    state.lists[root] = NNLists(root, tree, query, params, stats)
+    live = {root: NNLists(root, tree, query, params, stats)}  # the queued and candidate lists
     queue: dict[Entry, float] = {root: 0.0}  # live entry -> priority
     ranked: list[Entry] | None = [root]  # _ranked(queue), None once it is stale
     hits: list[Entry] = []  # the entries of the ids on ROL so far
@@ -252,7 +251,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
         del queue[parent]
         ranked = None
         action = f"Dequeue {parent.label}"
-        parent_lists = state.lists[parent]
+        parent_lists = live[parent]
         for child in tree.children(parent):
             lists = NNLists.inherited(child, parent_lists)
             if locality:
@@ -275,7 +274,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                     verdict = is_hit_or_drop(lists, gated=False)
                     if verdict is not Verdict.UNDECIDED:
                         break
-                    other_lists = state.lists.get(other)  # queued or a candidate
+                    other_lists = live.get(other)  # queued or a candidate
                     if other_lists is not None:
                         other_lists.update_with(child, bounds)
                         other_verdict = is_hit_or_drop(other_lists, gated=False)
@@ -287,11 +286,11 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                                 state.col, state.col_lo = [c for c in state.col[state.col_lo:]
                                                            if c != other], 0
                             _route(state, tree, other, other_verdict)
-                            del state.lists[other]
-            # as in the correct mode, a routed or expanded entry's list is never
-            # read again: only queued entries and candidates keep theirs
+                            del live[other]
+            # a routed or expanded entry's list is never read again: only
+            # queued entries and candidates keep theirs
             if verdict is Verdict.UNDECIDED:
-                state.lists[child] = lists
+                live[child] = lists
                 if child.is_node:
                     queue[child] = lists.optimistic
                     ranked = None
@@ -300,17 +299,19 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                     state.col.append(child)
             else:
                 _route(state, tree, child, verdict)
-        del state.lists[parent]
+        del live[parent]
         # keep the trace's U column consistent with the live queue
         state.u = ranked = _ranked(queue) if ranked is None else ranked
         state.snapshot(action)
 
-    _faulty_final_verification(state, tree, hits)
+    _faulty_final_verification(state, tree, hits, live)
     return state
 
 
-def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Entry]) -> None:
-    """The legacy cleanup pass: feed pruned entries to the candidates.
+def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Entry],
+                               live: dict[Entry, NNLists]) -> None:
+    """The legacy cleanup pass: feed pruned entries to the candidates, whose
+    lists ``live`` holds.
 
     Entries come off the pruned list deepest-first and are replaced by their
     children, so candidates eventually see plain points.  Candidates left
@@ -325,7 +326,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Ent
     while state.col_lo < len(state.col) and working:
         neg_depth, entry = heapq.heappop(working)
         for candidate in state.col[state.col_lo:]:
-            lists = state.lists[candidate]
+            lists = live[candidate]
             lists.update_with(entry)
             verdict = is_hit_or_drop(lists, gated=False)
             if verdict is not Verdict.UNDECIDED:
@@ -337,7 +338,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Ent
             heapq.heappush(working, (neg_depth - 1, child))
     while state.col_lo < len(state.col):
         candidate = state.col[state.col_lo]
-        lists = state.lists[candidate]
+        lists = live[candidate]
         hits += map(object_entry, state.rol[len(hits):])
         for other in hits + state.col[state.col_lo + 1:]:
             lists.update_with(other)

@@ -3,7 +3,7 @@
 An R-tree over object locations where every node additionally stores an
 intersection vector (per-term minimum weight over the contained objects),
 a union vector (per-term maximum weight) and the object count.  Those three
-ingredients, together with the node MBRs, yield sound lower/upper bounds on
+ingredients, together with the node boxes, yield sound lower/upper bounds on
 the similarity between any two groups of objects: :func:`pair_sim_bounds`
 for one pair, :meth:`EntryArrays.bounds` for many owners at once.
 
@@ -17,7 +17,6 @@ share one tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from .core import (
     NormStats,
-    Point,
     _PairTiles,
     QueryObject,
     STObject,
@@ -43,37 +41,26 @@ class EmptyDataset(ValueError):
     """A tree needs at least one object."""
 
 
-@dataclass(frozen=True)
-class Mbr:
-    """Axis-aligned minimum bounding rectangle (possibly degenerate)."""
-
-    lo: Point
-    hi: Point
-
-    def __post_init__(self) -> None:
-        if self.lo[0] > self.hi[0] or self.lo[1] > self.hi[1]:
-            raise ValueError(f"inverted Mbr: {self.lo} > {self.hi}")
-
-    @classmethod
-    def from_point(cls, p: Point) -> "Mbr":
-        return cls(p, p)
+Box = tuple[float, float, float, float]  # lo x, lo y, hi x, hi y; lo <= hi per axis
 
 
-def min_dist(a: Mbr, b: Mbr) -> float:
-    """Minimum L2 distance between any point of a and any point of b."""
-    dx = max(a.lo[0] - b.hi[0], b.lo[0] - a.hi[0], 0.0)
-    dy = max(a.lo[1] - b.hi[1], b.lo[1] - a.hi[1], 0.0)
+def min_dist(a: Box, b: Box) -> float:
+    """Minimum L2 distance between any point of box a and any point of box b."""
+    (alx, aly, ahx, ahy), (blx, bly, bhx, bhy) = a, b
+    dx = max(alx - bhx, blx - ahx, 0.0)
+    dy = max(aly - bhy, bly - ahy, 0.0)
     return math.hypot(dx, dy)
 
 
-def max_dist(a: Mbr, b: Mbr) -> float:
-    """Maximum L2 distance between any point of a and any point of b.
+def max_dist(a: Box, b: Box) -> float:
+    """Maximum L2 distance between any point of box a and any point of box b.
 
     Attained at a corner pair; per axis the larger one-sided separation is
     always nonnegative because boxes have nonnegative extent.
     """
-    dx = max(a.hi[0] - b.lo[0], b.hi[0] - a.lo[0])
-    dy = max(a.hi[1] - b.lo[1], b.hi[1] - a.lo[1])
+    (alx, aly, ahx, ahy), (blx, bly, bhx, bhy) = a, b
+    dx = max(ahx - blx, bhx - alx)
+    dy = max(ahy - bly, bhy - aly)
     return math.hypot(dx, dy)
 
 
@@ -116,10 +103,12 @@ Layout = list  # nested lists; a leaf is a list of object-id strings
 class EntryRecord(NamedTuple):
     """What the tree knows about one entry, the same for nodes and objects.
 
-    An object is a degenerate node: a span of width 1, no children, a point
-    MBR and both vectors equal to its term vector.  Invariants (checked by
-    the test suite, relied on everywhere):
-      * ``mbr`` is tight over the subtree's object locations;
+    An object is a degenerate node: a span of width 1, no children, the
+    point box ``(x, y, x, y)`` of its location and both vectors equal to its
+    term vector.  Invariants (checked by the test suite, relied on
+    everywhere):
+      * ``box``, the corners ``(lo x, lo y, hi x, hi y)``, is tight over the
+        subtree's object locations;
       * for every contained object o and term t:
         int_vct[t] <= o.vct[t] <= union_vct[t] (absent terms read as 0);
       * the ids at the preorder positions of ``span`` are the subtree's
@@ -130,7 +119,7 @@ class EntryRecord(NamedTuple):
     depth: int                    # the root has depth 0
     parent: Entry | None
     children: tuple[Entry, ...]   # in stored order; () for objects
-    mbr: Mbr
+    box: Box
     int_vct: TermVector
     union_vct: TermVector
     covering: tuple[Entry, ...]
@@ -192,9 +181,6 @@ class IurTree:
 
     def depth(self, entry: Entry) -> int:
         return self._records[entry].depth
-
-    def mbr(self, entry: Entry) -> Mbr:
-        return self._records[entry].mbr
 
     def subtree_objects(self, entry: Entry) -> list[str]:
         """All object ids under the entry, in id order: the preorder slice
@@ -315,9 +301,8 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
 
     A preorder pass numbers the nodes and the objects and writes the object
     records; a pass in reverse preorder, children before parents, then
-    aggregates each node's record from its children's, its box from their
-    corner floats.  Both passes are iterative, so a layout of any depth
-    builds.
+    aggregates each node's record, its box included, from its children's.
+    Both passes are iterative, so a layout of any depth builds.
     """
     if not objects:
         raise EmptyDataset("cannot build a tree over zero objects")
@@ -353,16 +338,15 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
             obj = by_id.get(oid)
             if obj is None:
                 raise ValueError("layout must mention each object id exactly once")
-            pos = len(order)
+            pos, (x, y) = len(order), obj.loc
             child = Entry("object", oid)
             records[child] = EntryRecord(
-                (pos, pos + 1), depth, entry, (), Mbr(obj.loc, obj.loc), obj.vct, obj.vct, below)
+                (pos, pos + 1), depth, entry, (), (x, y, x, y), obj.vct, obj.vct, below)
             children.append(child)
             order.append(oid)
     if not len(order) == len(records) == len(by_id):  # a repeated id has one record
         raise ValueError("layout must mention each object id exactly once")
 
-    boxes: list = [None] * len(nodes)  # per node: lo x, lo y, hi x, hi y
     for nid in reversed(range(len(nodes))):
         ancestors, children, lo = nodes[nid]
         below_records = [records[c] for c in children]
@@ -371,15 +355,11 @@ def tree_from_layout(objects: Sequence[STObject], layout: Layout) -> IurTree:
         if len(children) == 1:  # the only child, then its chain: its covering past its ancestors
             only = below_records[0]
             chain = (children[0], *only.covering[only.depth:])
-        if below_records[0].children:  # of nodes: from their boxes
-            lxs, lys, hxs, hys = zip(*(boxes[c.ident] for c in children))  # type: ignore[index]
-        else:  # of objects: from their locations
-            lxs, lys = hxs, hys = tuple(zip(*(r.mbr.lo for r in below_records)))
-        box = boxes[nid] = min(lxs), min(lys), max(hxs), max(hys)
+        lxs, lys, hxs, hys = zip(*(r.box for r in below_records))
         entry = node_entry(nid)
         records[entry] = EntryRecord(
             (lo, hi), len(ancestors), ancestors[-1] if ancestors else None,
-            tuple(children), Mbr(box[:2], box[2:]),
+            tuple(children), (min(lxs), min(lys), max(hxs), max(hys)),
             intersection_vector([r.int_vct for r in below_records]),
             union_vector(r.union_vct for r in below_records),
             ancestors + chain)
@@ -396,13 +376,13 @@ def build_tree(objects: Sequence[STObject], fanout: int = 4) -> IurTree:
 # -- group-level similarity bounds ------------------------------------------
 
 
-def _view(tree: IurTree, x: Entry | STObject | QueryObject) -> tuple[Mbr, TermVector, TermVector]:
-    """(mbr, intersection vector, union vector) of a tree entry or bare object,
-    a degenerate node: point MBR, both vectors equal to its term vector."""
+def _view(tree: IurTree, x: Entry | STObject | QueryObject) -> tuple[Box, TermVector, TermVector]:
+    """(box, intersection vector, union vector) of a tree entry or bare object,
+    a degenerate node: point box, both vectors equal to its term vector."""
     if type(x) is Entry:
         record = tree._records[x]
-        return record.mbr, record.int_vct, record.union_vct
-    return Mbr.from_point(x.loc), x.vct, x.vct
+        return record.box, record.int_vct, record.union_vct
+    return (*x.loc, *x.loc), x.vct, x.vct
 
 
 # the raw text similarity as a score: alpha 0 and the identity normalization
@@ -456,11 +436,11 @@ def pair_sim_bounds(tree: IurTree, a: Entry | STObject | QueryObject,
         s = sim_st(tree.objects[a.ident], tree.objects[b.ident], params, stats)  # type: ignore[index]
         return s, s
     r = tree._records[a] if type(a) is Entry else None
-    (alx, aly), (ahx, ahy), ia, ua = ((r.mbr.lo, r.mbr.hi, r.int_vct, r.union_vct) if r
-                                      else (a.loc, a.loc, a.vct, a.vct))  # type: ignore[union-attr]
+    (alx, aly, ahx, ahy), ia, ua = ((r.box, r.int_vct, r.union_vct) if r
+                                    else ((*a.loc, *a.loc), a.vct, a.vct))  # type: ignore[union-attr]
     r = tree._records[b] if type(b) is Entry else None
-    (blx, bly), (bhx, bhy), ib, ub = ((r.mbr.lo, r.mbr.hi, r.int_vct, r.union_vct) if r
-                                      else (b.loc, b.loc, b.vct, b.vct))  # type: ignore[union-attr]
+    (blx, bly, bhx, bhy), ib, ub = ((r.box, r.int_vct, r.union_vct) if r
+                                    else ((*b.loc, *b.loc), b.vct, b.vct))  # type: ignore[union-attr]
     alpha = params.alpha
     lower = upper = 1.0
     if alpha > 0.0:
@@ -509,7 +489,7 @@ class EntryArrays:
     """Every entry's bounding data as arrays, to bound owners against all
     entries at once (:meth:`bounds`).  Index i is node i for i < ``nodes``,
     then the object at preorder position i - ``nodes`` (``entries`` and
-    ``index`` translate).  Per entry: the MBR corners, the intersection and
+    ``index`` translate).  Per entry: the box corners, the intersection and
     union vectors as dense rows (the objects' are the pair tiles' own) with
     each vector's exact ``norm_sq``, the object ``count`` and the first
     preorder position ``first``.  ``bfs`` lists the entries as a FIFO
@@ -526,8 +506,9 @@ class EntryArrays:
         self.index = {e: i for i, e in enumerate(self.entries)}
         self.tiles = tiles
         # the corners' x and y coordinates, one row each
-        self.lo = np.concatenate([np.array([r.mbr.lo for r in records]), tiles.xy]).T.copy()
-        self.hi = np.concatenate([np.array([r.mbr.hi for r in records]), tiles.xy]).T.copy()
+        boxes = np.array([r.box for r in records])
+        self.lo = np.concatenate([boxes[:, :2], tiles.xy]).T.copy()
+        self.hi = np.concatenate([boxes[:, 2:], tiles.xy]).T.copy()
         self.inter = np.concatenate([tiles.dense([r.int_vct for r in records]), tiles.terms])
         self.union = np.concatenate([tiles.dense([r.union_vct for r in records]), tiles.terms])
         self.inter_sq = np.concatenate([[r.int_vct.norm_sq for r in records], tiles.norm_sq])

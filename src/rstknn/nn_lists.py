@@ -45,7 +45,7 @@ walks stay as the reference that audit runs and the tests compare with.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,13 +68,9 @@ class NotInternalNode(ValueError):
     """Self-addition only applies to index nodes, never to single objects."""
 
 
-class NNTuple(NamedTuple):
-    """One list entry; immutable, so lists inherited from one parent share it."""
-
-    entry: Entry
-    m: int
-    min_sim: float
-    max_sim: float
+# one list entry, (entry, m, lower, upper): immutable, so lists inherited
+# from one parent share it
+ListTuple = tuple[Entry, int, float, float]
 
 
 class NNLists:
@@ -90,13 +86,13 @@ class NNLists:
                  "pessimistic", "optimistic", "drop_mass", "hit_mass", "covered_slots")
 
     def __init__(self, owner: Entry, tree: IurTree, query: QueryObject,
-                 params: SimParams, stats: NormStats, tuples: dict[Entry, NNTuple] | None = None):
+                 params: SimParams, stats: NormStats, tuples: dict[Entry, ListTuple] | None = None):
         """An empty list for ``owner`` in one query run, or a copy of another
         list's ``tuples``, counted against the owner's query bounds."""
         self.owner = owner
         self.tree, self._records = tree, tree._records
         self.query, self.params, self.stats = query, params, stats
-        self._tuples: dict[Entry, NNTuple] = {} if tuples is None else tuples.copy()
+        self._tuples: dict[Entry, ListTuple] = {} if tuples is None else tuples.copy()
         self._span = self._records[owner].span
         self.pessimistic = min_sim_st(tree, owner, query, params, stats)
         self.optimistic = max_sim_st(tree, owner, query, params, stats)
@@ -108,20 +104,21 @@ class NNLists:
     def __contains__(self, entry: Entry) -> bool:
         return entry in self._tuples
 
-    def get(self, entry: Entry) -> NNTuple | None:
+    def get(self, entry: Entry) -> ListTuple | None:
         return self._tuples.get(entry)
 
-    def tuples(self) -> list[NNTuple]:
+    def tuples(self) -> list[ListTuple]:
         return list(self._tuples.values())
 
     # -- mutations ----------------------------------------------------------
 
-    def _count(self, t: NNTuple, sign: int) -> None:
-        m = sign * t.m
+    def _count(self, t: ListTuple, sign: int) -> None:
+        _, m, lower, upper = t
+        m *= sign
         self.covered_slots += m
-        if t.min_sim >= self.optimistic:
+        if lower >= self.optimistic:
             self.drop_mass += m
-        if t.max_sim >= self.pessimistic:
+        if upper >= self.pessimistic:
             self.hit_mass += m
 
     def _recount(self) -> tuple[int, int, int]:
@@ -136,9 +133,9 @@ class NNLists:
                 hit += m
         return drop, hit, covered
 
-    def _put(self, t: NNTuple) -> None:
-        self._pop(t.entry)
-        self._tuples[t.entry] = t
+    def _put(self, t: ListTuple) -> None:
+        self._pop(t[0])
+        self._tuples[t[0]] = t
         self._count(t, 1)
 
     def _pop(self, entry: Entry) -> None:
@@ -154,13 +151,13 @@ class NNLists:
     def add_self(self) -> None:
         """Insert the owner itself so its own points count as candidates.
 
-        The lower bound pairs the MBR diagonal with the worst group text
+        The lower bound pairs the box diagonal with the worst group text
         similarity; the upper bound pairs distance zero with the best.
         """
         if not self.owner.is_node:
             raise NotInternalNode(f"cannot add_self on object entry {self.owner.label}")
         lo, hi = self.bounds(self.owner)
-        self._put(NNTuple(self.owner, self.tree.count(self.owner) - 1, lo, hi))
+        self._put((self.owner, self.tree.count(self.owner) - 1, lo, hi))
 
     def update_with(self, other: Entry,
                     bounds: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -197,7 +194,7 @@ class NNLists:
         lower, upper = bounds
         (lo, hi), (olo, ohi) = record.span, self._span
         m = hi - lo - ((lo <= olo and ohi <= hi) or (olo <= lo and hi <= ohi))
-        tuples[other] = tuple.__new__(NNTuple, (other, m, lower, upper))
+        tuples[other] = (other, m, lower, upper)
         covered += m
         if lower >= optimistic:
             drop += m
@@ -237,20 +234,6 @@ class NNLists:
     def remove(self, entry: Entry) -> None:
         self._pop(entry)
 
-    # -- the slot counts ------------------------------------------------------
-
-    def counted_verdict(self) -> Verdict:
-        """The accept/prune rule on the slot totals of a list known to be
-        complete; :func:`is_hit_or_drop` adds what a hit needs otherwise.
-        A query similarity not above -inf, a k-th-neighbour similarity of a
-        point short of k neighbours, drops, and is never a hit."""
-        k = self.params.k
-        if self.drop_mass >= k or not self.optimistic > NEG_INF:
-            return Verdict.DROP
-        if self.hit_mass < k and self.pessimistic > NEG_INF:
-            return Verdict.HIT
-        return Verdict.UNDECIDED
-
     # -- bounds -------------------------------------------------------------
 
     def is_complete(self) -> bool:
@@ -278,10 +261,8 @@ class NNLists:
         when the list covers fewer than k neighbors.  Tuples with equal
         bounds may come in any order: the value is the same.
         """
-        pairs = sorted(
-            ((t.max_sim if upper else t.min_sim, t.m) for t in self._tuples.values()),
-            reverse=True,
-        )
+        side = 3 if upper else 2
+        pairs = sorted(((t[side], t[1]) for t in self._tuples.values()), reverse=True)
         cumulative = 0
         for bound, m in pairs:
             cumulative += m
@@ -324,7 +305,7 @@ class NNLists:
 
 
 def _settled(drop: Sequence[int], hit: Sequence[int], k: int) -> Verdict | None:
-    """:meth:`NNLists.counted_verdict` on masses known to lie in the closed
+    """:func:`is_hit_or_drop` on masses known to lie in the closed
     ranges ``drop`` and ``hit``, or None while the ranges leave it open."""
     if drop[0] >= k:
         return Verdict.DROP
@@ -505,7 +486,8 @@ class Row:
         return self.rows.covered == self.tree.size
 
     def counted_verdict(self) -> Verdict:
-        """:meth:`NNLists.counted_verdict` on the row, settled once."""
+        """:func:`is_hit_or_drop` on the row's masses, less the completeness
+        gate, settled once."""
         if self._verdict is None:
             self._verdict = self._decide()
         return self._verdict
@@ -513,7 +495,7 @@ class Row:
     def _decide(self) -> Verdict:
         self._current()
         k, rows, counted = self.params.k, self.rows, self.masses
-        # as NNLists.counted_verdict; the other three masses are not counted then
+        # as is_hit_or_drop; the other three masses are not counted then
         if counted[0] >= k or not self.optimistic > NEG_INF:
             return Verdict.DROP
         # (drop, hit): the slots known to count, and those that may; without
@@ -573,16 +555,19 @@ def is_hit_or_drop(lists: NNLists | Row, *, gated: bool = True) -> Verdict:
     fewer than k slots have an upper bound at or above the pessimistic one
     and the list is complete, or, with ``gated=False`` (only the legacy
     modes' :class:`NNLists`), covers at least k slots.  Otherwise undecided.
-    Completeness is checked only when a hit is possible.
+    A query similarity not above -inf, a k-th-neighbour similarity of a
+    point short of k neighbours, drops, and is never a hit.  Completeness is
+    checked only when a hit is possible.
     """
-    if not gated:  # NNLists.counted_verdict, read in place
-        k = lists.params.k
-        if lists.drop_mass >= k or not lists.optimistic > NEG_INF:
-            return Verdict.DROP
-        if lists.hit_mass < k <= lists.covered_slots and lists.pessimistic > NEG_INF:
-            return Verdict.HIT
-        return Verdict.UNDECIDED
-    verdict = lists.counted_verdict()
-    if verdict is Verdict.HIT and not lists.is_complete():
-        return Verdict.UNDECIDED
-    return verdict
+    if gated and type(lists) is Row:
+        verdict = lists.counted_verdict()
+        if verdict is Verdict.HIT and not lists.is_complete():
+            return Verdict.UNDECIDED
+        return verdict
+    k = lists.params.k
+    if lists.drop_mass >= k or not lists.optimistic > NEG_INF:
+        return Verdict.DROP
+    if (lists.hit_mass < k and lists.pessimistic > NEG_INF
+            and (lists.is_complete() if gated else k <= lists.covered_slots)):
+        return Verdict.HIT
+    return Verdict.UNDECIDED

@@ -395,6 +395,24 @@ def test_compare_rejects_a_spread_beyond_float_range(tmp_path):
     assert "big.jsonl" in err and "beyond float range" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_compare_rejects_a_text_range_below_the_normal_float_range(tmp_path):
+    # psi_t is 5e-321: a normalized text score, up to 1 / 5e-321, overflows,
+    # and with the query at x = 1e308 its similarity would be -inf + inf
+    dataset = tmp_path / "subnormal.jsonl"
+    dataset.write_text(
+        '{"id":"a","x":0,"y":0,"terms":{"p":1,"q":1e-160}}\n'
+        '{"id":"b","x":1,"y":0,"terms":{"q":1e-160,"r":1}}\n'
+        '{"id":"c","x":2,"y":0,"terms":{"s":1}}\n')
+    for command, qx in (("compare", "0"), ("compare", "1e308"), ("query", "0")):
+        code, out, err = run_cli([command, str(dataset), "--qx", qx, "--qy", "0",
+                                  "--qterms", "p=1", "--k", "1", "--alpha", "0.5"])
+        assert code == EXIT_PARSE and not out
+        assert "subnormal.jsonl:0: the text similarity range 5e-321" in err
+    with pytest.raises(ValueError, match="below the normal float range"):  # the library's own
+        build_tree(read_dataset(dataset)).norm_stats()
+
+
 def test_query_trace_output(tmp_path):
     dataset = _write_collinear(tmp_path)
     trace_path = tmp_path / "trace.jsonl"

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ def test_compute_norm_stats_matches_bruteforce_pair_table(rng):
 def test_norm_stats_validation():
     with pytest.raises(ValueError):
         NormStats(2.0, 1.0, 0.0, 0.0)
+
+
+def test_norm_stats_reject_a_positive_text_range_below_the_normal_float_range():
+    tiny = sys.float_info.min
+    for phi_t, psi_t in ((0.0, 5e-321), (1e-300, 1e-300 + 1e-310)):
+        with pytest.raises(ValueError, match="below the normal float range"):
+            NormStats(0.0, 1.0, phi_t, psi_t)
+    for phi_t, psi_t in ((0.0, 0.0), (0.0, tiny), (0.5, 0.5), (0.1, 0.9)):
+        assert NormStats(0.0, 1.0, phi_t, psi_t).psi_t == psi_t
 
 
 def test_sim_params_validation():

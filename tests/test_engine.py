@@ -23,8 +23,8 @@ from rstknn.engine import (
     trace_to_jsonl,
 )
 from rstknn.iur_tree import build_tree, node_entry, object_entry, tree_from_layout
-from rstknn import iur_tree, nn_lists
-from rstknn.nn_lists import Row, Rows, Verdict
+from rstknn import engine, iur_tree, nn_lists
+from rstknn.nn_lists import Row, Rows, Verdict, is_hit_or_drop
 from rstknn.oracle import kth_nn_sim, rknn_bruteforce
 
 
@@ -177,7 +177,7 @@ def test_final_verification_empty_col_is_noop():
     fx = two_cluster_fixture()
     tree = fx.build_tree()
     state = EngineState(u=__import__("collections").deque(), col=[], rol=["P0"],
-                        pel=[], lists={}, trace=[])
+                        pel=[], trace=[])
     final_verification(state, Rows(tree, fx.query, fx.params, tree.norm_stats()))
     assert state.rol == ["P0"] and not state.trace
 
@@ -227,11 +227,14 @@ def test_fifo_order_indifference():
         assert forward == backward
 
 
-def test_correct_mode_frees_every_list():
-    # routed and expanded nodes free their NN-lists in the main loop, a leaf
-    # frees its list once its objects' rows have read it, and objects never
-    # get one, not even the candidates that final_verification settles: no
-    # list outlives the run
+def test_correct_mode_frees_every_list(monkeypatch):
+    # every owner, node or object, decides on its row, and an unaudited run
+    # makes no NN-list at all, not even for the candidates that
+    # final_verification settles: no list outlives the run
+    made = []
+    init = nn_lists.NNLists.__init__
+    monkeypatch.setattr(nn_lists.NNLists, "__init__",
+                        lambda lists, owner, *args: made.append(owner) or init(lists, owner, *args))
     candidates = 0
     for seed in range(30):
         rng = random.Random(500 + seed)
@@ -240,15 +243,20 @@ def test_correct_mode_frees_every_list():
         params = SimParams(alpha=rng.choice([0.0, 0.4, 1.0]), k=rng.randint(1, 4))
         tree = build_tree(objs, rng.choice([2, 3, 4]))
         state = _run_correct(tree, q, params, tree.norm_stats(), None)
-        assert state.lists == {}
+        assert made == [] and not hasattr(state, "lists")
         candidates += sum(ev.action.startswith("Verify") for ev in state.trace)
     assert candidates > 0
 
 
 @pytest.mark.parametrize("locality", [False, True], ids=["faulty2011", "faulty2014"])
-def test_legacy_modes_keep_only_candidate_lists(locality):
-    # the legacy modes free lists as the correct mode does: only the
-    # candidates left for the final verification keep theirs
+def test_legacy_modes_keep_only_candidate_lists(monkeypatch, locality):
+    # a legacy run frees the list of every routed or expanded entry: only
+    # the candidates left for the final verification keep theirs
+    kept = []
+    verify = engine._faulty_final_verification
+    monkeypatch.setattr(engine, "_faulty_final_verification",
+                        lambda state, tree, hits, live: kept.append(set(live))
+                        or verify(state, tree, hits, live))
     candidates = 0
     for seed in range(60):
         rng = random.Random(500 + seed)
@@ -259,7 +267,7 @@ def test_legacy_modes_keep_only_candidate_lists(locality):
         state = _run_faulty(tree, q, params, tree.norm_stats(), locality=locality)
         verified = {ev.action.removeprefix("Verify ") for ev in state.trace
                     if ev.action.startswith("Verify")}
-        assert {e.label for e in state.lists} == verified
+        assert {e.label for e in kept.pop()} == verified
         candidates += len(verified)
     assert candidates > 0
 
@@ -267,7 +275,7 @@ def test_legacy_modes_keep_only_candidate_lists(locality):
 def _assert_tiles(lists):
     """The tuples' preorder spans tile [0, n) exactly once, but for an object
     owner's own position, which no tuple holds."""
-    spans = [lists.tree.record(t.entry).span for t in lists.tuples()]
+    spans = [lists.tree.record(t[0]).span for t in lists.tuples()]
     if lists.owner.is_object:
         assert lists.owner not in lists
         spans.append(lists.tree.record(lists.owner).span)
@@ -348,7 +356,7 @@ def test_a_query_similarity_of_minus_infinity_is_never_a_hit():
             for entry in (node_entry(1), object_entry("a")):
                 lists = nn_lists.NNLists(entry, tree, query, params, stats)
                 assert lists.optimistic == lists.pessimistic == -math.inf
-                assert lists.counted_verdict() is Verdict.DROP
+                assert is_hit_or_drop(lists) is is_hit_or_drop(lists, gated=False) is Verdict.DROP
                 assert lists.walked_verdict(gated=False) is Verdict.DROP
     # a node whose pessimistic query similarity alone is -inf is no hit: its
     # far object may have a k-th neighbour similarity of -inf
@@ -356,7 +364,8 @@ def test_a_query_similarity_of_minus_infinity_is_never_a_hit():
     tree = tree_from_layout(objs, [["a", "d"], ["b", "c"]])
     lists = nn_lists.NNLists(node_entry(1), tree, query, SimParams(0.5, 4), tree.norm_stats())
     assert lists.pessimistic == -math.inf < lists.optimistic
-    assert lists.counted_verdict() is lists.walked_verdict(gated=False) is Verdict.UNDECIDED
+    assert (is_hit_or_drop(lists) is is_hit_or_drop(lists, gated=False)
+            is lists.walked_verdict(gated=False) is Verdict.UNDECIDED)
 
 
 def test_audited_extreme_magnitude_sweep_matches_bruteforce():

@@ -25,7 +25,6 @@ from rstknn.core import (
 from rstknn.datasets import random_dataset
 from rstknn.iur_tree import (
     EmptyDataset,
-    Mbr,
     build_tree,
     max_dist,
     max_sim_st,
@@ -45,47 +44,44 @@ coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinit
 
 
 @st.composite
-def mbrs(draw):
+def boxes(draw):
+    """A box as its corners (lo x, lo y, hi x, hi y)."""
     x1, x2 = sorted((draw(coords), draw(coords)))
     y1, y2 = sorted((draw(coords), draw(coords)))
-    return Mbr((x1, y1), (x2, y2))
+    return x1, y1, x2, y2
 
 
-def _corner_pair_extremes(a: Mbr, b: Mbr):
+def _corner_pair_extremes(a, b):
     """Brute-force oracle: max distance over the 16 corner pairs."""
-    ca = [(a.lo[0], a.lo[1]), (a.lo[0], a.hi[1]), (a.hi[0], a.lo[1]), (a.hi[0], a.hi[1])]
-    cb = [(b.lo[0], b.lo[1]), (b.lo[0], b.hi[1]), (b.hi[0], b.lo[1]), (b.hi[0], b.hi[1])]
+    ca = [(x, y) for x in (a[0], a[2]) for y in (a[1], a[3])]
+    cb = [(x, y) for x in (b[0], b[2]) for y in (b[1], b[3])]
     return max(math.dist(p, q) for p in ca for q in cb)
 
 
 def test_mbr_dist_examples():
-    unit = Mbr((0, 0), (1, 1))
+    unit = (0.0, 0.0, 1.0, 1.0)
     assert min_dist(unit, unit) == 0.0
     assert max_dist(unit, unit) == pytest.approx(math.sqrt(2))
-    other = Mbr((0.5, 0.5), (2, 2))  # overlapping
+    other = (0.5, 0.5, 2.0, 2.0)  # overlapping
     assert min_dist(unit, other) == 0.0
-    far = Mbr((2, 0), (3, 1))
+    far = (2.0, 0.0, 3.0, 1.0)
     assert min_dist(unit, far) == 1.0
     assert max_dist(unit, far) == pytest.approx(math.sqrt(10))
     assert max_dist(unit, far) == pytest.approx(_corner_pair_extremes(unit, far))
 
 
-@given(mbrs(), mbrs())
+@given(boxes(), boxes())
 @settings(max_examples=200)
 def test_mbr_dist_bounds_sampled_points(a, b):
     assert 0.0 <= min_dist(a, b) <= max_dist(a, b) + 1e-12
     assert max_dist(a, b) == pytest.approx(_corner_pair_extremes(a, b), abs=1e-9)
     # interior sample points must fall between the bounds
+    (alx, aly, ahx, ahy), (blx, bly, bhx, bhy) = a, b
     for fx, fy, gx, gy in [(0, 0, 1, 1), (0.5, 0.5, 0.5, 0.5), (1, 0, 0, 1)]:
-        p = (a.lo[0] + fx * (a.hi[0] - a.lo[0]), a.lo[1] + fy * (a.hi[1] - a.lo[1]))
-        q = (b.lo[0] + gx * (b.hi[0] - b.lo[0]), b.lo[1] + gy * (b.hi[1] - b.lo[1]))
+        p = (alx + fx * (ahx - alx), aly + fy * (ahy - aly))
+        q = (blx + gx * (bhx - blx), bly + gy * (bhy - bly))
         d = math.dist(p, q)
         assert min_dist(a, b) - 1e-9 <= d <= max_dist(a, b) + 1e-9
-
-
-def test_mbr_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        Mbr((1, 0), (0, 1))
 
 
 def _descendants(tree, entry):
@@ -124,7 +120,7 @@ def _check_tree_invariants(tree, fanout=None):
         node = tree.record(e)
         count, lo, hi, inter, union = _scan_subtree(tree, e)
         assert tree.count(e) == count
-        assert node.mbr.lo == lo and node.mbr.hi == hi
+        assert node.box == (*lo, *hi)
         assert node.int_vct.as_dict() == inter
         assert node.union_vct.as_dict() == union
         if fanout is not None:
@@ -141,7 +137,7 @@ def test_build_singleton():
     tree = build_tree([o])
     root = tree.record(tree.root_entry())
     assert root.children == (object_entry("only"),)
-    assert root.mbr == Mbr((3.0, 4.0), (3.0, 4.0))
+    assert root.box == (3.0, 4.0, 3.0, 4.0)
     assert root.int_vct == o.vct == root.union_vct
     assert tree.norm_stats().phi_s == 0.0  # degenerate single-object stats
 
@@ -213,8 +209,7 @@ def test_dropped_tree_is_freed_by_reference_counting(make):
     gc.disable()
     try:
         tree = make(objs)
-        *_, leaf = tree.iter_node_entries()
-        refs = [weakref.ref(x) for x in (tree, tree.mbr(tree.root_entry()), tree.mbr(leaf))]
+        refs = [weakref.ref(x) for x in (tree, tree.tiles(), tree.entry_arrays())]
         del tree
         assert all(ref() is None for ref in refs)
     finally:
@@ -279,7 +274,8 @@ def test_entry_records_match_the_nodes(equal_span_trees):
             count, lo, hi, inter, union = _scan_subtree(tree, e)
             assert tree.count(e) == count
             assert tree.subtree_objects(e) == _objects_under(tree, e)
-            assert _view(tree, e) == (Mbr(lo, hi), TermVector(inter), TermVector(union))
+            assert _view(tree, e) == ((*lo, *hi), TermVector(inter), TermVector(union))
+            assert tree.record(e).box == (*lo, *hi)
             if e.is_node:
                 assert children and (all(c.is_node for c in children)
                                      or all(c.is_object for c in children))
@@ -290,8 +286,9 @@ def test_entry_records_match_the_nodes(equal_span_trees):
                 obj = tree.object(e.ident)
                 assert children == ()
                 assert tree.subtree_objects(e) == [e.ident]
-                assert tree.mbr(e) == Mbr.from_point(obj.loc)
-                assert _view(tree, e) == (Mbr.from_point(obj.loc), obj.vct, obj.vct)
+                x, y = obj.loc
+                assert tree.record(e).box == (x, y, x, y)
+                assert _view(tree, e) == ((x, y, x, y), obj.vct, obj.vct)
             for c in children:
                 assert tree.parent(c) == e and tree.depth(c) == tree.depth(e) + 1
                 stack.append((c, ancestors + (e,)))

@@ -17,7 +17,7 @@ from rstknn.iur_tree import (
     pair_sim_bounds,
     tree_from_layout,
 )
-from rstknn.nn_lists import NEG_INF, NNLists, NNTuple, NotInternalNode, Verdict, is_hit_or_drop
+from rstknn.nn_lists import NEG_INF, NNLists, NotInternalNode, Verdict, is_hit_or_drop
 
 PARAMS = SimParams(alpha=1.0, k=2)
 ORIGIN = QueryObject((0.0, 0.0), TermVector())
@@ -32,9 +32,9 @@ def _lists(tree, owner, query=ORIGIN, params=PARAMS, stats=None):
 def _assert_totals(lists):
     """The kept slot totals equal a recount against the list's query bounds."""
     ts = lists.tuples()
-    assert lists.covered_slots == sum(t.m for t in ts)
-    assert lists.drop_mass == sum(t.m for t in ts if t.min_sim >= lists.optimistic)
-    assert lists.hit_mass == sum(t.m for t in ts if t.max_sim >= lists.pessimistic)
+    assert lists.covered_slots == sum(m for _, m, _, _ in ts)
+    assert lists.drop_mass == sum(m for _, m, lower, _ in ts if lower >= lists.optimistic)
+    assert lists.hit_mass == sum(m for _, m, _, upper in ts if upper >= lists.pessimistic)
 
 
 def _m_for(lists, entry):
@@ -50,13 +50,13 @@ def _check_invariants(lists):
     tree, owner = lists.tree, lists.owner
     _assert_totals(lists)
     assert lists.covered_slots <= tree.size - 1, "over-coverage: sum(m) exceeds N - 1"
-    entries = [t.entry for t in lists.tuples()]
-    for t in lists.tuples():
-        assert t.m == _m_for(lists, t.entry) and 0 <= t.m
-        assert not (tree.depth(t.entry) > tree.depth(owner)
-                    and tree.is_ancestor_or_equal(owner, t.entry)), (
-            f"{t.entry.label} is a proper descendant of the owner {owner.label}")
-        assert t.min_sim <= t.max_sim + 1e-12
+    entries = [entry for entry, _, _, _ in lists.tuples()]
+    for entry, m, lower, upper in lists.tuples():
+        assert m == _m_for(lists, entry) and 0 <= m
+        assert not (tree.depth(entry) > tree.depth(owner)
+                    and tree.is_ancestor_or_equal(owner, entry)), (
+            f"{entry.label} is a proper descendant of the owner {owner.label}")
+        assert lower <= upper + 1e-12
     for i, a in enumerate(entries):
         for b in entries[i + 1:]:
             assert not tree.overlaps(a, b), f"overlapping tuples {a.label} / {b.label}"
@@ -74,11 +74,11 @@ def test_add_self_sets_count_and_bounds():
     n3 = node_entry(3)
     lists = _lists(tree, n3)
     lists.add_self()
-    t = lists.get(n3)
-    assert t is not None and t.m == 1  # |N3| - 1
-    assert t.min_sim == min_sim_st(tree, n3, n3, PARAMS, stats)
-    assert t.max_sim == max_sim_st(tree, n3, n3, PARAMS, stats)
-    assert t.min_sim <= t.max_sim
+    entry, m, lower, upper = lists.get(n3)
+    assert entry == n3 and m == 1  # |N3| - 1
+    assert lower == min_sim_st(tree, n3, n3, PARAMS, stats)
+    assert upper == max_sim_st(tree, n3, n3, PARAMS, stats)
+    assert lower <= upper
     # idempotent upsert
     lists.add_self()
     assert len(lists) == 1
@@ -89,7 +89,7 @@ def test_add_self_zero_slot_singleton_node():
     tree = build_tree([o])
     lists = _lists(tree, tree.root_entry())
     lists.add_self()
-    assert lists.get(tree.root_entry()).m == 0
+    assert lists.get(tree.root_entry())[1] == 0
 
 
 def test_add_self_rejects_object_owner():
@@ -122,8 +122,7 @@ def test_update_upsert_keeps_m():
     before = lists.get(n4)
     lists.update_with(n4)
     after = lists.get(n4)
-    assert after.m == before.m == 2
-    assert after.min_sim == before.min_sim and after.max_sim == before.max_sim
+    assert after == before and after[1] == 2
 
 
 def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
@@ -139,7 +138,7 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
             owner = rng.choice(entries)
             lists = _lists(tree, owner, params=params, stats=stats)
             for _ in range(25):
-                held = {t.entry for t in lists.tuples()}
+                held = {t[0] for t in lists.tuples()}
                 options = [
                     b for b in entries
                     if b != owner and not (tree.depth(b) > tree.depth(owner)
@@ -155,7 +154,7 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
                 removed = {e for e in held if e != b and tree.is_ancestor_or_equal(e, b)}
                 equal_span_removals += sum(tree.is_ancestor_or_equal(b, e) for e in removed)
                 lists.update_with(b)
-                assert {t.entry for t in lists.tuples()} == (held - removed) | {b}
+                assert {t[0] for t in lists.tuples()} == (held - removed) | {b}
                 _check_invariants(lists)
     assert equal_span_removals > 0
 
@@ -168,14 +167,13 @@ def test_update_with_stores_and_returns_shared_bounds():
     reverse = _lists(tree, n4)
     assert reverse.bounds(p0) == forward
     assert reverse.update_with(p0, forward) == forward
-    t = reverse.get(p0)
-    assert (t.min_sim, t.max_sim, t.m) == (*forward, 1)
+    assert reverse.get(p0) == (p0, 1, *forward)
 
 
 def _manual_lists(tree, owner, rows, query=ORIGIN, params=PARAMS):
     lists = _lists(tree, owner, query, params)
-    for entry, m, lo, hi in rows:
-        lists._put(NNTuple(entry, m, lo, hi))
+    for row in rows:
+        lists._put(row)
     return lists
 
 
@@ -193,7 +191,6 @@ def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
             _assert_totals(lists)
             assert lists.is_complete()
             verdict = lists.walked_verdict()
-            assert lists.counted_verdict() is verdict
             assert is_hit_or_drop(lists) is verdict
             agreements[verdict] += 1
 
@@ -231,7 +228,7 @@ def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
                         lists.update_with(c)
                 check(family)
             if len(family[0]) > 1:  # a plain pop keeps the counts too
-                entry = family[0].tuples()[-1].entry
+                entry = family[0].tuples()[-1][0]
                 for lists in family:
                     lists.remove(entry)
                     _assert_totals(lists)
@@ -301,7 +298,7 @@ def test_update_overlap_rule_point_inside_node():
     lists = _lists(tree, object_entry("P2"))
     n2 = node_entry(2)  # contains P2
     lists.update_with(n2)
-    assert lists.get(n2).m == 3  # |N2| - 1
+    assert lists.get(n2)[1] == 3  # |N2| - 1
 
 
 def test_inherit_copies_and_recomputes_m():
@@ -313,10 +310,9 @@ def test_inherit_copies_and_recomputes_m():
     child = NNLists.inherited(n3, parent)
     assert child.owner == n3
     # the parent's self tuple is an ancestor of the child: slot count stays |N2|-1
-    assert child.get(n2).m == 3
+    assert child.get(n2)[1] == 3
     # non-overlapping entries inherit bounds verbatim with full slot count
-    assert child.get(node_entry(1)).m == 2
-    assert child.get(node_entry(1)).min_sim == parent.get(node_entry(1)).min_sim
+    assert child.get(node_entry(1)) == (node_entry(1), 2, *parent.get(node_entry(1))[2:])
     # mutating the child leaves the parent untouched
     child.remove(node_entry(1))
     assert node_entry(1) in parent
@@ -342,10 +338,11 @@ def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_
                                                          max_sim_st(tree, child, *run))
         _assert_totals(lists)
         for t in lists.tuples():
-            assert t is parent_lists.get(t.entry)
-            assert t.m == _m_for(lists, t.entry), (child.label, t.entry.label)
-            assert not (tree.depth(t.entry) > tree.depth(child)
-                        and tree.is_ancestor_or_equal(child, t.entry))
+            entry, m, _, _ = t
+            assert t is parent_lists.get(entry)
+            assert m == _m_for(lists, entry), (child.label, entry.label)
+            assert not (tree.depth(entry) > tree.depth(child)
+                        and tree.is_ancestor_or_equal(child, entry))
             shared += 1
         return lists
 
@@ -528,7 +525,7 @@ def _complete_by_sets(lists):
     and the set difference of all objects and the held ones is empty, or
     only an object owner itself."""
     tree = lists.tree
-    held = [oid for t in lists.tuples() for oid in tree.subtree_objects(t.entry)]
+    held = [oid for t in lists.tuples() for oid in tree.subtree_objects(t[0])]
     if len(held) != len(set(held)):
         return False
     missing = set(tree.objects).difference(held)
@@ -564,7 +561,7 @@ def test_is_complete_is_the_set_difference_definition(data):
             elif step == "add_self":
                 lists.add_self()
             elif step == "expand":
-                held = [t.entry for t in lists.tuples() if t.entry.is_node]
+                held = [t[0] for t in lists.tuples() if t[0].is_node]
                 if held:
                     for child in tree.children(data.draw(st.sampled_from(held))):
                         lists.update_with(child)
