@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import QueryObject, STObject, TermVector, check_spread, check_union
 
@@ -78,22 +78,31 @@ def write_dataset(path: str | Path, objects: Sequence[STObject]) -> None:
     Path(path).write_text(serialize_dataset(objects), encoding="utf-8")
 
 
+def _values(path: str | Path, what: str, lines: bool) -> Iterator[tuple[int, object]]:
+    """(line number, JSON value) of each non-blank line of a UTF-8 file, each
+    decoded alone, or of its whole text at line 1.  Reading turns CR LF and
+    CR into LF, the one place where a record ends: ``str.splitlines`` also
+    splits at U+0085, U+2028 and U+2029, which JSON strings may hold raw."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(path, 0, f"cannot read {what}: {exc}") from exc
+    try:
+        for line_no, line in enumerate(text.split("\n") if lines else [text], start=1):
+            if line and not line.isspace() or not lines:
+                yield line_no, _decode(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder recurses
+        raise ParseError(path, line_no, "invalid JSON: nested too deeply") from exc
+
+
 def read_dataset(path: str | Path) -> list[STObject]:
     """The objects of a JSON-lines dataset file, one per non-blank line,
     each decoded alone; the whole dataset's checks are reported at line 0."""
     objects: list[STObject] = []
     seen: set[str] = set()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read dataset: {exc}") from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            raw = _decode(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+    for line_no, raw in _values(path, "dataset", lines=True):
         if not isinstance(raw, dict):
             raise ParseError(path, line_no, "each line must be a JSON object")
         oid = raw.get("id")
@@ -119,14 +128,7 @@ def read_dataset(path: str | Path) -> list[STObject]:
 
 
 def read_query(path: str | Path) -> QueryObject:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read query: {exc}") from exc
-    try:
-        raw = _decode(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, 1, f"invalid JSON: {exc.msg}") from exc
+    [(_, raw)] = _values(path, "query", lines=False)
     if not isinstance(raw, dict):
         raise ParseError(path, 1, "query file must hold a JSON object")
     loc = (_number(raw.get("x"), "x", path, 1), _number(raw.get("y"), "y", path, 1))

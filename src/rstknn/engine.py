@@ -1,8 +1,8 @@
 """Branch-and-bound reverse spatio-textual k-NN traversal.
 
 Three query modes share the bound machinery and one accept/prune test,
-:func:`is_hit_or_drop`, which reads an NN-list's running slot totals, but
-differ in control flow:
+:func:`is_hit_or_drop`, which reads a list's slot totals and whose test
+the list's kind selects, but differ in control flow:
 
 * ``CORRECT`` — FIFO queue over a frontier of tree entries (queued,
   candidate and routed) that partitions the dataset, which the run's
@@ -21,11 +21,12 @@ differ in control flow:
   but still accepts on upper bounds computed from incomplete lists.
   Intentionally unsound as well.
 
-Both legacy modes take the test ungated: a hit needs only k covered slots,
-not a complete list.  An entry's NN-list is freed once the entry is decided
-or expanded; the queued entries and candidates keep theirs, and the run
-finds them, and the queue priority (the list's optimistic similarity),
-there.  The queue is sorted only after it changes.
+Both legacy modes keep :class:`~rstknn.nn_lists.NNLists`, on which the test
+lacks the completeness gate: a hit needs only k covered slots, not a
+complete list.  An entry's NN-list is freed once the entry is decided or
+expanded; the queued entries and candidates keep theirs, and the run finds
+them, and the queue priority (the list's optimistic similarity), there.
+The queue is sorted only after it changes.
 
 Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
@@ -256,7 +257,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
             lists = NNLists.inherited(child, parent_lists)
             if locality:
                 lists.remove(parent)
-            verdict = is_hit_or_drop(lists, gated=False)
+            verdict = is_hit_or_drop(lists)
             if verdict is Verdict.UNDECIDED:
                 if locality and child.is_node:
                     lists.add_self()
@@ -271,13 +272,13 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                     candidates.sort(key=lambda e: (-pairs[e][1], e))
                 for other in candidates:  # never the child, which is new to the run
                     bounds = lists.update_with(other, pairs.get(other))
-                    verdict = is_hit_or_drop(lists, gated=False)
+                    verdict = is_hit_or_drop(lists)
                     if verdict is not Verdict.UNDECIDED:
                         break
                     other_lists = live.get(other)  # queued or a candidate
                     if other_lists is not None:
                         other_lists.update_with(child, bounds)
-                        other_verdict = is_hit_or_drop(other_lists, gated=False)
+                        other_verdict = is_hit_or_drop(other_lists)
                         if other_verdict is not Verdict.UNDECIDED:
                             if other.is_node:
                                 del queue[other]
@@ -328,7 +329,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Ent
         for candidate in state.col[state.col_lo:]:
             lists = live[candidate]
             lists.update_with(entry)
-            verdict = is_hit_or_drop(lists, gated=False)
+            verdict = is_hit_or_drop(lists)
             if verdict is not Verdict.UNDECIDED:
                 state.col, state.col_lo = [c for c in state.col[state.col_lo:]
                                            if c != candidate], 0
@@ -342,7 +343,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Ent
         hits += map(object_entry, state.rol[len(hits):])
         for other in hits + state.col[state.col_lo + 1:]:
             lists.update_with(other)
-        verdict = is_hit_or_drop(lists, gated=False)
+        verdict = is_hit_or_drop(lists)
         if verdict is Verdict.UNDECIDED:
             # fewer than k neighbors reachable: unconditional member
             verdict = Verdict.HIT

@@ -29,23 +29,24 @@ the masses are counted as ranges, and the elements within the margin are
 settled in scalar code, only until the ranges decide.
 :meth:`Row.reference` builds the list itself, which audit runs walk.
 
-The accept/prune test (:func:`is_hit_or_drop`) sorts nothing.  A list keeps
-three slot totals: the drop mass (m summed over tuples whose lower bound
-reaches the optimistic owner-query similarity), the hit mass (upper bounds
-against the pessimistic one) and the covered slots.  A walk's k-th slot
-reaches a threshold exactly when at least k slots reach it, so drop mass >=
-k is the lower walk's prune and hit mass < k the upper walk's accept.  A
-query similarity of -inf is below every k-th-neighbour similarity, -inf
-included, so it prunes and never accepts.  An accept also needs a complete
-list (the held spans tile [0, N)), the condition the legacy algorithms
-failed to maintain; their ungated test needs only k covered slots.  The
+The accept/prune test (:func:`is_hit_or_drop`) sorts nothing, and the
+list's kind selects it.  A list keeps three slot totals: the drop mass (m
+summed over tuples whose lower bound reaches the optimistic owner-query
+similarity), the hit mass (upper bounds against the pessimistic one) and
+the covered slots.  A walk's k-th slot reaches a threshold exactly when at
+least k slots reach it, so drop mass >= k is the lower walk's prune and hit
+mass < k the upper walk's accept.  A query similarity of -inf is below every
+k-th-neighbour similarity, -inf included, so it prunes and never accepts.
+An accept on a :class:`Row` also needs a complete list (the frontier covers
+all N objects), the condition the legacy algorithms failed to maintain; on
+an :class:`NNLists`, a legacy list, it needs only k covered slots.  The
 walks stay as the reference that audit runs and the tests compare with.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -215,16 +216,6 @@ class NNLists:
         p = parent_lists
         return cls(child, p.tree, p.query, p.params, p.stats, p._tuples)
 
-    @classmethod
-    def direct(cls, owner: Entry, entries: Iterable[Entry], tree: IurTree, query: QueryObject,
-               params: SimParams, stats: NormStats) -> "NNLists":
-        """A list of direct bounds between the owner and each of ``entries``,
-        which must not overlap one another."""
-        lists = cls(owner, tree, query, params, stats)
-        for e in entries:
-            lists.update_with(e)
-        return lists
-
     def strip_self_and_parent(self) -> None:
         """Drop the owner's own tuple and its parent's, if present."""
         for e in (self.owner, self.tree.parent(self.owner)):
@@ -293,7 +284,8 @@ class NNLists:
 
     def walked_verdict(self, *, gated: bool = True) -> Verdict:
         """:func:`is_hit_or_drop` by the sorted walks, the reference that audit
-        runs and the tests compare it with."""
+        runs and the tests compare it with: gated, a :class:`Row`'s test on
+        its reference list; ungated, the legacy test of this list."""
         k = self.params.k
         lower = self.knn_lower(k)
         if not self.optimistic > (NEG_INF if lower is None else lower):
@@ -465,7 +457,7 @@ class Row:
     """
 
     __slots__ = ("owner", "rows", "frontier", "version", "tree", "params", "lower", "upper",
-                 "optimistic", "pessimistic", "masses", "_verdict")
+                 "optimistic", "pessimistic", "masses")
 
     def __init__(self, rows: Rows, owner: Entry, tile: _Tile, r: int, masses: list[float]):
         self.owner, self.rows, self.frontier = owner, rows, rows.frontier
@@ -473,7 +465,6 @@ class Row:
         self.lower, self.upper = tile.lower[r], tile.upper[r]
         self.optimistic, self.pessimistic = tile.optimistic[r], tile.pessimistic[r]
         self.masses = masses
-        self._verdict: Verdict | None = None
 
     def _current(self) -> None:
         """The row is read on the frontier version it was made on."""
@@ -487,12 +478,7 @@ class Row:
 
     def counted_verdict(self) -> Verdict:
         """:func:`is_hit_or_drop` on the row's masses, less the completeness
-        gate, settled once."""
-        if self._verdict is None:
-            self._verdict = self._decide()
-        return self._verdict
-
-    def _decide(self) -> Verdict:
+        gate."""
         self._current()
         k, rows, counted = self.params.k, self.rows, self.masses
         # as is_hit_or_drop; the other three masses are not counted then
@@ -539,27 +525,29 @@ class Row:
         """The list itself, of direct scalar bounds, which audit runs walk."""
         self._current()
         rows, entries = self.rows, self.rows.arrays.entries
-        others = [entries[j] for j in np.flatnonzero(self.frontier).tolist()
-                  if entries[j] != self.owner]
-        lists = NNLists.direct(self.owner, others, self.tree, rows.query, rows.params, rows.stats)
+        lists = NNLists(self.owner, self.tree, rows.query, rows.params, rows.stats)
+        for j in np.flatnonzero(self.frontier).tolist():
+            if entries[j] != self.owner:  # the frontier's entries do not overlap
+                lists.update_with(entries[j])
         if self.owner.is_node:
             lists.add_self()
         return lists
 
 
-def is_hit_or_drop(lists: NNLists | Row, *, gated: bool = True) -> Verdict:
+def is_hit_or_drop(lists: NNLists | Row) -> Verdict:
     """Sufficient accept/prune test for the list's owner against its query.
 
     Drop when at least k slots have a lower bound at or above the optimistic
     owner-query similarity (ties drop: database points win them).  Hit when
     fewer than k slots have an upper bound at or above the pessimistic one
-    and the list is complete, or, with ``gated=False`` (only the legacy
-    modes' :class:`NNLists`), covers at least k slots.  Otherwise undecided.
-    A query similarity not above -inf, a k-th-neighbour similarity of a
-    point short of k neighbours, drops, and is never a hit.  Completeness is
+    and, for the correct mode's :class:`Row`, the list is complete, or, for
+    the legacy modes' :class:`NNLists`, it covers at least k slots (the
+    legacy test, which lacks the gate).  Otherwise undecided.  A query
+    similarity not above -inf, a k-th-neighbour similarity of a point short
+    of k neighbours, drops, and is never a hit.  A row's completeness is
     checked only when a hit is possible.
     """
-    if gated and type(lists) is Row:
+    if type(lists) is Row:
         verdict = lists.counted_verdict()
         if verdict is Verdict.HIT and not lists.is_complete():
             return Verdict.UNDECIDED
@@ -567,7 +555,6 @@ def is_hit_or_drop(lists: NNLists | Row, *, gated: bool = True) -> Verdict:
     k = lists.params.k
     if lists.drop_mass >= k or not lists.optimistic > NEG_INF:
         return Verdict.DROP
-    if (lists.hit_mass < k and lists.pessimistic > NEG_INF
-            and (lists.is_complete() if gated else k <= lists.covered_slots)):
+    if lists.hit_mass < k and lists.pessimistic > NEG_INF and k <= lists.covered_slots:
         return Verdict.HIT
     return Verdict.UNDECIDED

@@ -350,6 +350,45 @@ def test_query_parse_error_exit_code(tmp_path):
     assert "bad.jsonl:1" in err
 
 
+_DATASET = ('{"id": "a%s", "x": 0, "y": 0, "terms": {"t": 1}}\n'
+            '{"id": "c", "x": 2, "y": 1, "terms": {"t": 2}}\n')
+_QUERY = '{"x": 1, "y": 0, "note": "%s", "terms": {"t": 1}}'
+_DEEP = '", "deep": ' + "[" * 100_000 + "]" * 100_000 + ', "_": "'
+
+
+def _run_on(tmp_path, command, where, text, encoding):
+    """``command`` on a dataset and a query file, ``text`` put into a JSON
+    string of the one ``where`` names, and that file written in ``encoding``."""
+    dataset, query = tmp_path / "data.jsonl", tmp_path / "q.json"
+    dataset.write_bytes((_DATASET % (text if where == "dataset" else "")).encode(encoding))
+    query.write_bytes((_QUERY % (text if where == "query" else "")).encode(encoding))
+    return run_cli([command, str(dataset), "--query-file", str(query), "--k", "1",
+                    "--alpha", "0.5"])
+
+
+@pytest.mark.parametrize("command", ["query", "compare"])
+@pytest.mark.parametrize("where", ["dataset", "query"])
+@pytest.mark.parametrize("text,encoding,line,message", [
+    # not UTF-8: the file cannot be read
+    pytest.param("\xe9", "latin-1", 0, "cannot read {where}: 'utf-8' codec can't decode",
+                 id="latin-1"),
+    # nested beyond the decoder's recursion
+    pytest.param(_DEEP, "utf-8", 1, "invalid JSON: nested too deeply", id="deep"),
+    # a raw U+0085 (JSON strings may hold it) ends no record: answered
+    pytest.param("\x85", "utf-8", None, None, id="raw-U+0085"),
+])
+def test_input_that_once_crashed_or_split_is_a_parse_error_or_answered(
+        tmp_path, command, where, text, encoding, line, message):
+    code, out, err = _run_on(tmp_path, command, where, text, encoding)
+    if line is None:
+        assert code == EXIT_OK and out
+        assert (code, out, err) == _run_on(tmp_path, command, where, "\\u0085", "ascii")
+    else:  # never a traceback, and never compare's exit 1
+        assert code == EXIT_PARSE and not out
+        name = "data.jsonl" if where == "dataset" else "q.json"
+        assert f"{name}:{line}: {message.format(where=where)}" in err
+
+
 @pytest.mark.filterwarnings("error")
 def test_compare_far_query_at_alpha_zero(tmp_path):
     # the query distance overflows to inf, so the spatial score is -inf;

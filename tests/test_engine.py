@@ -356,16 +356,16 @@ def test_a_query_similarity_of_minus_infinity_is_never_a_hit():
             for entry in (node_entry(1), object_entry("a")):
                 lists = nn_lists.NNLists(entry, tree, query, params, stats)
                 assert lists.optimistic == lists.pessimistic == -math.inf
-                assert is_hit_or_drop(lists) is is_hit_or_drop(lists, gated=False) is Verdict.DROP
-                assert lists.walked_verdict(gated=False) is Verdict.DROP
+                assert is_hit_or_drop(lists) is lists.walked_verdict(gated=False) is Verdict.DROP
+                assert lists.walked_verdict() is Verdict.DROP
     # a node whose pessimistic query similarity alone is -inf is no hit: its
     # far object may have a k-th neighbour similarity of -inf
     objs.append(STObject("d", (0.0, 0.0), TermVector({"t": 1.0})))
     tree = tree_from_layout(objs, [["a", "d"], ["b", "c"]])
     lists = nn_lists.NNLists(node_entry(1), tree, query, SimParams(0.5, 4), tree.norm_stats())
     assert lists.pessimistic == -math.inf < lists.optimistic
-    assert (is_hit_or_drop(lists) is is_hit_or_drop(lists, gated=False)
-            is lists.walked_verdict(gated=False) is Verdict.UNDECIDED)
+    assert (is_hit_or_drop(lists) is lists.walked_verdict(gated=False)
+            is lists.walked_verdict() is Verdict.UNDECIDED)
 
 
 def test_audited_extreme_magnitude_sweep_matches_bruteforce():
@@ -465,13 +465,13 @@ def test_audit_counts_and_bound_records():
 def test_audit_catches_a_row_that_disagrees_with_its_reference_list(monkeypatch):
     # an audited run walks each row's reference list; an object row whose
     # counts accept where the walks would not is caught there
-    decide = Row._decide
+    decide = Row.counted_verdict
 
     def flipped(row):
         verdict = decide(row)
         return Verdict.HIT if verdict is Verdict.DROP and row.owner.is_object else verdict
 
-    monkeypatch.setattr(Row, "_decide", flipped)
+    monkeypatch.setattr(Row, "counted_verdict", flipped)
     fx = two_cluster_fixture()
     tree = fx.build_tree()
     wrong, _ = rstknn_query(tree, fx.query, fx.params)
@@ -647,7 +647,7 @@ def test_exact_ties_with_the_query_drop_and_recheck_lazily(monkeypatch, alpha):
     # Every element near an object owner's threshold here is an exact tie,
     # which counts, so a row that settles in scalar code only while its
     # verdict is open settles at most k of them
-    scalar, decide = nn_lists.pair_sim_bounds, Row._decide
+    scalar, decide = nn_lists.pair_sim_bounds, Row.counted_verdict
     settles, per_row, deciding = [], [], []  # settles: the owner of each scalar bound
 
     def counted(*args):
@@ -667,7 +667,7 @@ def test_exact_ties_with_the_query_drop_and_recheck_lazily(monkeypatch, alpha):
         return verdict
 
     monkeypatch.setattr(nn_lists, "pair_sim_bounds", counted)
-    monkeypatch.setattr(Row, "_decide", recorded)
+    monkeypatch.setattr(Row, "counted_verdict", recorded)
     ties = 0
     for seed in range(20):
         objs, q, tree = _tie_instance(random.Random(seed))
@@ -702,7 +702,7 @@ def test_node_rows_settle_elements_within_the_margin_in_scalar_code(monkeypatch)
         tree = build_tree(objs, rng.choice([2, 3]))
         runs.append((objs, QueryObject(source.loc, source.vct), tree))
     ties = 0
-    decide = Row._decide
+    decide = Row.counted_verdict
 
     def counting(row):
         nonlocal ties
@@ -710,12 +710,12 @@ def test_node_rows_settle_elements_within_the_margin_in_scalar_code(monkeypatch)
         ties += int(np.count_nonzero(row.frontier & tied))
         return decide(row)
 
-    monkeypatch.setattr(Row, "_decide", counting)
+    monkeypatch.setattr(Row, "counted_verdict", counting)
     for objs, q, tree in runs:
         for alpha in (0.0, 0.4, 1.0):
             rstknn_query(tree, q, SimParams(alpha, 2))
     assert ties > 100
-    monkeypatch.setattr(Row, "_decide", decide)
+    monkeypatch.setattr(Row, "counted_verdict", decide)
     bounds = iur_tree.EntryArrays.bounds
     noise = np.random.default_rng(5)
 

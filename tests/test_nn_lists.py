@@ -170,6 +170,23 @@ def test_update_with_stores_and_returns_shared_bounds():
     assert reverse.get(p0) == (p0, 1, *forward)
 
 
+def _assert_walks(lists):
+    """The counted test, on an :class:`NNLists` the legacy one, gives the
+    ungated walk's verdict, and the gated walk differs from that only by
+    its completeness gate: it never accepts an incomplete list, and accepts
+    a complete one short of k slots that it does not drop.  Returns the
+    (ungated, gated) walks' verdicts."""
+    verdict, gated = lists.walked_verdict(gated=False), lists.walked_verdict()
+    assert is_hit_or_drop(lists) is verdict
+    if verdict is not Verdict.DROP and not lists.is_complete():
+        assert gated is Verdict.UNDECIDED
+    elif verdict is not Verdict.DROP and lists.covered_slots < lists.params.k:
+        assert gated is (Verdict.HIT if lists.pessimistic > NEG_INF else Verdict.UNDECIDED)
+    else:
+        assert gated is verdict
+    return verdict, gated
+
+
 def _manual_lists(tree, owner, rows, query=ORIGIN, params=PARAMS):
     lists = _lists(tree, owner, query, params)
     for row in rows:
@@ -182,17 +199,17 @@ def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
     # correct mode's rows hold them (the owner is one of the partition's
     # entries, and a node owner holds its self-tuple), then refined by
     # expanding a held node into its children through update_with.  The
-    # masses equal a recount, the list stays complete, and the totals give
-    # the walks' verdict; one list per k, all built by the same steps
-    agreements = {v: 0 for v in Verdict}
+    # masses equal a recount, the list stays complete, the totals give the
+    # ungated walk's verdict, and the gated walk differs from it only on a
+    # list short of k slots; one list per k, all built by the same steps
+    agreements = {gated: {v: 0 for v in Verdict} for gated in (False, True)}
 
     def check(family):
         for lists in family:
             _assert_totals(lists)
             assert lists.is_complete()
-            verdict = lists.walked_verdict()
-            assert is_hit_or_drop(lists) is verdict
-            agreements[verdict] += 1
+            for gated, verdict in zip((False, True), _assert_walks(lists)):
+                agreements[gated][verdict] += 1
 
     def expand(entries):
         node = rng.choice([e for e in entries if e.is_node])
@@ -214,7 +231,9 @@ def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
             others = [e for e in partition if e != owner]
             family = []
             for k in range(1, tree.size + 2):
-                lists = NNLists.direct(owner, others, tree, q, SimParams(alpha, k), stats)
+                lists = _lists(tree, owner, q, SimParams(alpha, k), stats)
+                for e in others:
+                    lists.update_with(e)
                 if owner.is_node:
                     lists.add_self()
                 family.append(lists)
@@ -232,15 +251,16 @@ def test_slot_counts_agree_with_the_walks(rng, equal_span_trees):
                 for lists in family:
                     lists.remove(entry)
                     _assert_totals(lists)
-    assert min(agreements.values()) > 0
+    assert min(min(counts.values()) for counts in agreements.values()) > 0
 
 
 def test_slot_counts_agree_with_the_walks_on_popped_lists(rng, equal_span_trees):
     # the legacy modes change lists by update_with alone, whose pops leave
     # them incomplete and sometimes short of k slots: the kept totals equal a
-    # recount, and both tests give the walks' verdict, gated or not; one list
-    # per k, all built by the same steps
-    agreements = {gated: {v: 0 for v in Verdict} for gated in (True, False)}
+    # recount, the counted test gives the ungated walk's verdict, and the
+    # gated walk never accepts an incomplete list; one list per k, all built
+    # by the same steps
+    agreements = {gated: {v: 0 for v in Verdict} for gated in (False, True)}
     trees = [build_tree(random_dataset(rng, rng.randint(2, 30), 5), f) for f in (2, 3, 4, 8)]
     for tree in trees + equal_span_trees:
         stats = tree.norm_stats()
@@ -260,16 +280,15 @@ def test_slot_counts_agree_with_the_walks_on_popped_lists(rng, equal_span_trees)
                 for lists in family:
                     lists.update_with(b)
                     _assert_totals(lists)
-                    for gated in (True, False):
-                        verdict = lists.walked_verdict(gated=gated)
-                        assert is_hit_or_drop(lists, gated=gated) is verdict
+                    for gated, verdict in zip((False, True), _assert_walks(lists)):
                         agreements[gated][verdict] += 1
     assert min(min(counts.values()) for counts in agreements.values()) > 0
 
 
 def test_is_hit_or_drop_recounts_for_another_query_alpha_or_stats(rng):
     # lists for one owner and one sequence of updates, each in its own run
-    # with another query, alpha or statistics, give the walks' verdict
+    # with another query, alpha or statistics, give the ungated walk's
+    # verdict, and the gated walk differs only by its gate
     verdicts = set()
     for _ in range(20):
         tree = build_tree(random_dataset(rng, rng.randint(2, 20), 5), rng.choice([2, 4]))
@@ -286,10 +305,7 @@ def test_is_hit_or_drop_recounts_for_another_query_alpha_or_stats(rng):
             lists = _lists(tree, owner, q, params, st)
             for e in updates:
                 lists.update_with(e)
-            for gated in (True, False):
-                verdict = lists.walked_verdict(gated=gated)
-                assert is_hit_or_drop(lists, gated=gated) is verdict
-                verdicts.add(verdict)
+            verdicts.update(_assert_walks(lists))
     assert verdicts == set(Verdict)
 
 
@@ -454,7 +470,8 @@ def test_walk_value_independent_of_insertion_order_on_ties():
         assert forward.is_complete() and backward.is_complete()
         assert forward.knn_lower(k) == backward.knn_lower(k)
         assert forward.knn_upper(k) == backward.knn_upper(k)
-        assert is_hit_or_drop(forward, gated=False) is is_hit_or_drop(backward, gated=False)
+        assert is_hit_or_drop(forward) is is_hit_or_drop(backward)
+        assert forward.walked_verdict() is backward.walked_verdict()
     assert [forward.knn_lower(k) for k in range(1, 7)] == [0.5, 0.5, 0.5, 0.3, 0.3, None]
     assert [forward.knn_upper(k) for k in range(1, 7)] == [0.7] * 5 + [NEG_INF]
 
@@ -513,11 +530,13 @@ def test_is_hit_or_drop_incomplete_list_cannot_hit():
     owner = object_entry("P0")
     q = QueryObject((5.0, 0.0), TermVector())
     params = SimParams(alpha=1.0, k=1)
-    # only a low-upper tuple, but P1 and N4 are uncovered: no hit allowed
+    # only a low-upper tuple, but P1 and N4 are uncovered: the gated walk,
+    # a row's test, allows no hit
     lists = _manual_lists(tree, owner, [(node_entry(3), 2, 0.0, 0.1)], q, params)
-    assert is_hit_or_drop(lists) is Verdict.UNDECIDED
-    # the ungated variant (legacy behavior) accepts on the same evidence
-    assert is_hit_or_drop(lists, gated=False) is Verdict.HIT
+    assert not lists.is_complete()
+    assert lists.walked_verdict() is Verdict.UNDECIDED
+    # the legacy test, an NNLists' own, accepts on the same evidence
+    assert is_hit_or_drop(lists) is lists.walked_verdict(gated=False) is Verdict.HIT
 
 
 def _complete_by_sets(lists):
