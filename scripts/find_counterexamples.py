@@ -5,21 +5,84 @@ Writes each discovered fixture as a dataset JSONL plus a metadata JSON next
 to it (query, parameters, seed, expected results).  The committed copies
 under fixtures/ were produced by this script with its default arguments; the
 pinned seeds make the outcome reproducible, so CI never depends on search
-luck.
+luck.  The search lives here, not in the package, so that the oracle
+module imports nothing of what it certifies; the tests load this file to
+call it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-from rstknn import Mode, counterexample_search
-from rstknn.datasets import serialize_dataset
+from rstknn import (
+    Mode,
+    QueryObject,
+    STObject,
+    SimParams,
+    build_tree,
+    rknn_bruteforce,
+    rstknn_query,
+)
+from rstknn.datasets import random_dataset, random_query, serialize_dataset
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "fixtures"
 SEEDS = {Mode.FAULTY2011: 42, Mode.FAULTY2014: 1042}
+
+
+@dataclass
+class CounterexampleFixture:
+    """A dataset/query on which some query mode disagrees with brute force."""
+
+    objects: list[STObject]
+    query: QueryObject
+    params: SimParams
+    fanout: int
+    seed: int
+    trial: int
+    mode: Mode
+    mode_result: set[str]
+    oracle_result: set[str]
+
+
+def counterexample_search(mode: Mode, seed: int, trials: int) -> CounterexampleFixture | None:
+    """Hunt for a small random instance where ``mode`` contradicts brute force.
+
+    Integer coordinates and weights keep every comparison knife-edge free and
+    the quadratic oracle instant.  Deterministic for a given seed; returns the
+    first mismatching fixture, or None when all trials agree (as they must
+    when ``mode`` is the correct one).
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+        n = rng.randint(4, 14)
+        objects = random_dataset(rng, n, 6)
+        query = random_query(rng, 6)
+        params = SimParams(alpha=rng.choice((0.0, 0.4, 0.7, 1.0)), k=rng.choice((1, 2, 3)))
+        fanout = rng.choice((2, 4))
+        tree = build_tree(objects, fanout)
+        stats = tree.norm_stats()
+        got, _ = rstknn_query(tree, query, params, mode, stats=stats)
+        want = rknn_bruteforce(objects, query, params, stats)
+        if got != want:
+            return CounterexampleFixture(
+                objects=list(objects),
+                query=query,
+                params=params,
+                fanout=fanout,
+                seed=seed,
+                trial=trial,
+                mode=mode,
+                mode_result=got,
+                oracle_result=want,
+            )
+    return None
 
 
 def main() -> int:

@@ -2,7 +2,6 @@
 
 from .core import (
     DatasetTooSmall,
-    NonPositiveInput,
     NormStats,
     QueryObject,
     STObject,
@@ -11,7 +10,6 @@ from .core import (
     compute_norm_stats,
     euclidean_dist,
     extended_jaccard,
-    fdim_ratio,
     sim_st,
 )
 from .engine import (
@@ -29,28 +27,17 @@ from .iur_tree import (
     IurTree,
     build_tree,
     max_sim_st,
-    max_text_sim,
     min_sim_st,
-    min_text_sim,
     node_entry,
     object_entry,
     tree_from_layout,
 )
-from .oracle import (
-    CounterexampleFixture,
-    SandwichReport,
-    check_bound_sandwich,
-    counterexample_search,
-    ej_dominance_counterexample,
-    kth_nn_sim,
-    rknn_bruteforce,
-)
+from .oracle import kth_nn_sim, rknn_bruteforce
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DatasetTooSmall",
-    "NonPositiveInput",
     "NormStats",
     "QueryObject",
     "STObject",
@@ -59,7 +46,6 @@ __all__ = [
     "compute_norm_stats",
     "euclidean_dist",
     "extended_jaccard",
-    "fdim_ratio",
     "sim_st",
     "CompletenessViolation",
     "EngineAudit",
@@ -73,17 +59,10 @@ __all__ = [
     "IurTree",
     "build_tree",
     "max_sim_st",
-    "max_text_sim",
     "min_sim_st",
-    "min_text_sim",
     "node_entry",
     "object_entry",
     "tree_from_layout",
-    "CounterexampleFixture",
-    "SandwichReport",
-    "check_bound_sandwich",
-    "counterexample_search",
-    "ej_dominance_counterexample",
     "kth_nn_sim",
     "rknn_bruteforce",
 ]

@@ -30,10 +30,6 @@ class DatasetTooSmall(ValueError):
     """Pairwise statistics require at least two objects."""
 
 
-class NonPositiveInput(ValueError):
-    """A strictly positive argument was required."""
-
-
 def is_finite(x: int | float) -> bool:
     """Whether a number is finite as a float; NaN, infinities and integers
     beyond float range are not."""
@@ -479,10 +475,3 @@ def sim_st(o1: STObject | QueryObject, o2: STObject | QueryObject,
     lo, hi = stats.phi_t, stats.psi_t
     t = 1.0 if hi == lo else (t - lo) / (hi - lo)
     return t if a == 0.0 else a * s + (1.0 - a) * t
-
-
-def fdim_ratio(x: float, x_prime: float) -> float:
-    """min/max ratio of two positive reals, in (0, 1]."""
-    if x <= 0 or x_prime <= 0:
-        raise NonPositiveInput(f"inputs must be > 0, got ({x}, {x_prime})")
-    return min(x, x_prime) / max(x, x_prime)

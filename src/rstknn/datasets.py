@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -33,6 +34,15 @@ class ParseError(ValueError):
 
 _decode = json.JSONDecoder().decode
 _JSON_NUMBERS = (int, float)  # a JSON bool is neither: its type is bool
+_QUOTE_MAX = 60  # characters of an input value that a parse error quotes
+
+
+def _quote(value: object) -> str:
+    """The ``repr`` of an input value cut to a short prefix: a value may be
+    nested or long without bound.  ``reprlib`` abbreviates past a few levels
+    and items, so no full ``repr`` is built."""
+    text = reprlib.repr(value)
+    return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
 
 
 def _terms_from_json(raw: object, path: str | Path, line_no: int) -> TermVector:
@@ -42,7 +52,7 @@ def _terms_from_json(raw: object, path: str | Path, line_no: int) -> TermVector:
         raise ParseError(path, line_no, "'terms' must be an object")
     for term, w in raw.items():
         if type(w) not in _JSON_NUMBERS:
-            raise ParseError(path, line_no, f"bad term entry {term!r}: {w!r}")
+            raise ParseError(path, line_no, f"bad term entry {_quote(term)}: {_quote(w)}")
     try:
         return TermVector(raw)
     except ValueError as exc:
@@ -53,7 +63,7 @@ def _number(raw: object, name: str, path: str | Path, line_no: int) -> float:
     """A JSON number as a float; :class:`STObject` and :class:`QueryObject`
     check that it is finite."""
     if type(raw) not in _JSON_NUMBERS:
-        raise ParseError(path, line_no, f"'{name}' must be a number, got {raw!r}")
+        raise ParseError(path, line_no, f"'{name}' must be a number, got {_quote(raw)}")
     try:
         return float(raw)  # type: ignore[arg-type]
     except OverflowError as exc:

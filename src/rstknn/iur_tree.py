@@ -44,26 +44,6 @@ class EmptyDataset(ValueError):
 Box = tuple[float, float, float, float]  # lo x, lo y, hi x, hi y; lo <= hi per axis
 
 
-def min_dist(a: Box, b: Box) -> float:
-    """Minimum L2 distance between any point of box a and any point of box b."""
-    (alx, aly, ahx, ahy), (blx, bly, bhx, bhy) = a, b
-    dx = max(alx - bhx, blx - ahx, 0.0)
-    dy = max(aly - bhy, bly - ahy, 0.0)
-    return math.hypot(dx, dy)
-
-
-def max_dist(a: Box, b: Box) -> float:
-    """Maximum L2 distance between any point of box a and any point of box b.
-
-    Attained at a corner pair; per axis the larger one-sided separation is
-    always nonnegative because boxes have nonnegative extent.
-    """
-    (alx, aly, ahx, ahy), (blx, bly, bhx, bhy) = a, b
-    dx = max(ahx - blx, bhx - alx)
-    dy = max(ahy - bly, bhy - aly)
-    return math.hypot(dx, dy)
-
-
 class Entry(NamedTuple):
     """A traversal unit: either an index node or a single data object.
 
@@ -187,32 +167,6 @@ class IurTree:
         of its span."""
         lo, hi = self._records[entry].span
         return sorted(self._ids[lo:hi])
-
-    def is_ancestor_or_equal(self, a: Entry, b: Entry) -> bool:
-        """True when a's subtree contains b's (a == b or a an ancestor of b).
-
-        Decided by preorder-interval containment, so a chain node holding a
-        single child compares equal to that child; for everything built on
-        this predicate only point-set containment matters, which is exactly
-        what the intervals encode.
-        """
-        alo, ahi = self._records[a].span
-        blo, bhi = self._records[b].span
-        return alo <= blo and bhi <= ahi
-
-    def covering(self, entry: Entry) -> tuple[Entry, ...]:
-        """The entries other than ``entry`` whose subtree contains its subtree.
-
-        Exactly ``{e != entry : is_ancestor_or_equal(e, entry)}``, precomputed
-        at construction: proper ancestors plus equal-span chain descendants.
-        """
-        return self._records[entry].covering
-
-    def overlaps(self, a: Entry, b: Entry) -> bool:
-        """Tree overlap: the entries share at least one object."""
-        alo, ahi = self._records[a].span
-        blo, bhi = self._records[b].span
-        return (alo <= blo and bhi <= ahi) or (blo <= alo and ahi <= bhi)
 
     def iter_node_entries(self) -> Iterator[Entry]:
         """Node entries in id order, which is preorder."""
@@ -376,32 +330,7 @@ def build_tree(objects: Sequence[STObject], fanout: int = 4) -> IurTree:
 # -- group-level similarity bounds ------------------------------------------
 
 
-def _view(tree: IurTree, x: Entry | STObject | QueryObject) -> tuple[Box, TermVector, TermVector]:
-    """(box, intersection vector, union vector) of a tree entry or bare object,
-    a degenerate node: point box, both vectors equal to its term vector."""
-    if type(x) is Entry:
-        record = tree._records[x]
-        return record.box, record.int_vct, record.union_vct
-    return (*x.loc, *x.loc), x.vct, x.vct
-
-
-# the raw text similarity as a score: alpha 0 and the identity normalization
-_TEXT = (SimParams(0.0, 1), NormStats(0.0, 0.0, 0.0, 1.0))
 _LOWER, _UPPER = 1, 2
-
-
-def min_text_sim(tree: IurTree, a: Entry | STObject | QueryObject,
-                 b: Entry | STObject | QueryObject) -> float:
-    """Lower bound on the Extended Jaccard between any pair drawn from a and b
-    (see :func:`pair_sim_bounds`)."""
-    return pair_sim_bounds(tree, a, b, *_TEXT, _LOWER)[0]
-
-
-def max_text_sim(tree: IurTree, a: Entry | STObject | QueryObject,
-                 b: Entry | STObject | QueryObject) -> float:
-    """Upper bound on the Extended Jaccard between any pair drawn from a and b
-    (see :func:`pair_sim_bounds`)."""
-    return pair_sim_bounds(tree, a, b, *_TEXT, _UPPER)[1]
 
 
 def min_sim_st(tree: IurTree, a: Entry | STObject | QueryObject,
@@ -425,12 +354,15 @@ def pair_sim_bounds(tree: IurTree, a: Entry | STObject | QueryObject,
     """(lower, upper) sim_st bounds between a tree entry or bare object (a
     degenerate node) and another, one straight-line body; only the ``sides``
     asked for are meaningful.  The lower bound is ``combined_similarity`` of
-    the boxes' :func:`max_dist` and the smallest text numerator (intersection
-    vectors) over the largest denominator (union vectors), the upper one of
-    :func:`min_dist` and the converse, or 1 where that denominator is <= 0;
-    two all-empty groups score 0.  Operation for operation, so bit for bit.
-    Between two object entries both are the exact :func:`sim_st`, which the
-    general arithmetic gives there too.
+    the boxes' largest corner-pair distance and the smallest text numerator
+    (intersection vectors) over the largest denominator (union vectors), the
+    upper one of their smallest distance (0 where they overlap) and the
+    converse, or 1 where that denominator is <= 0; two all-empty groups
+    score 0.  It is, operation for operation and so bit for bit, the
+    composition of box distances, group text bounds and
+    ``combined_similarity`` that the tests keep as its reference.  Between
+    two object entries both are the exact :func:`sim_st`, which the general
+    arithmetic gives there too.
     """
     if type(a) is Entry and type(b) is Entry and a.kind == b.kind == "object":
         s = sim_st(tree.objects[a.ident], tree.objects[b.ident], params, stats)  # type: ignore[index]

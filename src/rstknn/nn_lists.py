@@ -13,8 +13,8 @@ optimistic query similarity once, at birth.
 The legacy modes keep lists, lean ones: a child's list is born as one copy
 of its parent's dict, sharing the immutable tuples, counted once against the
 child's thresholds, and :meth:`NNLists.update_with` is one straight-line
-body that pops every tuple covering the added entry (by lookup in
-:meth:`IurTree.covering`), so the popped tuple's other points lose
+body that pops every tuple covering the added entry (by lookup in the
+entry record's ``covering``), so the popped tuple's other points lose
 coverage: the lists lose completeness.
 
 The correct mode keeps none.  Every owner, node or object, decides on its
@@ -166,7 +166,7 @@ class NNLists:
 
         Every tuple whose entry covers ``other`` (a proper ancestor, or an
         equal-span chain entry) is removed first, by lookup in the tree's
-        precomputed :meth:`IurTree.covering`, not by a scan: keeping both
+        precomputed ``EntryRecord.covering``, not by a scan: keeping both
         would double-count the covering entry's points, and a double-counted
         lower list can prune entries that belong in the result.
 

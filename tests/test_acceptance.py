@@ -12,18 +12,14 @@ import time
 from pathlib import Path
 
 import pytest
+from refimpl import check_bound_sandwich, ej_dominance_counterexample, fdim_ratio
 
-from rstknn.core import SimParams, TermVector, extended_jaccard, fdim_ratio
+from rstknn.core import SimParams, TermVector, extended_jaccard
 from rstknn.datasets import random_dataset, random_query
 from rstknn.demo import EXPECTED_RESULT, two_cluster_fixture
 from rstknn.engine import EngineAudit, Mode, rstknn_query
 from rstknn.iur_tree import build_tree
-from rstknn.oracle import (
-    check_bound_sandwich,
-    ej_dominance_counterexample,
-    kth_nn_sim,
-    rknn_bruteforce,
-)
+from rstknn.oracle import kth_nn_sim, rknn_bruteforce
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

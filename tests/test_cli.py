@@ -389,6 +389,25 @@ def test_input_that_once_crashed_or_split_is_a_parse_error_or_answered(
         assert f"{name}:{line}: {message.format(where=where)}" in err
 
 
+@pytest.mark.parametrize("command", ["query", "compare"])
+@pytest.mark.parametrize("value", [
+    pytest.param("[" * 400 + '"x"' + "]" * 400, id="nested"),
+    pytest.param('"' + "x" * 100_000 + '"', id="long"),
+])
+@pytest.mark.parametrize("line,message", [
+    pytest.param('{"id": "a", "x": %s, "y": 0}', "'x' must be a number, got ", id="x"),
+    pytest.param('{"id": "a", "x": 0, "y": 0, "terms": {"t": %s}}', "bad term entry 't': ",
+                 id="weight"),
+])
+def test_a_parse_error_quotes_a_bad_value_briefly(tmp_path, command, value, line, message):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(line % value + "\n")
+    code, out, err = run_cli([command, str(dataset), "--qx", "0", "--qy", "0"])
+    assert code == EXIT_PARSE and not out
+    prefix = f"error: {dataset}:1: {message}"
+    assert err.startswith(prefix) and len(err) - len(prefix) <= 80
+
+
 @pytest.mark.filterwarnings("error")
 def test_compare_far_query_at_alpha_zero(tmp_path):
     # the query distance overflows to inf, so the spatial score is -inf;

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refimpl import NonPositiveInput, fdim_ratio
 
 from rstknn.core import (
     DatasetTooSmall,
-    NonPositiveInput,
     NormStats,
     QueryObject,
     STObject,
@@ -21,7 +21,6 @@ from rstknn.core import (
     compute_norm_stats,
     euclidean_dist,
     extended_jaccard,
-    fdim_ratio,
     sim_st,
 )
 from rstknn.datasets import random_dataset

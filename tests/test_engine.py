@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 from conftest import extreme_instance, offgrid_instance
+from refimpl import overlaps
 
 from rstknn.core import QueryObject, STObject, SimParams, TermVector, sim_st
 from rstknn.datasets import random_dataset, random_query
@@ -485,7 +486,7 @@ def _off_frontier(rows, owner):
     owner is one, for a test to take off the frontier."""
     entries = rows.arrays.entries
     return next(j for j in np.flatnonzero(rows.frontier)
-                if not rows.tree.overlaps(entries[j], owner)
+                if not overlaps(rows.tree, entries[j], owner)
                 and (owner.is_node or entries[j].is_object))
 
 

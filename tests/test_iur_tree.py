@@ -10,6 +10,15 @@ import pytest
 from conftest import all_entries, offgrid_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refimpl import (
+    is_ancestor_or_equal,
+    max_dist,
+    max_text_sim,
+    min_dist,
+    min_text_sim,
+    overlaps,
+    view,
+)
 
 from rstknn.core import (
     NormStats,
@@ -26,18 +35,13 @@ from rstknn.datasets import random_dataset
 from rstknn.iur_tree import (
     EmptyDataset,
     build_tree,
-    max_dist,
     max_sim_st,
-    max_text_sim,
-    min_dist,
     min_sim_st,
-    min_text_sim,
     node_entry,
     object_entry,
     pair_sim_bounds,
     tree_from_layout,
     _str_layout,
-    _view,
 )
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
@@ -183,7 +187,7 @@ def test_layout_builder_builds_single_child_chains(depth):
     tree = tree_from_layout([STObject("P0", (0.0, 0.0), TermVector())], layout)
     assert len(list(tree.iter_node_entries())) == depth + 1
     assert tree.depth(object_entry("P0")) == depth + 1
-    assert len(tree.covering(object_entry("P0"))) == depth + 1
+    assert len(tree.record(object_entry("P0")).covering) == depth + 1
 
 
 def test_layout_builder_builds_chains_deeper_than_the_recursion_limit():
@@ -246,13 +250,13 @@ def test_ancestry_and_overlap():
     tree = tree_from_layout(objs, [["P0", "P1"], [["P2", "P3"], ["P4", "P5"]]])
     root, n2, n3 = node_entry(0), node_entry(2), node_entry(3)
     p2, p5 = object_entry("P2"), object_entry("P5")
-    assert tree.is_ancestor_or_equal(root, p2)
-    assert tree.is_ancestor_or_equal(n2, n3)
-    assert not tree.is_ancestor_or_equal(n3, n2)
-    assert tree.overlaps(n3, n2)
-    assert tree.overlaps(p2, n3)
-    assert not tree.overlaps(n3, p5)
-    assert not tree.overlaps(object_entry("P0"), n2)
+    assert is_ancestor_or_equal(tree, root, p2)
+    assert is_ancestor_or_equal(tree, n2, n3)
+    assert not is_ancestor_or_equal(tree, n3, n2)
+    assert overlaps(tree, n3, n2)
+    assert overlaps(tree, p2, n3)
+    assert not overlaps(tree, n3, p5)
+    assert not overlaps(tree, object_entry("P0"), n2)
     assert tree.subtree_objects(n2) == ["P2", "P3", "P4", "P5"]
     assert tree.subtree_objects(p2) == ["P2"]
 
@@ -270,11 +274,11 @@ def test_entry_records_match_the_nodes(equal_span_trees):
             children = tree.children(e)
             assert tree.count(e) == len(tree.subtree_objects(e))
             equal_below = {d for d in _descendants(tree, e) if tree.count(d) == tree.count(e)}
-            assert set(tree.covering(e)) == set(ancestors) | equal_below
+            assert set(tree.record(e).covering) == set(ancestors) | equal_below
             count, lo, hi, inter, union = _scan_subtree(tree, e)
             assert tree.count(e) == count
             assert tree.subtree_objects(e) == _objects_under(tree, e)
-            assert _view(tree, e) == ((*lo, *hi), TermVector(inter), TermVector(union))
+            assert view(tree, e) == ((*lo, *hi), TermVector(inter), TermVector(union))
             assert tree.record(e).box == (*lo, *hi)
             if e.is_node:
                 assert children and (all(c.is_node for c in children)
@@ -288,7 +292,7 @@ def test_entry_records_match_the_nodes(equal_span_trees):
                 assert tree.subtree_objects(e) == [e.ident]
                 x, y = obj.loc
                 assert tree.record(e).box == (x, y, x, y)
-                assert _view(tree, e) == ((x, y, x, y), obj.vct, obj.vct)
+                assert view(tree, e) == ((x, y, x, y), obj.vct, obj.vct)
             for c in children:
                 assert tree.parent(c) == e and tree.depth(c) == tree.depth(e) + 1
                 stack.append((c, ancestors + (e,)))
@@ -340,12 +344,12 @@ def test_covering_is_every_other_entry_with_a_containing_span(equal_span_trees):
     for tree in equal_span_trees:
         entries = all_entries(tree)
         for b in entries:
-            covering = tree.covering(b)
+            covering = tree.record(b).covering
             assert len(covering) == len(set(covering))
             assert set(covering) == {
-                e for e in entries if e != b and tree.is_ancestor_or_equal(e, b)
+                e for e in entries if e != b and is_ancestor_or_equal(tree, e, b)
             }
-            equal_spans += sum(tree.is_ancestor_or_equal(b, e) for e in covering)
+            equal_spans += sum(is_ancestor_or_equal(tree, b, e) for e in covering)
     assert equal_spans > 0  # chain nodes and single-object leaves were exercised
 
 
@@ -589,8 +593,8 @@ def _combined(dist, ej, params, stats):
 def _reference_bounds(tree, a, b, params, stats):
     """(lower, upper) as the corner distances of the boxes and the group text
     bounds, composed by :func:`_combined`."""
-    ma, ia, ua = _view(tree, a)
-    mb, ib, ub = _view(tree, b)
+    ma, ia, ua = view(tree, a)
+    mb, ib, ub = view(tree, b)
     lower_text = upper_text = 0.0
     if not (ua.is_empty and ub.is_empty):
         num = ia.dot(ib)

@@ -4,6 +4,7 @@ import pytest
 from conftest import _chain_layout, all_entries
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refimpl import is_ancestor_or_equal, overlaps
 
 from rstknn.core import NormStats, QueryObject, STObject, SimParams, TermVector
 from rstknn.datasets import random_dataset, random_query
@@ -40,7 +41,7 @@ def _assert_totals(lists):
 def _m_for(lists, entry):
     """The slots ``entry`` holds in the list: its size, less one when it
     overlaps the owner (a point is not its own neighbor)."""
-    return lists.tree.count(entry) - lists.tree.overlaps(entry, lists.owner)
+    return lists.tree.count(entry) - overlaps(lists.tree, entry, lists.owner)
 
 
 def _check_invariants(lists):
@@ -54,12 +55,12 @@ def _check_invariants(lists):
     for entry, m, lower, upper in lists.tuples():
         assert m == _m_for(lists, entry) and 0 <= m
         assert not (tree.depth(entry) > tree.depth(owner)
-                    and tree.is_ancestor_or_equal(owner, entry)), (
+                    and is_ancestor_or_equal(tree, owner, entry)), (
             f"{entry.label} is a proper descendant of the owner {owner.label}")
         assert lower <= upper + 1e-12
     for i, a in enumerate(entries):
         for b in entries[i + 1:]:
-            assert not tree.overlaps(a, b), f"overlapping tuples {a.label} / {b.label}"
+            assert not overlaps(tree, a, b), f"overlapping tuples {a.label} / {b.label}"
 
 
 def _line_tree():
@@ -142,17 +143,17 @@ def test_update_with_removes_exactly_the_covering_tuples(equal_span_trees, rng):
                 options = [
                     b for b in entries
                     if b != owner and not (tree.depth(b) > tree.depth(owner)
-                                           and tree.is_ancestor_or_equal(owner, b))
+                                           and is_ancestor_or_equal(tree, owner, b))
                     and not any(
-                        tree.is_ancestor_or_equal(b, e) and not tree.is_ancestor_or_equal(e, b)
+                        is_ancestor_or_equal(tree, b, e) and not is_ancestor_or_equal(tree, e, b)
                         for e in held
                     )
                 ]
                 if not options:
                     break
                 b = rng.choice(options)
-                removed = {e for e in held if e != b and tree.is_ancestor_or_equal(e, b)}
-                equal_span_removals += sum(tree.is_ancestor_or_equal(b, e) for e in removed)
+                removed = {e for e in held if e != b and is_ancestor_or_equal(tree, e, b)}
+                equal_span_removals += sum(is_ancestor_or_equal(tree, b, e) for e in removed)
                 lists.update_with(b)
                 assert {t[0] for t in lists.tuples()} == (held - removed) | {b}
                 _check_invariants(lists)
@@ -358,7 +359,7 @@ def test_inherited_lists_share_the_parents_tuples(monkeypatch, mode, equal_span_
             assert t is parent_lists.get(entry)
             assert m == _m_for(lists, entry), (child.label, entry.label)
             assert not (tree.depth(entry) > tree.depth(child)
-                        and tree.is_ancestor_or_equal(child, entry))
+                        and is_ancestor_or_equal(tree, child, entry))
             shared += 1
         return lists
 

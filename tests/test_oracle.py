@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import refimpl
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refimpl import check_bound_sandwich, ej_dominance_counterexample
 
 import rstknn.core as core_mod
 import rstknn.iur_tree as iur_tree
@@ -26,13 +28,12 @@ from rstknn.core import (
 from rstknn.datasets import random_dataset, random_query
 from rstknn.engine import EngineAudit, Mode, rstknn_query
 from rstknn.iur_tree import build_tree, max_sim_st, min_sim_st, object_entry, pair_sim_bounds
-from rstknn.oracle import (
-    check_bound_sandwich,
-    counterexample_search,
-    ej_dominance_counterexample,
-    kth_nn_sim,
-    rknn_bruteforce,
-)
+from rstknn.oracle import kth_nn_sim, rknn_bruteforce
+
+ROOT = Path(__file__).resolve().parent.parent
+# the counterexample search lives in its script, which these tests load
+_search = runpy.run_path(str(ROOT / "scripts" / "find_counterexamples.py"))
+counterexample_search = _search["counterexample_search"]
 
 NEG_INF = float("-inf")
 
@@ -456,12 +457,12 @@ def test_check_bound_sandwich_detects_corruption(rng, monkeypatch):
     objs = random_dataset(rng, 32, 6)
     tree = build_tree(objs, 4)
     stats = tree.norm_stats()
-    real = iur_tree.max_text_sim
+    real = refimpl.max_text_sim
 
     def corrupted(tree_, a, b):
         return real(tree_, a, b) * 0.2
 
-    monkeypatch.setattr(oracle_mod, "max_text_sim", corrupted)
+    monkeypatch.setattr(refimpl, "max_text_sim", corrupted)
     report = check_bound_sandwich(tree, SimParams(alpha=0.0, k=1), stats)
     assert not report.ok
 
@@ -472,7 +473,8 @@ def test_ej_dominance_counterexample_stands():
 
 def test_ej_dominance_counterexample_survives_scaling():
     # doubling all weights changes the similarities but not the ordering flip
-    from rstknn.core import extended_jaccard, fdim_ratio
+    from refimpl import fdim_ratio
+    from rstknn.core import extended_jaccard
 
     p, p1, p2 = (200.0, 60.0), (2.0, 80.0), (2.0, 100.0)
     assert all(fdim_ratio(a, b) >= fdim_ratio(a, c) for a, b, c in zip(p, p1, p2))
@@ -507,14 +509,12 @@ def test_counterexample_search_finds_faulty_fixtures():
 
 
 def test_committed_fixtures_are_what_the_search_script_writes(tmp_path, monkeypatch):
-    root = Path(__file__).resolve().parent.parent
-    script = runpy.run_path(str(root / "scripts" / "find_counterexamples.py"))
     monkeypatch.setattr(sys, "argv", ["find_counterexamples.py", "--out", str(tmp_path)])
-    assert script["main"]() == 0
+    assert _search["main"]() == 0
     for name in ("faulty2011", "faulty2014"):
         for suffix in (".dataset.jsonl", ".meta.json"):
             file = f"{name}{suffix}"
-            assert (tmp_path / file).read_bytes() == (root / "fixtures" / file).read_bytes()
+            assert (tmp_path / file).read_bytes() == (ROOT / "fixtures" / file).read_bytes()
 
 
 def test_counterexample_search_correct_mode_control():
