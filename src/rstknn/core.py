@@ -15,6 +15,7 @@ construction and safe to share between concurrent readers.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -37,6 +38,17 @@ def is_finite(x: int | float) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
+
+
+_QUOTE_MAX = 60  # characters of an input value that an error message quotes
+
+
+def _quote(value: object) -> str:
+    """The ``repr`` of an input value cut to a short prefix: a value may be
+    nested or long without bound.  ``reprlib`` abbreviates past a few levels
+    and items, so no full ``repr`` is built."""
+    text = reprlib.repr(value)
+    return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
 
 
 class TermVector:
@@ -66,7 +78,7 @@ class TermVector:
                 finite = is_finite(w)
                 if not finite or w < 0:
                     raise ValueError(f"{'negative' if finite else 'non-finite'} weight for term "
-                                     f"{term!r}: {w}")
+                                     f"{_quote(term)}: {_quote(w)}")
                 if not w:
                     continue
                 w = float(w)

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 import random
-import reprlib
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .core import QueryObject, STObject, TermVector, check_spread, check_union
+from .core import QueryObject, STObject, TermVector, _quote, check_spread, check_union
 
 
 class ParseError(ValueError):
@@ -34,16 +33,6 @@ class ParseError(ValueError):
 
 _decode = json.JSONDecoder().decode
 _JSON_NUMBERS = (int, float)  # a JSON bool is neither: its type is bool
-_QUOTE_MAX = 60  # characters of an input value that a parse error quotes
-
-
-def _quote(value: object) -> str:
-    """The ``repr`` of an input value cut to a short prefix: a value may be
-    nested or long without bound.  ``reprlib`` abbreviates past a few levels
-    and items, so no full ``repr`` is built."""
-    text = reprlib.repr(value)
-    return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
-
 
 def _terms_from_json(raw: object, path: str | Path, line_no: int) -> TermVector:
     """The term vector of a JSON ``terms`` object: this checks the JSON
@@ -105,6 +94,8 @@ def _values(path: str | Path, what: str, lines: bool) -> Iterator[tuple[int, obj
         raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:  # nested deeper than the decoder recurses
         raise ParseError(path, line_no, "invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(path, line_no, "invalid JSON: an integer has too many digits") from exc
 
 
 def read_dataset(path: str | Path) -> list[STObject]:

@@ -32,7 +32,7 @@ Every run records a trace: one event per dequeue plus one per verified
 candidate, each with snapshots of the queue and the candidate/result/pruned
 lists.  A run only appends to a column's list or makes a new one, so a
 snapshot is a window (list, lo, hi), not a copy; the labels are made only
-when a column is read.
+when a column is read, and the action text only when it is read.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 from .core import NormStats, QueryObject, SimParams
 # ``max_sim_st`` is imported for perfbench/tracing.py, which wraps it here by name
@@ -58,20 +59,31 @@ class CompletenessViolation(RuntimeError):
     """An accept/prune test was about to run on an incomplete list."""
 
 
+# an event's action: its verb ("Dequeue" or "Verify"), its entry and the
+# children it enqueued
+Action = tuple[str, Entry, Sequence[Entry]]
+
+
 class TraceEvent:
     """One row of the run log, mirroring the Steps/Actions/U/COL/ROL/PEL table.
 
     Each column is the window ``(items, lo, hi)`` of its list at snapshot
     time, the entries (object ids for ROL) ``items[lo:hi]``; reading one
-    makes a fresh list of labels.
+    makes a fresh list of labels.  The action is kept as its parts and
+    reads as text, such as ``"Dequeue N0, Enqueue N1, Enqueue N2"``.
     """
 
-    __slots__ = ("step", "action", "_u", "_col", "_rol", "_pel")
+    __slots__ = ("step", "_action", "_u", "_col", "_rol", "_pel")
 
-    def __init__(self, step: int, action: str, u: tuple, col: tuple, rol: tuple, pel: tuple):
+    def __init__(self, step: int, action: Action, u: tuple, col: tuple, rol: tuple, pel: tuple):
         self.step = step
-        self.action = action
+        self._action = action
         self._u, self._col, self._rol, self._pel = u, col, rol, pel
+
+    @property
+    def action(self) -> str:
+        verb, entry, enqueued = self._action
+        return f"{verb} {entry.label}" + "".join(f", Enqueue {e.label}" for e in enqueued)
 
     @property
     def u(self) -> list[str]:
@@ -131,7 +143,7 @@ class EngineState:
     u_lo: int = 0
     col_lo: int = 0
 
-    def snapshot(self, action: str) -> None:
+    def snapshot(self, action: Action) -> None:
         self.trace.append(TraceEvent(len(self.trace) + 1, action, (self.u, self.u_lo, len(self.u)),
                                      (self.col, self.col_lo, len(self.col)),
                                      (self.rol, 0, len(self.rol)), (self.pel, 0, len(self.pel))))
@@ -181,19 +193,18 @@ def _run_correct(tree: IurTree, query: QueryObject, params: SimParams,
     while state.u_lo < len(state.u):
         entry = state.u[state.u_lo]
         state.u_lo += 1
-        action = f"Dequeue {entry.label}"
+        enqueued: tuple[Entry, ...] = ()
         verdict = _checked_verdict(rows.row(entry), audit)
         if verdict is not Verdict.UNDECIDED:
             _route(state, tree, entry, verdict)
             rows.decided(entry)
         elif entry.is_node:
             rows.expand(entry)
-            for child in tree.children(entry):
-                state.u.append(child)
-                action += f", Enqueue {child.label}"
+            enqueued = tree.children(entry)
+            state.u.extend(enqueued)
         else:
             state.col.append(entry)
-        state.snapshot(action)
+        state.snapshot(("Dequeue", entry, enqueued))
 
     final_verification(state, rows, audit=audit)
     return state
@@ -219,7 +230,7 @@ def final_verification(state: EngineState, rows: Rows, audit: EngineAudit | None
         state.col_lo += 1
         _route(state, rows.tree, candidate, verdict)
         rows.decided(candidate)
-        state.snapshot(f"Verify {candidate.label}")
+        state.snapshot(("Verify", candidate, ()))
 
 
 # -- faulty legacy modes ------------------------------------------------------
@@ -251,7 +262,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
         parent = ranked[0]  # type: ignore[index]  # sorted when the last dequeue ended
         del queue[parent]
         ranked = None
-        action = f"Dequeue {parent.label}"
+        enqueued: list[Entry] = []
         parent_lists = live[parent]
         for child in tree.children(parent):
             lists = NNLists.inherited(child, parent_lists)
@@ -295,7 +306,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
                 if child.is_node:
                     queue[child] = lists.optimistic
                     ranked = None
-                    action += f", Enqueue {child.label}"
+                    enqueued.append(child)
                 else:
                     state.col.append(child)
             else:
@@ -303,7 +314,7 @@ def _run_faulty(tree: IurTree, query: QueryObject, params: SimParams,
         del live[parent]
         # keep the trace's U column consistent with the live queue
         state.u = ranked = _ranked(queue) if ranked is None else ranked
-        state.snapshot(action)
+        state.snapshot(("Dequeue", parent, enqueued))
 
     _faulty_final_verification(state, tree, hits, live)
     return state
@@ -334,7 +345,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Ent
                 state.col, state.col_lo = [c for c in state.col[state.col_lo:]
                                            if c != candidate], 0
                 _route(state, tree, candidate, verdict)
-                state.snapshot(f"Verify {candidate.label}")
+                state.snapshot(("Verify", candidate, ()))
         for child in tree.children(entry):
             heapq.heappush(working, (neg_depth - 1, child))
     while state.col_lo < len(state.col):
@@ -349,7 +360,7 @@ def _faulty_final_verification(state: EngineState, tree: IurTree, hits: list[Ent
             verdict = Verdict.HIT
         state.col_lo += 1
         _route(state, tree, candidate, verdict)
-        state.snapshot(f"Verify {candidate.label}")
+        state.snapshot(("Verify", candidate, ()))
 
 
 # -- public entry points -------------------------------------------------------

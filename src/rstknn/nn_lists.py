@@ -8,7 +8,8 @@ and accumulating ``m`` yields under/over-estimates of the similarity to the
 k-th nearest neighbor of any point inside the owner.  Counting a point twice
 can trigger a false prune; leaving a point out, a false accept.  A list
 belongs to one query run and computes its owner's pessimistic and
-optimistic query similarity once, at birth.
+optimistic query similarity once, at birth: a node's from its group bounds,
+an object's both from its one exact ``sim_st``.
 
 The legacy modes keep lists, lean ones: a child's list is born as one copy
 of its parent's dict, sharing the immutable tuples, counted once against the
@@ -26,7 +27,11 @@ element, which holds count - 1 slots.  :class:`Rows` own the frontier.  The
 elements come from :meth:`EntryArrays.bounds`, one NumPy call for a tile of
 owners of one kind, each within the margin ``sim_err`` of the scalar value;
 the masses are counted as ranges, and the elements within the margin are
-settled in scalar code, only until the ranges decide.
+settled in scalar code, only until the ranges decide.  A tile holds
+``_TILE_ELEMENTS`` row elements' worth of owners, never fewer than
+``_TILE_ROWS``: up to n of about a thousand, every queued object of a
+frontier version fits one tile, bounded in one call and counted in one
+pass; from there on a tile is ``_TILE_ROWS`` owners high.
 :meth:`Row.reference` builds the list itself, which audit runs walk.
 
 The accept/prune test (:func:`is_hit_or_drop`) sorts nothing, and the
@@ -53,7 +58,8 @@ import numpy as np
 from .core import NormStats, QueryObject, SimParams, sim_st
 from .iur_tree import Entry, IurTree, max_sim_st, min_sim_st, pair_sim_bounds
 
-_TILE_ROWS = 32  # owners per tile; 16 or 64 measured slower at n = 1,024 and 4,096, alpha 0.4
+_TILE_ROWS = 32  # the fewest owners per tile; 16 or 64 measured slower at n = 1,024 and 4,096
+_TILE_ELEMENTS = 37_000  # row elements per tile: _TILE_ROWS rows at n = 1,024, fanout 8
 _SETTLE_BLOCK = 64  # elements a row's scalar settle scans first; each next block doubles
 
 NEG_INF = float("-inf")
@@ -95,8 +101,12 @@ class NNLists:
         self.query, self.params, self.stats = query, params, stats
         self._tuples: dict[Entry, ListTuple] = {} if tuples is None else tuples.copy()
         self._span = self._records[owner].span
-        self.pessimistic = min_sim_st(tree, owner, query, params, stats)
-        self.optimistic = max_sim_st(tree, owner, query, params, stats)
+        if owner.is_node:
+            self.pessimistic = min_sim_st(tree, owner, query, params, stats)
+            self.optimistic = max_sim_st(tree, owner, query, params, stats)
+        else:  # both bounds of an object are its exact similarity
+            obj = tree.objects[owner.ident]  # type: ignore[index]
+            self.pessimistic = self.optimistic = sim_st(obj, query, params, stats)
         self.drop_mass, self.hit_mass, self.covered_slots = self._recount()
 
     def __len__(self) -> int:
@@ -315,14 +325,24 @@ def _masks(lower: np.ndarray, upper: np.ndarray, err: float) -> np.ndarray:
     return np.array([lower > err, ~(lower < -err), upper > err, ~(upper < -err)])
 
 
+def _tile_rows(entries: int) -> int:
+    """Owners per tile, for rows of ``entries`` elements: ``_TILE_ELEMENTS``
+    elements' worth, and never fewer than ``_TILE_ROWS``."""
+    return max(_TILE_ROWS, _TILE_ELEMENTS // entries)
+
+
 class _Tile:
     """Owners of one kind (entry indices), their bounds against every entry,
-    query thresholds, and masses (NaN until counted) of frontier ``version``."""
+    query thresholds (a node's NaN until its row is counted), and masses
+    (NaN until counted) of frontier ``version``."""
 
-    def __init__(self, owners: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    def __init__(self, owners: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                 thresholds: list[float] | None = None):
         self.owners, self.lower, self.upper = owners, lower, upper
         self.slot = {j: r for r, j in enumerate(owners.tolist())}
         self.optimistic, self.pessimistic = np.full((2, len(owners)), np.nan)
+        if thresholds is not None:
+            self.optimistic[:] = self.pessimistic[:] = thresholds
         self.masses = np.full((len(owners), 4), np.nan)
         self.version = -1
 
@@ -332,16 +352,21 @@ class Rows:
     entries covering ``covered`` objects, which only :meth:`expand` and
     :meth:`objects_only` change, each making a new ``version``; and its
     owners' rows a tile at a time.  A tile (one of each kind is kept) is the
-    next ``_TILE_ROWS`` entries of one kind in FIFO dequeue order, skipping
-    decided entries and those under them, bounded by one
-    :meth:`EntryArrays.bounds` call (an object tile only against the nodes
-    on the frontier or not yet dequeued: no other node can join it).  An
+    next entries of one kind in FIFO dequeue order, skipping decided entries
+    and those under them, bounded by one :meth:`EntryArrays.bounds` call (an
+    object tile only against the nodes on the frontier or not yet dequeued:
+    no other node can join it).  Tiles are sized by memory: ``_TILE_ELEMENTS``
+    row elements, so at the hundreds of objects every queued entry of a kind
+    fits one tile, and never fewer than ``_TILE_ROWS`` owners, the height
+    that measured fastest from n = 1,024 up.  An object tile takes its
+    owners' query similarities, one ``sim_st`` each, when it is made.  An
     object's dequeue leaves the frontier as it is, so :meth:`_count` counts
     the masses of a tile's queued objects in one pass, kept until the next
     version; a node's dequeue mostly expands it, so :meth:`_count_node`
     counts a node's row alone, on one-dimensional views, which is cheaper
-    than a pass of one row.
-    O(_TILE_ROWS * (N + n)) memory.
+    than a pass of one row.  Both read the frontier's slot vector, each
+    entry's count on the frontier and 0 off it, which :meth:`_flip` keeps.
+    O(max(_TILE_ELEMENTS, _TILE_ROWS * (N + n))) memory.
     """
 
     def __init__(self, tree: IurTree, query: QueryObject, params: SimParams, stats: NormStats):
@@ -349,6 +374,7 @@ class Rows:
         self.arrays = tree.entry_arrays()
         self.err = tree.tiles().sim_err(params, stats)
         self.frontier = np.zeros(len(self.arrays.count), dtype=bool)
+        self._counts = np.zeros(len(self.arrays.count))  # the frontier's slot vector
         self.covered = self.version = 0
         self._routed = np.zeros(tree.size, dtype=bool)  # the positions of decided entries
         self._tiles: dict[bool, _Tile] = {}  # per kind (is_node)
@@ -367,8 +393,10 @@ class Rows:
         """Take the entries ``cols`` off the frontier or put them on."""
         cols = np.asarray(cols)
         on = ~self.frontier[cols]
+        count = self.arrays.count[cols]
         self.frontier[cols] = on
-        self.covered += int(self.arrays.count[cols] @ (2 * on - 1))
+        self._counts[cols] = count * on
+        self.covered += int(count @ (2 * on - 1))
         self.version += 1
 
     def decided(self, entry: Entry) -> None:
@@ -384,11 +412,17 @@ class Rows:
         tile = self._tiles.get(kind)
         if tile is None or i not in tile.slot:
             order = a.bfs[a.rank[i]:]
-            owners = order[((order < a.nodes) == kind) & ~self._routed[a.first[order]]][:_TILE_ROWS]
-            nodes = None if kind else np.flatnonzero(self.frontier[:a.nodes]
-                                                     | (a.rank[:a.nodes] > a.rank[i]))
-            tile = self._tiles[kind] = _Tile(owners, *a.bounds(owners, self.params, self.stats,
-                                                                nodes))
+            owners = order[((order < a.nodes) == kind) & ~self._routed[a.first[order]]]
+            owners = owners[:_tile_rows(len(a.count))]
+            if kind:
+                tile = _Tile(owners, *a.bounds(owners, self.params, self.stats))
+            else:
+                nodes = np.flatnonzero(self.frontier[:a.nodes] | (a.rank[:a.nodes] > a.rank[i]))
+                objects = a.tiles.objects
+                sims = [sim_st(objects[p], self.query, self.params, self.stats)
+                        for p in a.first[owners].tolist()]
+                tile = _Tile(owners, *a.bounds(owners, self.params, self.stats, nodes), sims)
+            self._tiles[kind] = tile
         r = tile.slot[i]
         if kind:
             return Row(self, owner, tile, r, self._count_node(owner, i, tile, r))
@@ -405,7 +439,7 @@ class Rows:
         elements ``lo`` to ``hi``): its count on the frontier, less one for
         the owner's own element (a node's self-tuple holds count - 1, an
         object's own element none)."""
-        m = np.where(self.frontier[lo:hi], self.arrays.count[lo:hi], 0)
+        m = self._counts[lo:hi].copy()
         if 0 <= i - lo < len(m):
             m[i - lo] -= 1
         return m
@@ -417,7 +451,7 @@ class Rows:
         tile.optimistic[r] = max_sim_st(self.tree, owner, self.query, self.params, self.stats)
         tile.pessimistic[r] = min_sim_st(self.tree, owner, self.query, self.params, self.stats)
         lower, m = tile.lower[r] - tile.optimistic[r], self._slots(i)
-        if (drop := int(m @ (lower > self.err))) >= self.params.k:
+        if (drop := float(m @ (lower > self.err))) >= self.params.k:
             return [drop, np.nan, np.nan, np.nan]
         return (_masks(lower, tile.upper[r] - tile.pessimistic[r], self.err) @ m).tolist()
 
@@ -425,15 +459,10 @@ class Rows:
         """Count the masses of the object tile's ``rows`` against the
         frontier: the known drop mass, then the other three where it is
         below k.  Both thresholds are an object's ``sim_st`` to the query."""
-        a, owners, masses, err = self.arrays, tile.owners, tile.masses, self.err
+        owners, masses, err, m = tile.owners, tile.masses, self.err, self._counts
         if tile.version != self.version:  # masses of another frontier
             masses[:] = np.nan
             tile.version = self.version
-        for j in rows[np.isnan(tile.optimistic[rows])].tolist():
-            obj = self.tree.object(a.entries[owners[j]].ident)  # type: ignore[arg-type]
-            tile.optimistic[j] = tile.pessimistic[j] = sim_st(obj, self.query, self.params,
-                                                              self.stats)
-        m = np.where(self.frontier, a.count, 0.0)
         # less one slot of the owner's own element, which holds none
         lower = tile.lower[rows] - tile.optimistic[rows, None]
         known = lower > err
@@ -518,7 +547,8 @@ class Row:
             unsure = np.array([~(np.abs(bounds[lo:hi] - t) > rows.err)
                                for bounds, t in zip((self.lower, self.upper), thresholds)])
             pick = np.flatnonzero((m > 0) & (unsure[0] | unsure[1]))[::-1]
-            yield from zip((lo + pick).tolist(), m[pick].tolist(), unsure[:, pick].T.tolist())
+            yield from zip((lo + pick).tolist(), m[pick].astype(int).tolist(),
+                           unsure[:, pick].T.tolist())
             hi, size = lo, 2 * size
 
     def reference(self) -> NNLists:

@@ -389,6 +389,26 @@ def test_input_that_once_crashed_or_split_is_a_parse_error_or_answered(
         assert f"{name}:{line}: {message.format(where=where)}" in err
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5001, reason="no integer digit limit below 5,001")
+@pytest.mark.parametrize("command", ["query", "compare"])
+@pytest.mark.parametrize("where", ["dataset", "query"])
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, command, where):
+    # the decoder cannot convert a JSON integer of 5,001 digits: a parse
+    # error at its line, never a traceback or compare's exit 1
+    big = "1" + "0" * 5000
+    dataset, query = tmp_path / "data.jsonl", tmp_path / "q.json"
+    dataset.write_text('{"id": "a", "x": %s, "y": 0}\n' % (big if where == "dataset" else 0)
+                       + '{"id": "b", "x": 2, "y": 1}\n')
+    query.write_text('{"x": %s, "y": 0}' % (big if where == "query" else 0))
+    code, out, err = run_cli([command, str(dataset), "--query-file", str(query)])
+    assert code == EXIT_PARSE and not out
+    path = dataset if where == "dataset" else query
+    assert err == f"error: {path}:1: invalid JSON: an integer has too many digits\n"
+
+
 @pytest.mark.parametrize("command", ["query", "compare"])
 @pytest.mark.parametrize("value", [
     pytest.param("[" * 400 + '"x"' + "]" * 400, id="nested"),

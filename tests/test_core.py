@@ -66,6 +66,17 @@ def test_term_vector_rejects_int_weight_beyond_float_range():
         TermVector({"a": 10**400})
 
 
+@pytest.mark.parametrize("term,weight,message", [
+    pytest.param("k" * 3000, -1.0, "negative weight for term 'kkk", id="long-term"),
+    pytest.param("t", -10**3000, "non-finite weight for term 't': -1000", id="long-weight"),
+])
+def test_term_vector_errors_quote_a_long_term_or_weight_briefly(term, weight, message):
+    # a key or weight without bound is quoted as a short prefix
+    with pytest.raises(ValueError) as info:
+        TermVector({term: weight})
+    assert str(info.value).startswith(message) and len(str(info.value)) <= 100
+
+
 @pytest.mark.parametrize("weights", [
     {"a": 1e200}, {"a": 1e154, "b": 1e154}, {"a": 1e-170}, {"a": 1e-160, "b": 1e-160},
 ])

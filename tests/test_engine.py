@@ -23,7 +23,7 @@ from rstknn.engine import (
     rstknn_query,
     trace_to_jsonl,
 )
-from rstknn.iur_tree import build_tree, node_entry, object_entry, tree_from_layout
+from rstknn.iur_tree import Entry, build_tree, node_entry, object_entry, tree_from_layout
 from rstknn import engine, iur_tree, nn_lists
 from rstknn.nn_lists import Row, Rows, Verdict, is_hit_or_drop
 from rstknn.oracle import kth_nn_sim, rknn_bruteforce
@@ -106,6 +106,26 @@ def test_trace_columns_are_label_lists_fixed_at_snapshot_time(monkeypatch, mode)
         assert ev.u is not ev.u
         ev.u.append("changed")  # the caller's own copy
         assert (ev.u, ev.col, ev.rol, ev.pel) == columns
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_run_makes_no_label_until_its_trace_is_read(monkeypatch, mode):
+    # an event keeps its action's verb, entry and enqueued children, as its
+    # columns keep windows: a run makes no label, and reading the trace
+    # gives the table's text
+    made = []
+    label = Entry.label
+
+    def counted(entry):
+        made.append(entry)
+        return label.fget(entry)
+
+    monkeypatch.setattr(Entry, "label", property(counted))
+    fx = two_cluster_fixture()
+    _, trace = rstknn_query(fx.build_tree(), fx.query, fx.params, mode)
+    assert trace and not made
+    assert trace[0].action.startswith("Dequeue N0")
+    assert all(ev.action.startswith(("Dequeue ", "Verify ")) for ev in trace) and made
 
 
 def test_correct_mode_snapshots_are_windows_into_four_lists():
@@ -417,7 +437,7 @@ def test_node_rows_decide_alike_in_tiles_of_any_size(monkeypatch, equal_span_tre
 
     monkeypatch.setattr(iur_tree.EntryArrays, "bounds", counted)
     monkeypatch.setattr(Rows, "decided", recorded)
-    monkeypatch.setattr(nn_lists, "_TILE_ROWS", 10**6)
+    monkeypatch.setattr(nn_lists, "_tile_rows", lambda entries: 10**6)
     one_tile = []
     for tree, q, params in runs:
         before, decided[:] = len(calls), []
@@ -426,7 +446,7 @@ def test_node_rows_decide_alike_in_tiles_of_any_size(monkeypatch, equal_span_tre
         assert sorted(kind for _, kind, _ in calls[before:]) == sorted(kinds)
         one_tile.append((got, trace_to_jsonl(trace)))
     calls.clear()
-    monkeypatch.setattr(nn_lists, "_TILE_ROWS", 2)
+    monkeypatch.setattr(nn_lists, "_tile_rows", lambda entries: 2)
     skipped = 0
     for (tree, q, params), want in zip(runs, one_tile):
         decided[:] = []
@@ -438,6 +458,44 @@ def test_node_rows_decide_alike_in_tiles_of_any_size(monkeypatch, equal_span_tre
     assert {kind for _, kind, _ in calls} == {True, False}
     assert all(not under for _, _, under in calls)  # no row for an entry under a decided one
     assert skipped > 0
+
+
+def test_tiles_are_sized_by_memory_with_a_floor_of_tile_rows_owners(monkeypatch):
+    # from n ~ 1,000 up a tile holds _TILE_ROWS owners, as before; at the
+    # hundreds of objects one tile holds every queued object, so a query
+    # bounds its objects in one call and counts each frontier version once
+    def columns(n):
+        tree = build_tree(random_dataset(random.Random(n), n, 8), 8)
+        return tree, tree.entry_arrays().nodes + n
+
+    for n in (1024, 4096):
+        assert nn_lists._tile_rows(columns(n)[1]) == nn_lists._TILE_ROWS
+    bounds, count = iur_tree.EntryArrays.bounds, Rows._count
+    calls = []
+
+    def counted(arrays, owners, *args):
+        calls.append(("bounds", bool(owners[0] < arrays.nodes), None))
+        return bounds(arrays, owners, *args)
+
+    def counted_pass(rows, tile, *args):
+        calls.append(("count", False, rows.version))
+        return count(rows, tile, *args)
+
+    monkeypatch.setattr(iur_tree.EntryArrays, "bounds", counted)
+    monkeypatch.setattr(Rows, "_count", counted_pass)
+    rng = random.Random(64)
+    object_tiles = passes = 0
+    for n in (64, 96):
+        tree, cols = columns(n)
+        assert nn_lists._tile_rows(cols) >= n
+        for _ in range(10):
+            calls.clear()
+            rstknn_query(tree, random_query(rng, 8), SimParams(0.4, 4))
+            tiles = [kind for call, kind, _ in calls if call == "bounds"].count(False)
+            versions = [version for call, _, version in calls if call == "count"]
+            assert tiles <= 1 and len(versions) == len(set(versions))
+            object_tiles, passes = object_tiles + tiles, passes + len(versions)
+    assert object_tiles > 10 and passes > object_tiles
 
 
 def test_each_entry_enqueued_at_most_once():

@@ -131,7 +131,7 @@ def test_setup_digest_matches_golden():
 def test_trace_digests_do_not_depend_on_the_tile_height(monkeypatch, tile_rows, args, golden):
     # tiles of two and three rows split the owners of every kind, nodes and
     # objects alike, and no decision changes
-    monkeypatch.setattr(nn_lists, "_TILE_ROWS", tile_rows)
+    monkeypatch.setattr(nn_lists, "_tile_rows", lambda entries: tile_rows)
     script = runpy.run_path(str(ROOT / "scripts" / "trace_digest.py"))
     out = io.StringIO()
     with redirect_stdout(out):
